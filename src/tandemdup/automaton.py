@@ -4,7 +4,9 @@ For kmax <= 3 the language of a duplication system is regular.  The
 construction here colors the seed so every position is a distinct symbol,
 builds a structured regular expression over the colored symbols, compiles
 it with the position (Glushkov) construction, erases the colors from the
-edge labels, and finally determinizes and trims the result.
+edge labels, and finally determinizes and trims the result.  The minimal
+machine comes straight from the NFA by double reversal (Brzozowski), which
+never builds the forward subset construction.
 
 The module also carries the machinery to certify that an automaton's
 language is closed under bounded duplication: every short path label into
@@ -138,13 +140,13 @@ def _glushkov(regex: Regex):
 # raw machine helpers (states are ints, edges are (source, symbol, target))
 
 
-def _determinize_raw(start: int, accepting: Set[int], edges, symbol_order):
-    """Subset construction; state ids follow discovery order, so the result
-    is stable for a fixed symbol order."""
+def _determinize_raw(starts: Iterable[int], accepting: Set[int], edges, symbol_order):
+    """Subset construction from the set of start states; state ids follow
+    discovery order, so the result is stable for a fixed symbol order."""
     move: Dict[Tuple[int, object], Set[int]] = defaultdict(set)
     for p, s, q in edges:
         move[(p, s)].add(q)
-    start_set = frozenset({start})
+    start_set = frozenset(starts)
     ids = {start_set: 0}
     queue = deque([start_set])
     det_edges = set()
@@ -217,6 +219,24 @@ def _trim_raw(states: Set[int], start: int, accepting: Set[int], edges, symbol_o
     }
     new_accepting = {renumber[a] for a in accepting if a in renumber}
     return set(renumber.values()), 0, new_accepting, new_edges
+
+
+def _minimal_raw(start: int, accepting: Set[int], edges, symbol_order):
+    """Minimal trim DFA of any NFA, by Brzozowski's double reversal.
+
+    Determinizing the reversal yields a reachable DFA for the reversed
+    language; determinizing its reversal again yields the minimal DFA.
+    Each subset in that last step holds a state the reversed machine
+    reached, so it can reach acceptance and the result is already trim.
+    Discovery order numbers it breadth-first from the start, symbols in
+    order, as `_trim_raw` would.
+    """
+    reverse = {(q, s, p) for p, s, q in edges}
+    _, _, back_accepting, back_edges = _determinize_raw(
+        accepting, {start}, reverse, symbol_order
+    )
+    reverse = {(q, s, p) for p, s, q in back_edges}
+    return _determinize_raw(back_accepting, {0}, reverse, symbol_order)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +315,9 @@ class LabeledAutomaton:
     # -- transformations
 
     def determinized(self) -> "LabeledAutomaton":
-        states, start, accepting, edges = _determinize_raw(
-            self.start, set(self.accepting), self.edges, self.alphabet.symbols
-        )
-        return LabeledAutomaton(self.alphabet, states, start, accepting, edges)
+        return LabeledAutomaton(self.alphabet, *_determinize_raw(
+            {self.start}, set(self.accepting), self.edges, self.alphabet.symbols
+        ))
 
     def trimmed(self) -> "LabeledAutomaton":
         states, start, accepting, edges = _trim_raw(
@@ -317,42 +336,13 @@ class LabeledAutomaton:
         return all(q in reachable and q in coreachable for q in self.states)
 
     def minimized(self) -> "LabeledAutomaton":
-        """Moore partition refinement on the trimmed machine."""
+        """Minimal trim machine for the same language, by double reversal,
+        with states numbered breadth-first from the start."""
         if not self.is_deterministic:
             raise NondeterministicAutomatonError("minimize needs a deterministic machine")
-        a = self.trimmed()
-        dead = max(a.states) + 1  # completion sink so transition signatures are total
-
-        def target(q, s):
-            if q == dead:
-                return dead
-            ts = a._out[q].get(s)
-            return next(iter(ts)) if ts else dead
-
-        states = list(a.states) + [dead]
-        block = {q: (1 if q in a.accepting else 0) for q in states}
-        while True:
-            signature_ids: Dict[tuple, int] = {}
-            refined = {}
-            for q in states:
-                signature = (
-                    block[q],
-                    tuple(block[target(q, s)] for s in a.alphabet.symbols),
-                )
-                if signature not in signature_ids:
-                    signature_ids[signature] = len(signature_ids)
-                refined[q] = signature_ids[signature]
-            if len(signature_ids) == len(set(block.values())):
-                break
-            block = refined
-        # every trim state has a nonempty right language, so the dead state
-        # sits in a block of its own and simply drops out here
-        new_states = {block[q] for q in a.states}
-        new_edges = {(block[p], s, block[q]) for p, s, q in a.edges}
-        new_accepting = {block[q] for q in a.accepting}
-        return LabeledAutomaton(
-            a.alphabet, new_states, block[a.start], new_accepting, new_edges
-        )
+        return LabeledAutomaton(self.alphabet, *_minimal_raw(
+            self.start, set(self.accepting), self.edges, self.alphabet.symbols
+        ))
 
     # -- serialization
 
@@ -498,7 +488,7 @@ def colored_automaton(system: DuplicationSystem) -> LabeledAutomaton:
     tokens, states, start, accepting, edges = _colored_parts(system)
     token_alphabet = Alphabet(tokens)
     states, start, accepting, edges = _determinize_raw(
-        start, accepting, edges, token_alphabet.symbols
+        {start}, accepting, edges, token_alphabet.symbols
     )
     states, start, accepting, edges = _trim_raw(
         states, start, accepting, edges, token_alphabet.symbols
@@ -509,21 +499,20 @@ def colored_automaton(system: DuplicationSystem) -> LabeledAutomaton:
 def build_automaton(
     system: DuplicationSystem, minimize: bool = False
 ) -> LabeledAutomaton:
-    """Deterministic trim automaton for the language of a kmax <= 3 system."""
+    """Deterministic trim automaton for the language of a kmax <= 3 system,
+    the minimal one when `minimize` is set."""
     if system.kmax > 3:
         raise UnsupportedDuplicationLength(
             f"automaton construction needs kmax <= 3, got {system.kmax}"
         )
     _, states, start, accepting, edges = _colored_parts(system)
     plain_edges = {(p, _decolor(s), q) for p, s, q in edges}
-    states, start, accepting, det_edges = _determinize_raw(
-        start, accepting, plain_edges, system.alphabet.symbols
-    )
-    states, start, accepting, det_edges = _trim_raw(
-        states, start, accepting, det_edges, system.alphabet.symbols
-    )
-    machine = LabeledAutomaton(system.alphabet, states, start, accepting, det_edges)
-    return machine.minimized() if minimize else machine
+    symbols = system.alphabet.symbols
+    if minimize:
+        raw = _minimal_raw(start, accepting, plain_edges, symbols)
+    else:
+        raw = _trim_raw(*_determinize_raw({start}, accepting, plain_edges, symbols), symbols)
+    return LabeledAutomaton(system.alphabet, *raw)
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +520,17 @@ def build_automaton(
 
 
 def count_accepted(automaton: LabeledAutomaton, n: int) -> int:
-    """Number of accepted words of length exactly n, with exact integers."""
+    """Number of accepted words of length exactly n, with exact integers.
+
+    The count runs on the minimal machine, which accepts the same words.
+    """
     if not automaton.is_deterministic:
         raise NondeterministicAutomatonError(
             "counting walks each word once, so the machine must be deterministic"
         )
     if n < 0:
         raise ValueError("length must be nonnegative")
+    automaton = automaton.minimized()
     vec = {automaton.start: 1}
     for _ in range(n):
         nxt: Dict[int, int] = defaultdict(int)

@@ -190,7 +190,7 @@ def spectral_capacity(system: DuplicationSystem, tol: float = 1e-10) -> float:
     if system.base == 1:
         # one word per length, nothing to measure
         return 0.0
-    tm = transfer_matrix(build_automaton(system))
+    tm = transfer_matrix(build_automaton(system, minimize=True))
     rho = spectral_radius(tm.matrix, tol)
     if rho < 1.0:
         # a duplication language always pumps at least one run

@@ -57,25 +57,27 @@ class UsageError(Exception):
     pass
 
 
-def _system(args) -> DuplicationSystem:
+def _checked(call, *args):
+    """Run a library call whose plain ValueErrors mean bad input; some
+    domain errors subclass ValueError and keep their exit code."""
     try:
-        return DuplicationSystem.parse(args.alphabet, args.seed, args.max_dup)
+        return call(*args)
+    except _DOMAIN_ERRORS:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _system(args) -> DuplicationSystem:
+    return _checked(DuplicationSystem.parse, args.alphabet, args.seed, args.max_dup)
 
 
 def _alphabet(text: str) -> Alphabet:
-    try:
-        return Alphabet.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return _checked(Alphabet.parse, text)
 
 
 def _word(alphabet: Alphabet, text: str):
-    try:
-        return alphabet.word(text)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return _checked(alphabet.word, text)
 
 
 def _add_system_flags(sub, seed_required=True):
@@ -94,7 +96,7 @@ def _add_output_flags(sub, formats=("json", "text")):
 
 def cmd_generate(args):
     system = _system(args)
-    piece = enumerate_words(system, args.max_len, args.budget)
+    piece = _checked(enumerate_words, system, args.max_len, args.budget)
     doc = piece.to_json_dict(include_words=True)
     lines = []
     for n in sorted(piece.by_length):
@@ -105,7 +107,7 @@ def cmd_generate(args):
 
 def cmd_count(args):
     system = _system(args)
-    table = count_words(system, args.max_len, args.budget)
+    table = _checked(count_words, system, args.max_len, args.budget)
     doc = table.to_json_dict()
     lines = [f"{n}\t{table.counts[n]}" for n in sorted(table.counts)]
     return doc, lines
@@ -135,7 +137,7 @@ def cmd_automaton(args):
 def cmd_capacity(args):
     system = _system(args)
     if args.empirical:
-        table = count_words(system, args.max_len, args.budget)
+        table = _checked(count_words, system, args.max_len, args.budget)
         estimate = empirical_capacity(table, system.base, args.window)
         doc = estimate.to_json_dict()
     else:
@@ -174,6 +176,8 @@ def cmd_witness(args):
 def cmd_dedup(args):
     alphabet = _alphabet(args.alphabet)
     word = _word(alphabet, args.word)
+    if args.max_dup < 1:
+        raise UsageError("kmax must be at least 1")
     result = dedup_roots(word, args.max_dup, args.budget)
     doc = {
         "word": args.word,
@@ -183,7 +187,7 @@ def cmd_dedup(args):
     lines = [f"root\t{r}" for r in doc["roots"]]
     if args.target is not None:
         target = _word(alphabet, args.target)
-        distance = dedup_distance(word, target, args.max_dup, args.budget)
+        distance = _checked(dedup_distance, word, target, args.max_dup, args.budget)
         doc["target"] = args.target
         doc["distance"] = distance
         lines.append(f"distance\t{distance}")
@@ -201,7 +205,7 @@ def cmd_verify(args):
         "closure": certificate.to_json_dict(),
     }
     if args.check_upto is not None:
-        piece = enumerate_words(system, args.check_upto, args.budget)
+        piece = _checked(enumerate_words, system, args.check_upto, args.budget)
         accepted = language_upto(machine, args.check_upto)
         agrees = all(
             piece.by_length.get(n, frozenset()) == frozenset(accepted.get(n, ()))
@@ -221,7 +225,7 @@ def cmd_verify(args):
 
 def cmd_squarefree(args):
     alphabet = _alphabet(args.alphabet)
-    word = thue_square_free(args.length, alphabet)
+    word = _checked(thue_square_free, args.length, alphabet)
     doc = {"length": args.length, "word": alphabet.text(word)}
     return doc, [doc["word"]]
 
@@ -230,7 +234,7 @@ def cmd_avoid(args):
     alphabet = _alphabet(args.alphabet)
     raw = args.forbid or []
     forbidden = [_word(alphabet, w) for w in raw]
-    value = avoidance_capacity(alphabet, forbidden, args.tolerance)
+    value = _checked(avoidance_capacity, alphabet, forbidden, args.tolerance)
     doc = {
         "alphabet": alphabet.to_text(),
         "forbidden": list(raw),
@@ -360,7 +364,11 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(args, doc, lines)
+    try:
+        _emit(args, doc, lines)
+    except OSError as exc:
+        print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

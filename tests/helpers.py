@@ -6,6 +6,8 @@ the package cannot hide behind the same bug in the tests.
 
 import itertools
 
+from tandemdup import LabeledAutomaton
+
 
 def brute_duplicate(word, i, k):
     """Copy the block word[i:i+k] in place, written with explicit slices."""
@@ -79,3 +81,45 @@ def canonical_patterns(max_len, max_symbols=4):
 
     extend("", 0)
     return out
+
+
+def moore_minimized(machine):
+    """Minimal machine by Moore partition refinement, for cross-checking
+    the library's double reversal.
+
+    Works on the trimmed machine completed with one dead state.  Block ids
+    follow the first state of each block in the trimmed machine's
+    breadth-first numbering, so the result uses the same state numbers as
+    the library's minimal machine, not just an isomorphic copy.
+    """
+    a = machine.trimmed()
+    symbols = a.alphabet.symbols
+    dead = max(a.states) + 1
+    succ = {q: {} for q in a.states}
+    for p, s, q in a.edges:
+        succ[p][s] = q
+    states = list(a.states) + [dead]
+    block = {q: (1 if q in a.accepting else 0) for q in states}
+    while True:
+        signature_ids = {}
+        refined = {}
+        for q in states:
+            targets = succ.get(q, {})
+            signature = (block[q], tuple(block[targets.get(s, dead)] for s in symbols))
+            refined[q] = signature_ids.setdefault(signature, len(signature_ids))
+        stable = len(signature_ids) == len(set(block.values()))
+        # keep the first-occurrence ids of the round that found the
+        # partition stable, so a machine that starts out minimal (one state,
+        # say) keeps its numbering instead of the 1/0 acceptance ids
+        block = refined
+        if stable:
+            break
+    # trim states have nonempty right languages, so unless the language is
+    # empty the dead state sits in a block of its own and drops out here
+    return LabeledAutomaton(
+        a.alphabet,
+        {block[q] for q in a.states},
+        block[a.start],
+        {block[q] for q in a.accepting},
+        {(block[p], s, block[q]) for p, s, q in a.edges},
+    )

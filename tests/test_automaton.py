@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from tandemdup import (
     verify_duplication_closure,
 )
 from tandemdup.automaton import alt, cat, plus, star, sym
-from helpers import accepted_by_scan, canonical_patterns, naive_closure
+from helpers import accepted_by_scan, canonical_patterns, moore_minimized, naive_closure
 
 
 def _language_set(machine, max_length):
@@ -104,6 +105,8 @@ def test_counting_rejects_nondeterminism():
         count_accepted(nfa, 3)
     with pytest.raises(NondeterministicAutomatonError):
         language_upto(nfa, 3)
+    with pytest.raises(NondeterministicAutomatonError):
+        nfa.minimized()
 
 
 class TestMachineBasics:
@@ -265,3 +268,58 @@ def test_canonical_seed_languages_match_closure(kmax):
             pattern,
             kmax,
         )
+
+
+class TestMinimalMachine:
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_canonical_seed_sweep_matches_moore_and_closure(self, kmax):
+        for pattern in canonical_patterns(6):
+            alphabet = "0123"[: int(max(pattern)) + 1]
+            sys = DuplicationSystem.parse(alphabet, pattern, kmax)
+            full = build_automaton(sys)
+            minimal = build_automaton(sys, minimize=True)
+            # exact equality, state numbering included
+            assert minimal == full.minimized() == moore_minimized(full), (pattern, kmax)
+            depth = len(pattern) + 3
+            assert _language_set(minimal, depth) == naive_closure(pattern, kmax, depth), (
+                pattern,
+                kmax,
+            )
+
+    def test_non_trim_dfa_loses_unreachable_dead_and_twin_states(self):
+        # 1 and 4 are equivalent, 2 is dead, 3 is unreachable
+        m = LabeledAutomaton(
+            Alphabet("ab"),
+            {0, 1, 2, 3, 4},
+            0,
+            {1, 4},
+            {(0, "a", 1), (1, "a", 4), (4, "a", 1), (0, "b", 2), (2, "b", 2), (3, "a", 0)},
+        )
+        want = LabeledAutomaton(Alphabet("ab"), {0, 1}, 0, {1}, {(0, "a", 1), (1, "a", 1)})
+        assert m.minimized() == want == moore_minimized(m)
+        for n in range(7):
+            assert count_accepted(m, n) == len(accepted_by_scan(m, "ab", n))
+
+    @pytest.mark.parametrize("accepting", [set(), {2}], ids=["none", "unreachable"])
+    def test_empty_language_gives_one_rejecting_state(self, accepting):
+        m = LabeledAutomaton(
+            Alphabet("a"), {0, 1, 2}, 0, accepting, {(0, "a", 1), (1, "a", 1), (2, "a", 2)}
+        )
+        want = LabeledAutomaton(Alphabet("a"), {0}, 0, set(), set())
+        assert m.minimized() == want == moore_minimized(m)
+        assert [count_accepted(m, n) for n in range(4)] == [0, 0, 0, 0]
+
+    def test_one_state_machine_is_already_minimal(self):
+        m = LabeledAutomaton(Alphabet("01"), {0}, 0, {0}, {(0, "0", 0), (0, "1", 0)})
+        assert m.minimized() == m == moore_minimized(m)
+        assert [count_accepted(m, n) for n in range(5)] == [1, 2, 4, 8, 16]
+
+    def test_long_seed_skips_the_forward_subset_blow_up(self):
+        # the forward subset construction for the 96-symbol seed has about
+        # 58 000 states; double reversal never builds it
+        rng = random.Random(1)
+        seeds = ["".join(rng.choice("012") for _ in range(n)) for n in (48, 96)]
+        sys = DuplicationSystem.parse("012", seeds[1], 3)
+        machine = build_automaton(sys, minimize=True)
+        assert len(machine.states) == 147
+        assert machine.accepts(seeds[1])

@@ -208,6 +208,35 @@ class TestExitCodes:
         assert "kmax" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["squarefree", "--length", "-1"],
+        ["squarefree", "--length", "5", "--alphabet", "01"],
+        ["count", *SYS3, "--max-len", "2"],
+        ["dedup", "--alphabet", "012", "--word", "012", "--max-dup", "3", "--target", "01210"],
+        ["dedup", "--alphabet", "012", "--word", "0121", "--max-dup", "0"],
+        ["avoid", "--alphabet", "012", "--forbid", "0"],
+    ],
+    ids=["negative-length", "two-symbol-squarefree", "max-len-below-seed",
+         "target-longer-than-word", "max-dup-zero", "one-symbol-forbidden-word"],
+)
+def test_bad_input_is_a_one_line_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: "), captured.err
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    code = main(["squarefree", "--length", "5", "--out", str(tmp_path / "missing" / "w.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("usage error: ") and len(captured.err.splitlines()) == 1
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "machine.json"
     code, out = run(capsys, "automaton", *SYS2, "--out", str(target))
