@@ -14,7 +14,6 @@ from tandemdup import (
     build_automaton,
     count_accepted,
     enumerate_words,
-    export,
     language_upto,
     transfer_matrix,
     verify_duplication_closure,
@@ -49,4 +48,4 @@ print("states that need a superstate for some length-3 label:",
 
 # smaller equivalent machine, and a DOT drawing for graphviz
 print("minimized:", machine.minimized())
-print("\n" + "\n".join(export(machine.minimized(), "dot").splitlines()[:6]) + "\n...")
+print("\n" + "\n".join(machine.minimized().to_dot().splitlines()[:6]) + "\n...")

@@ -4,7 +4,7 @@ For kmax <= 3 the language of a duplication system is regular.  The
 construction here colors the seed so every position is a distinct symbol,
 builds a structured regular expression over the colored symbols, compiles
 it with the position (Glushkov) construction, erases the colors from the
-edge labels, and finally determinizes and trims the result.  The minimal
+edge labels, and finally determinizes the result.  The minimal
 machine comes straight from the NFA by double reversal (Brzozowski), which
 never builds the forward subset construction.
 
@@ -402,15 +402,6 @@ class LabeledAutomaton:
         )
 
 
-def export(automaton: LabeledAutomaton, format: str) -> str:
-    """Serialize to 'json' or 'dot'."""
-    if format == "json":
-        return automaton.to_json()
-    if format == "dot":
-        return automaton.to_dot()
-    raise ValueError(f"unknown format {format!r}")
-
-
 # ---------------------------------------------------------------------------
 # construction for duplication systems
 
@@ -474,9 +465,8 @@ def regex_to_nfa(regex: Regex, alphabet: Alphabet) -> LabeledAutomaton:
 def _colored_parts(system: DuplicationSystem):
     tokens = tuple(_colored_token(s, i) for i, s in enumerate(system.seed))
     regex = seed_regex(tokens, system.kmax)
-    symbols, start, accepting, edges = _glushkov(regex)
-    states = set(range(len(symbols) + 1))
-    return tokens, states, start, accepting, edges
+    _, start, accepting, edges = _glushkov(regex)
+    return tokens, start, accepting, edges
 
 
 def colored_automaton(system: DuplicationSystem) -> LabeledAutomaton:
@@ -485,15 +475,12 @@ def colored_automaton(system: DuplicationSystem) -> LabeledAutomaton:
     Mostly useful for inspecting the construction; erasing the colors from
     its edge labels and determinizing again yields build_automaton(system).
     """
-    tokens, states, start, accepting, edges = _colored_parts(system)
+    tokens, start, accepting, edges = _colored_parts(system)
     token_alphabet = Alphabet(tokens)
-    states, start, accepting, edges = _determinize_raw(
+    # already trim and numbered breadth-first, as in build_automaton
+    return LabeledAutomaton(token_alphabet, *_determinize_raw(
         {start}, accepting, edges, token_alphabet.symbols
-    )
-    states, start, accepting, edges = _trim_raw(
-        states, start, accepting, edges, token_alphabet.symbols
-    )
-    return LabeledAutomaton(token_alphabet, states, start, accepting, edges)
+    ))
 
 
 def build_automaton(
@@ -505,13 +492,16 @@ def build_automaton(
         raise UnsupportedDuplicationLength(
             f"automaton construction needs kmax <= 3, got {system.kmax}"
         )
-    _, states, start, accepting, edges = _colored_parts(system)
+    _, start, accepting, edges = _colored_parts(system)
     plain_edges = {(p, _decolor(s), q) for p, s, q in edges}
     symbols = system.alphabet.symbols
     if minimize:
         raw = _minimal_raw(start, accepting, plain_edges, symbols)
     else:
-        raw = _trim_raw(*_determinize_raw({start}, accepting, plain_edges, symbols), symbols)
+        # No trim pass: every Glushkov position of `seed_regex` can reach
+        # acceptance, so every subset can too, and discovery is breadth-first
+        # with symbols in order, the numbering `_trim_raw` would give.
+        raw = _determinize_raw({start}, accepting, plain_edges, symbols)
     return LabeledAutomaton(system.alphabet, *raw)
 
 

@@ -10,7 +10,6 @@ radius also has a closed form depending only on gross features of the seed.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Set
@@ -35,6 +34,9 @@ CASE_TWO_SYMBOL = "two-symbol"
 CASE_ABC = "abc-substring"
 CASE_K1 = "binary-k1"
 CASE_EMPIRICAL = "empirical"
+
+# power iterations per strongly connected block before giving up
+_MAX_POWER_ITERATIONS = 100_000
 
 
 def _sccs(adjacency):
@@ -81,7 +83,7 @@ def _sccs(adjacency):
     return groups
 
 
-def _power_radius(block: np.ndarray, tol: float, max_iterations: int) -> float:
+def _power_radius(block: np.ndarray, tol: float) -> float:
     """Largest eigenvalue of an irreducible nonnegative matrix.
 
     Iterates on block + I: the shift makes the matrix primitive, so the
@@ -91,7 +93,7 @@ def _power_radius(block: np.ndarray, tol: float, max_iterations: int) -> float:
     v = np.ones(len(b))
     estimate = None
     stable = 0
-    for _ in range(max_iterations):
+    for _ in range(_MAX_POWER_ITERATIONS):
         w = b @ v
         top = w.max()
         v = w / top
@@ -103,17 +105,19 @@ def _power_radius(block: np.ndarray, tol: float, max_iterations: int) -> float:
             stable = 0
         estimate = top
     raise NonConvergenceError(
-        None if estimate is None else estimate - 1.0, max_iterations
+        None if estimate is None else estimate - 1.0, _MAX_POWER_ITERATIONS
     )
 
 
-def spectral_radius(matrix, tol: float = 1e-10, max_iterations: int = 100_000) -> float:
+def spectral_radius(matrix, tol: float = 1e-10) -> float:
     """Spectral radius of a nonnegative square matrix by the power method.
 
     Reducible matrices are split into strongly connected blocks first and
     the maximum over the blocks is returned.
     """
     m = np.asarray(matrix, dtype=float)
+    if not tol >= 0:  # NaN too: no estimate would ever be within it
+        raise ValueError("tolerance must be nonnegative")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if m.size and m.min() < 0:
@@ -129,7 +133,7 @@ def spectral_radius(matrix, tol: float = 1e-10, max_iterations: int = 100_000) -
             best = max(best, float(m[i, i]))
             continue
         block = m[np.ix_(group, group)]
-        best = max(best, _power_radius(block, tol, max_iterations))
+        best = max(best, _power_radius(block, tol))
     return best
 
 
@@ -149,9 +153,6 @@ class CapacityReport:
             "case": self.case,
             "exactForm": self.exact_form,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _has_three_distinct_window(seed: Word) -> bool:
@@ -216,12 +217,12 @@ class GrowthEstimate:
             "ratios": {str(n): r for n, r in sorted(self.ratios.items())},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 def empirical_capacity(table: CountTable, base: int, window: int = 5) -> GrowthEstimate:
-    """Growth estimate log_base(counts[n+1] / counts[n]), averaged at the tail."""
+    """Growth estimate log_base(counts[n+1] / counts[n]), averaged over the
+    last `window` ratios."""
+    if window < 1:
+        raise ValueError("window must be at least 1")
     counts = table.counts
     ratios = {
         n: math.log(counts[n + 1] / counts[n]) / math.log(base)

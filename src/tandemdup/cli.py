@@ -14,7 +14,6 @@ import sys
 from . import __version__
 from .automaton import (
     build_automaton,
-    export,
     language_upto,
     verify_duplication_closure,
 )
@@ -41,7 +40,7 @@ from .errors import (
     NondeterministicAutomatonError,
     UnsupportedDuplicationLength,
 )
-from .expressiveness import is_fully_expressive, witness
+from .expressiveness import is_fully_expressive
 
 _DOMAIN_ERRORS = (
     BudgetExceededError,
@@ -80,10 +79,9 @@ def _word(alphabet: Alphabet, text: str):
     return _checked(alphabet.word, text)
 
 
-def _add_system_flags(sub, seed_required=True):
+def _add_system_flags(sub):
     sub.add_argument("--alphabet", required=True, help="symbols in rank order")
-    if seed_required:
-        sub.add_argument("--seed", required=True, help="start word")
+    sub.add_argument("--seed", required=True, help="start word")
     sub.add_argument(
         "--max-dup", type=int, required=True, help="largest duplicated block"
     )
@@ -97,7 +95,7 @@ def _add_output_flags(sub, formats=("json", "text")):
 def cmd_generate(args):
     system = _system(args)
     piece = _checked(enumerate_words, system, args.max_len, args.budget)
-    doc = piece.to_json_dict(include_words=True)
+    doc = piece.to_json_dict()
     lines = []
     for n in sorted(piece.by_length):
         for w in sorted(system.alphabet.text(x) for x in piece.by_length[n]):
@@ -129,8 +127,7 @@ def cmd_automaton(args):
     system = _system(args)
     machine = build_automaton(system, minimize=args.minimize)
     if args.format == "dot":
-        text = export(machine, "dot")
-        return None, text.splitlines()
+        return None, machine.to_dot().splitlines()
     return machine.to_json_dict(), None
 
 
@@ -138,13 +135,13 @@ def cmd_capacity(args):
     system = _system(args)
     if args.empirical:
         table = _checked(count_words, system, args.max_len, args.budget)
-        estimate = empirical_capacity(table, system.base, args.window)
+        estimate = _checked(empirical_capacity, table, system.base, args.window)
         doc = estimate.to_json_dict()
     else:
         report = exact_capacity(system)
         doc = report.to_json_dict()
         if args.numeric:
-            doc["numericValue"] = spectral_capacity(system, args.tolerance)
+            doc["numericValue"] = _checked(spectral_capacity, system, args.tolerance)
     if args.bits:
         doc["valueBits"] = doc["value"] * math.log2(system.base)
     lines = [f"{key}\t{doc[key]}" for key in doc]
@@ -155,20 +152,6 @@ def cmd_express(args):
     system = _system(args)
     verdict = is_fully_expressive(system)
     doc = verdict.to_json_dict(system.alphabet)
-    lines = [f"{key}\t{doc[key]}" for key in doc]
-    return doc, lines
-
-
-def cmd_witness(args):
-    system = _system(args)
-    found = witness(system)
-    if found is None:
-        doc = {"witness": None, "reason": None}
-    else:
-        doc = {
-            "witness": system.alphabet.text(found.word),
-            "reason": found.reason,
-        }
     lines = [f"{key}\t{doc[key]}" for key in doc]
     return doc, lines
 
@@ -280,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("capacity", help="growth rate of the language")
     _add_system_flags(sub)
-    sub.add_argument("--exact", action="store_true", help="closed form (default)")
     sub.add_argument("--numeric", action="store_true", help="add the spectral value")
     sub.add_argument("--empirical", action="store_true", help="estimate from counts")
     sub.add_argument("--max-len", type=int, default=14)
@@ -291,16 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_capacity)
 
-    sub = commands.add_parser("express", help="is every word a factor of the language")
+    sub = commands.add_parser("express", help="is every word a factor; a witness if not")
     _add_system_flags(sub)
-    sub.add_argument("--witness", action="store_true", help="include a witness word")
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_express)
-
-    sub = commands.add_parser("witness", help="a word that never occurs as a factor")
-    _add_system_flags(sub)
-    _add_output_flags(sub)
-    sub.set_defaults(func=cmd_witness)
 
     sub = commands.add_parser("dedup", help="irreducible roots under deduplication")
     sub.add_argument("--alphabet", required=True)
@@ -338,13 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, doc, lines) -> None:
-    if getattr(args, "format", "json") == "json" and doc is not None:
+    if args.format == "json" and doc is not None:
         text = json.dumps(doc, indent=2)
     else:
         text = "\n".join(lines if lines is not None else [json.dumps(doc, indent=2)])
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as handle:
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text + "\n")
     else:
         print(text)

@@ -87,7 +87,7 @@ class Alphabet:
         return ",".join(word)
 
     def contains_word(self, word: Word) -> bool:
-        return all(s in self._rank for s in iter_symbols(word))
+        return all(s in self._rank for s in word)
 
     def words_of_length(self, n: int) -> Iterator[Word]:
         """All length-n words over this alphabet, in symbol-rank order."""
@@ -111,13 +111,6 @@ class Alphabet:
 
     def __repr__(self):
         return f"Alphabet({self.to_text()!r})"
-
-
-def iter_symbols(word: Word):
-    """Symbols of a word, for either representation."""
-    if isinstance(word, str):
-        return iter(word)
-    return iter(word)
 
 
 @dataclass(frozen=True)
@@ -194,17 +187,7 @@ def deduplicate(word: Word, location: RepeatLocation) -> Word:
 
 def find_tandem_repeat(word: Word, kmax: int) -> Optional[RepeatLocation]:
     """First square with block length <= kmax, smallest offset then length."""
-    n = len(word)
-    for offset in range(n - 1):
-        limit = min(kmax, (n - offset) // 2)
-        for length in range(1, limit + 1):
-            # cheap first-symbol probe before the slice compare
-            if word[offset] == word[offset + length] and (
-                word[offset : offset + length]
-                == word[offset + length : offset + 2 * length]
-            ):
-                return RepeatLocation(offset, length)
-    return None
+    return next(iter_tandem_repeats(word, kmax), None)
 
 
 def iter_tandem_repeats(word: Word, kmax: int) -> Iterator[RepeatLocation]:
@@ -213,6 +196,7 @@ def iter_tandem_repeats(word: Word, kmax: int) -> Iterator[RepeatLocation]:
     for offset in range(n - 1):
         limit = min(kmax, (n - offset) // 2)
         for length in range(1, limit + 1):
+            # cheap first-symbol probe before the slice compare
             if word[offset] == word[offset + length] and (
                 word[offset : offset + length]
                 == word[offset + length : offset + 2 * length]

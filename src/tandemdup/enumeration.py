@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Set
 
-import json
-
 from .core import DuplicationSystem, Word, deduplicate, iter_tandem_repeats
 from .errors import BudgetExceededError
 
@@ -64,22 +62,15 @@ class LanguageSlice:
             {n: len(ws) for n, ws in self.by_length.items()},
         )
 
-    def to_json_dict(self, include_words: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
+        """The count document plus the words of each length, sorted."""
         text = self.system.alphabet.text
-        doc = {
-            "system": self.system.to_json_dict(),
-            "maxLength": self.max_length,
-            "counts": {str(n): len(self.by_length[n]) for n in sorted(self.by_length)},
+        doc = self.counts().to_json_dict()
+        doc["words"] = {
+            str(n): sorted(text(w) for w in self.by_length[n])
+            for n in sorted(self.by_length)
         }
-        if include_words:
-            doc["words"] = {
-                str(n): sorted(text(w) for w in self.by_length[n])
-                for n in sorted(self.by_length)
-            }
         return doc
-
-    def to_json(self, include_words: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_words), indent=2)
 
 
 @dataclass(frozen=True)
@@ -96,9 +87,6 @@ class CountTable:
             "maxLength": self.max_length,
             "counts": {str(n): self.counts[n] for n in sorted(self.counts)},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -118,7 +106,6 @@ class DedupResult:
     word: Word
     kmax: int
     roots: FrozenSet[Word]
-    distance: Optional[int] = None
 
 
 def enumerate_words(

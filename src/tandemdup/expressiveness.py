@@ -9,7 +9,6 @@ enumeration at small lengths.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Set
 
@@ -45,16 +44,12 @@ class ExpressivenessVerdict:
     rule: str
     witness: Optional[Witness] = None
 
-    def to_json_dict(self, alphabet: Optional[Alphabet] = None) -> dict:
-        text = alphabet.text if alphabet else (lambda w: w)
+    def to_json_dict(self, alphabet: Alphabet) -> dict:
         return {
             "answer": self.answer,
             "rule": self.rule,
-            "witness": text(self.witness.word) if self.witness else None,
+            "witness": alphabet.text(self.witness.word) if self.witness else None,
         }
-
-    def to_json(self, alphabet: Optional[Alphabet] = None) -> str:
-        return json.dumps(self.to_json_dict(alphabet), indent=2)
 
 
 def _classify(system: DuplicationSystem):

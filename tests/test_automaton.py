@@ -15,7 +15,6 @@ from tandemdup import (
     build_automaton,
     colored_automaton,
     count_accepted,
-    export,
     language_upto,
     regex_to_nfa,
     right_language_subset,
@@ -160,11 +159,17 @@ class TestSerialization:
         assert '0 -> 0 [label="0"];' in dot
         assert "doublecircle" in dot
 
-    def test_export_dispatch(self, binary_automaton):
-        assert export(binary_automaton, "json") == binary_automaton.to_json()
-        assert export(binary_automaton, "dot") == binary_automaton.to_dot()
-        with pytest.raises(ValueError):
-            export(binary_automaton, "yaml")
+
+@pytest.mark.parametrize("kmax", [1, 2, 3])
+def test_subset_constructions_come_out_trim(kmax):
+    # build_automaton and colored_automaton skip the trim pass; exact
+    # equality, state numbering included
+    for pattern in canonical_patterns(6):
+        alphabet = "0123"[: int(max(pattern)) + 1]
+        sys = DuplicationSystem.parse(alphabet, pattern, kmax)
+        plain, colored = build_automaton(sys), colored_automaton(sys)
+        assert plain == plain.trimmed(), (pattern, kmax)
+        assert colored == colored.trimmed(), (pattern, kmax)
 
 
 def test_colored_machine_projects_onto_final_language(ternary_system, ternary_automaton):

@@ -70,6 +70,11 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(np.array([[1.0, -1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("tol", [-1e-10, float("nan")])
+    def test_rejects_a_tolerance_no_estimate_can_meet(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            spectral_radius(BLOCK_MATRIX, tol)
+
 
 class TestExactCapacity:
     @pytest.mark.parametrize(
@@ -195,6 +200,11 @@ class TestEmpirical:
         sparse = CountTable(ternary_system, 7, {3: 1, 5: 2, 7: 4})
         with pytest.raises(InsufficientDataError):
             empirical_capacity(sparse, base=3)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_must_be_positive(self, ternary_system, window):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            empirical_capacity(count_words(ternary_system, 10), base=3, window=window)
 
     def test_json_shape(self, ternary_system):
         doc = empirical_capacity(count_words(ternary_system, 10), base=3).to_json_dict()

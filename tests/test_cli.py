@@ -1,9 +1,13 @@
+import argparse
+import inspect
 import json
 import math
+import re
 
 import pytest
 
-from tandemdup.cli import main
+from tandemdup import cli
+from tandemdup.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -74,7 +78,7 @@ class TestAutomaton:
 
 class TestCapacity:
     def test_exact_json(self, capsys):
-        doc = run_json(capsys, "capacity", *SYS3, "--exact")
+        doc = run_json(capsys, "capacity", *SYS3)
         assert doc["case"] == "abc-substring"
         assert doc["exactForm"] == "log_3((3+sqrt(5))/2)"
         assert abs(doc["value"] - 0.8760357589718848) < 1e-12
@@ -83,19 +87,23 @@ class TestCapacity:
         doc = run_json(capsys, "capacity", *SYS3, "--numeric")
         assert abs(doc["numericValue"] - doc["value"]) < 1e-8
 
+    def test_zero_tolerance_converges(self, capsys):
+        doc = run_json(capsys, "capacity", *SYS3, "--numeric", "--tolerance", "0")
+        assert abs(doc["numericValue"] - doc["value"]) < 1e-8
+
     def test_empirical(self, capsys):
         doc = run_json(capsys, "capacity", *SYS3, "--empirical", "--max-len", "12")
         assert doc["case"] == "empirical"
         assert abs(doc["value"] - 0.876036) < 0.05
 
     def test_bits_conversion(self, capsys):
-        doc = run_json(capsys, "capacity", *SYS3, "--exact", "--bits")
+        doc = run_json(capsys, "capacity", *SYS3, "--bits")
         assert abs(doc["valueBits"] - doc["value"] * math.log2(3)) < 1e-12
 
 
 class TestExpress:
     def test_negative_verdict_with_witness(self, capsys):
-        doc = run_json(capsys, "express", *SYS3, "--witness")
+        doc = run_json(capsys, "express", *SYS3)
         assert doc["answer"] == "no"
         assert doc["rule"] == "ternary-k3"
         assert doc["witness"] == "01210121012101210"
@@ -105,11 +113,9 @@ class TestExpress:
         assert doc["answer"] == "yes"
         assert doc["witness"] is None
 
-    def test_witness_subcommand(self, capsys):
-        doc = run_json(capsys, "witness", *SYS2)
-        assert doc == {"witness": None, "reason": None}
-        doc = run_json(capsys, "witness", "--alphabet", "01", "--seed", "01", "--max-dup", "1")
-        assert doc == {"witness": "0101", "reason": "binary-k1"}
+    def test_rule_of_a_no_verdict_names_the_witness_construction(self, capsys):
+        doc = run_json(capsys, "express", "--alphabet", "01", "--seed", "01", "--max-dup", "1")
+        assert doc == {"answer": "no", "rule": "binary-k1", "witness": "0101"}
 
 
 class TestDedup:
@@ -217,9 +223,15 @@ class TestExitCodes:
         ["dedup", "--alphabet", "012", "--word", "012", "--max-dup", "3", "--target", "01210"],
         ["dedup", "--alphabet", "012", "--word", "0121", "--max-dup", "0"],
         ["avoid", "--alphabet", "012", "--forbid", "0"],
+        ["capacity", *SYS3, "--empirical", "--max-len", "10", "--window", "0"],
+        ["capacity", *SYS3, "--empirical", "--max-len", "10", "--window", "-1"],
+        ["capacity", *SYS3, "--numeric", "--tolerance", "-0.1"],
+        ["avoid", "--alphabet", "012", "--forbid", "210", "--tolerance", "-0.1"],
     ],
     ids=["negative-length", "two-symbol-squarefree", "max-len-below-seed",
-         "target-longer-than-word", "max-dup-zero", "one-symbol-forbidden-word"],
+         "target-longer-than-word", "max-dup-zero", "one-symbol-forbidden-word",
+         "zero-window", "negative-window", "negative-numeric-tolerance",
+         "negative-avoid-tolerance"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     code = main(argv)
@@ -243,3 +255,36 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert len(doc["states"]) == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", *SYS3, "--exact"],
+        ["express", *SYS3, "--witness"],
+        ["witness", *SYS3],
+    ],
+    ids=["capacity-exact", "express-witness", "witness-subcommand"],
+)
+def test_removed_flags_and_subcommand_are_rejected(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def _args_read(function):
+    return set(re.findall(r"\bargs\.(\w+)", inspect.getsource(function)))
+
+
+def test_every_option_is_read_by_its_handler():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    # main() sends every result through _emit; _system reads the shared system flags
+    emitted = _args_read(cli._emit)
+    for name, sub in subparsers.choices.items():
+        handler = sub.get_default("func")
+        read = _args_read(handler) | emitted
+        if "_system(args)" in inspect.getsource(handler):
+            read |= _args_read(cli._system)
+        dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        assert dests <= read, (name, sorted(dests - read))

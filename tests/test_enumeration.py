@@ -90,7 +90,7 @@ def test_slice_is_closed_under_bounded_duplication(ternary_system):
 
 def test_slice_json_shapes(binary_system):
     sl = enumerate_words(binary_system, 4)
-    bare = sl.to_json_dict(include_words=False)
+    bare = sl.counts().to_json_dict()
     assert set(bare) == {"system", "maxLength", "counts"}
     rich = sl.to_json_dict()
     assert sorted(rich["words"]["4"]) == ["0001", "0011", "0101", "0111"]
