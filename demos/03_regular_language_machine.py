@@ -3,9 +3,9 @@ A finite automaton for the whole language
 =========================================
 
 For block lengths up to 3 the duplication language is regular.  The
-construction colors the seed positions apart, lays down a regular
-expression for the colored language, then forgets the colors and
-determinizes.  The resulting machine answers questions that plain
+construction lays down a regular expression over the seed's own symbols,
+compiles it to a position automaton with one state per symbol occurrence,
+and determinizes.  The resulting machine answers questions that plain
 enumeration cannot reach.
 """
 

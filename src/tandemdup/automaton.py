@@ -1,10 +1,11 @@
 """Finite automata for duplication languages with block bound at most 3.
 
 For kmax <= 3 the language of a duplication system is regular.  The
-construction here colors the seed so every position is a distinct symbol,
-builds a structured regular expression over the colored symbols, compiles
-it with the position (Glushkov) construction, erases the colors from the
-edge labels, and finally determinizes the result.  The minimal
+construction here writes a structured regular expression over the seed's
+own symbols, compiles it with the position (Glushkov) construction and
+determinizes the result.  Repeated seed symbols need no special care:
+Glushkov states are regex positions, so two occurrences of one symbol
+stay apart as states while sharing their edge label.  The minimal
 machine comes straight from the NFA by double reversal (Brzozowski), which
 never builds the forward subset construction.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import json
@@ -406,14 +408,6 @@ class LabeledAutomaton:
 # construction for duplication systems
 
 
-def _colored_token(symbol: str, position: int) -> str:
-    return f"{symbol}~{position}"
-
-
-def _decolor(token: str) -> str:
-    return token.rsplit("~", 1)[0]
-
-
 def _pair_loop(a, b) -> Regex:
     # (a+ b+)*
     return star(cat(plus(sym(a)), plus(sym(b))))
@@ -429,20 +423,21 @@ def _triple_block(a, b, c) -> Regex:
 
 
 def seed_regex(symbols: Tuple, kmax: int) -> Regex:
-    """Language of a duplication system whose seed symbols are all distinct.
+    """Language of the duplication system with this seed and block bound.
 
     For kmax = 1 only runs pump, for kmax = 2 adjacent runs interleave, and
     for kmax = 3 every window of three seed symbols additionally spins off
     its own three-symbol block language.  Seeds shorter than the window
-    degenerate to the smaller forms.
+    degenerate to the smaller forms.  The expression is the same whether or
+    not seed symbols repeat: with every position renamed apart it describes
+    the duplication language of the renamed seed, and renaming positions
+    back commutes with duplication.
     """
     if kmax > 3:
         raise UnsupportedDuplicationLength(
             f"regular construction needs kmax <= 3, got {kmax}"
         )
     m = len(symbols)
-    if len(set(symbols)) != m:
-        raise ValueError("seed symbols must be pairwise distinct here")
     runs = [plus(sym(s)) for s in symbols]
     if kmax == 1 or m == 1:
         return cat(*runs)
@@ -462,27 +457,6 @@ def regex_to_nfa(regex: Regex, alphabet: Alphabet) -> LabeledAutomaton:
     return LabeledAutomaton(alphabet, states, start, accepting, edges)
 
 
-def _colored_parts(system: DuplicationSystem):
-    tokens = tuple(_colored_token(s, i) for i, s in enumerate(system.seed))
-    regex = seed_regex(tokens, system.kmax)
-    _, start, accepting, edges = _glushkov(regex)
-    return tokens, start, accepting, edges
-
-
-def colored_automaton(system: DuplicationSystem) -> LabeledAutomaton:
-    """Deterministic machine over the colored seed, one symbol per seed position.
-
-    Mostly useful for inspecting the construction; erasing the colors from
-    its edge labels and determinizing again yields build_automaton(system).
-    """
-    tokens, start, accepting, edges = _colored_parts(system)
-    token_alphabet = Alphabet(tokens)
-    # already trim and numbered breadth-first, as in build_automaton
-    return LabeledAutomaton(token_alphabet, *_determinize_raw(
-        {start}, accepting, edges, token_alphabet.symbols
-    ))
-
-
 def build_automaton(
     system: DuplicationSystem, minimize: bool = False
 ) -> LabeledAutomaton:
@@ -492,16 +466,15 @@ def build_automaton(
         raise UnsupportedDuplicationLength(
             f"automaton construction needs kmax <= 3, got {system.kmax}"
         )
-    _, start, accepting, edges = _colored_parts(system)
-    plain_edges = {(p, _decolor(s), q) for p, s, q in edges}
+    _, start, accepting, edges = _glushkov(seed_regex(tuple(system.seed), system.kmax))
     symbols = system.alphabet.symbols
     if minimize:
-        raw = _minimal_raw(start, accepting, plain_edges, symbols)
+        raw = _minimal_raw(start, accepting, edges, symbols)
     else:
         # No trim pass: every Glushkov position of `seed_regex` can reach
         # acceptance, so every subset can too, and discovery is breadth-first
         # with symbols in order, the numbering `_trim_raw` would give.
-        raw = _determinize_raw({start}, accepting, plain_edges, symbols)
+        raw = _determinize_raw({start}, accepting, edges, symbols)
     return LabeledAutomaton(system.alphabet, *raw)
 
 
@@ -690,19 +663,16 @@ def verify_duplication_closure(
     if not automaton.is_trim():
         raise ValueError("closure certification expects a trim automaton")
 
-    # labels of all paths of length 1..kmax between each state pair
-    paths: Dict[int, Dict[Tuple[int, int], Set[tuple]]] = {
-        1: defaultdict(set)
-    }
+    # arriving[j][q]: labels of the length-j paths ending in q
+    arriving: Dict[int, Dict[int, Set[tuple]]] = {1: defaultdict(set)}
     for p, s, q in automaton.edges:
-        paths[1][(p, q)].add((s,))
+        arriving[1][q].add((s,))
     for j in range(2, kmax + 1):
-        step: Dict[Tuple[int, int], Set[tuple]] = defaultdict(set)
-        for (p, q), labels in paths[j - 1].items():
+        arriving[j] = defaultdict(set)
+        for q, labels in arriving[j - 1].items():
             for s, targets in automaton.out_map(q).items():
                 for r in targets:
-                    step[(p, r)].update(label + (s,) for label in labels)
-        paths[j] = step
+                    arriving[j][r].update(label + (s,) for label in labels)
 
     inclusion_cache: Dict[Tuple[int, int], bool] = {}
 
@@ -716,33 +686,23 @@ def verify_duplication_closure(
     checks: List[ClosureCheck] = []
     for u in automaton.states:
         for j in range(1, kmax + 1):
-            arriving: Set[tuple] = set()
-            for (p, q), labels in paths[j].items():
-                if q == u:
-                    arriving |= labels
-            cycling = paths[j].get((u, u), set())
-            offending = sorted(arriving - cycling)
+            # labels that do not cycle at u, with the states they reach from u
+            offending = []
+            for label in sorted(arriving[j][u]):
+                ends = reduce(automaton.step, label, frozenset({u}))
+                if u not in ends:
+                    offending.append((label, ends))
             if not offending:
                 checks.append(ClosureCheck(u, j, VERDICT_LABEL_SETS))
                 continue
             fallback = []
             counterexample = None
-            for label in offending:
-                targets = [
-                    q for (p, q), labels in paths[j].items()
-                    if p == u and label in labels
-                ]
-                if any(is_superstate(u, q) for q in targets):
+            for label, ends in offending:
+                if any(is_superstate(u, q) for q in ends):
                     fallback.append(join(label))
                 else:
                     counterexample = join(label)
                     break
-            if counterexample is not None:
-                checks.append(
-                    ClosureCheck(u, j, VERDICT_FAIL, tuple(fallback), counterexample)
-                )
-            else:
-                checks.append(
-                    ClosureCheck(u, j, VERDICT_SUPERSTATE, tuple(fallback))
-                )
+            verdict = VERDICT_SUPERSTATE if counterexample is None else VERDICT_FAIL
+            checks.append(ClosureCheck(u, j, verdict, tuple(fallback), counterexample))
     return ClosureCertificate(kmax, tuple(checks))

@@ -56,6 +56,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one `usage error:` line, exit code 2;
+    subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {message}\n")
+
+
 def _checked(call, *args):
     """Run a library call whose plain ValueErrors mean bad input; some
     domain errors subclass ValueError and keep their exit code."""
@@ -114,7 +122,7 @@ def cmd_count(args):
 def cmd_member(args):
     system = _system(args)
     word = _word(system.alphabet, args.word)
-    member = derives_from(system, word, args.budget)
+    member = _checked(derives_from, system, word, args.budget)
     doc = {
         "system": system.to_json_dict(),
         "word": args.word,
@@ -161,7 +169,7 @@ def cmd_dedup(args):
     word = _word(alphabet, args.word)
     if args.max_dup < 1:
         raise UsageError("kmax must be at least 1")
-    result = dedup_roots(word, args.max_dup, args.budget)
+    result = _checked(dedup_roots, word, args.max_dup, args.budget)
     doc = {
         "word": args.word,
         "kmax": args.max_dup,
@@ -227,7 +235,7 @@ def cmd_avoid(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tandemdup",
         description="bounded tandem duplication string systems",
     )
@@ -263,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("capacity", help="growth rate of the language")
     _add_system_flags(sub)
-    sub.add_argument("--numeric", action="store_true", help="add the spectral value")
-    sub.add_argument("--empirical", action="store_true", help="estimate from counts")
+    mode = sub.add_mutually_exclusive_group()
+    mode.add_argument("--numeric", action="store_true", help="add the spectral value")
+    mode.add_argument("--empirical", action="store_true", help="estimate from counts")
     sub.add_argument("--max-len", type=int, default=14)
     sub.add_argument("--window", type=int, default=5)
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

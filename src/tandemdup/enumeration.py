@@ -18,8 +18,14 @@ from .errors import BudgetExceededError
 DEFAULT_BUDGET = 10_000_000
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+
+
 def _levels(system: DuplicationSystem, max_length: int, budget: int):
     """Yield (length, words) pairs level by level, spending one budget unit per word."""
+    _check_budget(budget)
     seed_len = len(system.seed)
     if max_length < seed_len:
         raise ValueError(
@@ -27,8 +33,6 @@ def _levels(system: DuplicationSystem, max_length: int, budget: int):
         )
     pending: Dict[int, Set[Word]] = {seed_len: {system.seed}}
     total = 1
-    if total > budget:
-        raise BudgetExceededError(budget, seed_len - 1)
     for n in range(seed_len, max_length + 1):
         words = pending.pop(n, set())
         if not words:
@@ -135,6 +139,7 @@ def derives_from(
     deduplication is the exact inverse of duplication, so the seed is
     reachable backwards iff the word is reachable forwards.
     """
+    _check_budget(budget)
     if not system.alphabet.contains_word(word):
         raise ValueError(f"word {word!r} uses symbols outside the alphabet")
     seed = system.seed
@@ -188,6 +193,7 @@ def substrings_of_length(
 
 def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupResult:
     """All kmax-irreducible words reachable from `word` by deduplication."""
+    _check_budget(budget)
     seen = {word}
     stack = [word]
     roots: Set[Word] = set()
@@ -211,6 +217,7 @@ def dedup_distance(
     word: Word, target: Word, kmax: int, budget: int = DEFAULT_BUDGET
 ) -> Optional[int]:
     """Minimal number of deduplication steps from `word` to `target`, or None."""
+    _check_budget(budget)
     if len(target) > len(word):
         raise ValueError("target cannot be longer than the start word")
     if word == target:

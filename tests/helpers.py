@@ -5,8 +5,17 @@ the package cannot hide behind the same bug in the tests.
 """
 
 import itertools
+from collections import defaultdict
 
-from tandemdup import LabeledAutomaton
+from tandemdup import (
+    VERDICT_FAIL,
+    VERDICT_LABEL_SETS,
+    VERDICT_SUPERSTATE,
+    ClosureCertificate,
+    ClosureCheck,
+    LabeledAutomaton,
+    right_language_subset,
+)
 
 
 def brute_duplicate(word, i, k):
@@ -123,3 +132,48 @@ def moore_minimized(machine):
         {block[q] for q in a.accepting},
         {(block[p], s, block[q]) for p, s, q in a.edges},
     )
+
+
+def path_table_certificate(automaton, kmax):
+    """Closure certificate from a table of path labels for every state pair,
+    for cross-checking the library's per-state arrival sets.
+
+    Same checks, verdicts and order as `verify_duplication_closure`: the
+    labels arriving at u are read off the table column of u, the cycling
+    ones off the entry (u, u), and the states a label reaches from u off
+    the row of u.
+    """
+    paths = {1: defaultdict(set)}
+    for p, s, q in automaton.edges:
+        paths[1][(p, q)].add((s,))
+    for j in range(2, kmax + 1):
+        paths[j] = defaultdict(set)
+        for (p, q), labels in paths[j - 1].items():
+            for s, targets in automaton.out_map(q).items():
+                for r in targets:
+                    paths[j][(p, r)].update(label + (s,) for label in labels)
+
+    join = automaton.alphabet.join
+    checks = []
+    for u in automaton.states:
+        for j in range(1, kmax + 1):
+            arriving = set()
+            for (p, q), labels in paths[j].items():
+                if q == u:
+                    arriving |= labels
+            offending = sorted(arriving - paths[j].get((u, u), set()))
+            if not offending:
+                checks.append(ClosureCheck(u, j, VERDICT_LABEL_SETS))
+                continue
+            fallback = []
+            counterexample = None
+            for label in offending:
+                ends = [q for (p, q), labels in paths[j].items() if p == u and label in labels]
+                if any(right_language_subset(automaton, u, q) for q in ends):
+                    fallback.append(join(label))
+                else:
+                    counterexample = join(label)
+                    break
+            verdict = VERDICT_SUPERSTATE if counterexample is None else VERDICT_FAIL
+            checks.append(ClosureCheck(u, j, verdict, tuple(fallback), counterexample))
+    return ClosureCertificate(kmax, tuple(checks))

@@ -11,9 +11,10 @@ from tandemdup import (
     LabeledAutomaton,
     NondeterministicAutomatonError,
     UnsupportedDuplicationLength,
+    VERDICT_FAIL,
+    VERDICT_LABEL_SETS,
     VERDICT_SUPERSTATE,
     build_automaton,
-    colored_automaton,
     count_accepted,
     language_upto,
     regex_to_nfa,
@@ -23,7 +24,13 @@ from tandemdup import (
     verify_duplication_closure,
 )
 from tandemdup.automaton import alt, cat, plus, star, sym
-from helpers import accepted_by_scan, canonical_patterns, moore_minimized, naive_closure
+from helpers import (
+    accepted_by_scan,
+    canonical_patterns,
+    moore_minimized,
+    naive_closure,
+    path_table_certificate,
+)
 
 
 def _language_set(machine, max_length):
@@ -50,9 +57,9 @@ class TestRegexPieces:
         with pytest.raises(UnsupportedDuplicationLength):
             seed_regex(("0", "1"), 4)
 
-    def test_seed_regex_needs_distinct_symbols(self):
-        with pytest.raises(ValueError):
-            seed_regex(("0", "1", "0"), 2)
+    def test_seed_regex_over_repeated_symbols(self):
+        m = regex_to_nfa(seed_regex(("0", "1", "0"), 2), Alphabet("01")).determinized()
+        assert _language_set(m, 9) == naive_closure("010", 2, 9)
 
     def test_runs_language_for_unit_blocks(self):
         m = regex_to_nfa(seed_regex(("0", "1"), 1), Alphabet("01")).determinized().trimmed()
@@ -162,24 +169,21 @@ class TestSerialization:
 
 @pytest.mark.parametrize("kmax", [1, 2, 3])
 def test_subset_constructions_come_out_trim(kmax):
-    # build_automaton and colored_automaton skip the trim pass; exact
-    # equality, state numbering included
+    # The plain seed's machine equals the one built with every seed
+    # position colored apart and the colors erased before determinizing;
+    # build_automaton skips the trim pass, so it must come out trim.
+    # Exact equality, state numbering included.
     for pattern in canonical_patterns(6):
         alphabet = "0123"[: int(max(pattern)) + 1]
         sys = DuplicationSystem.parse(alphabet, pattern, kmax)
-        plain, colored = build_automaton(sys), colored_automaton(sys)
-        assert plain == plain.trimmed(), (pattern, kmax)
-        assert colored == colored.trimmed(), (pattern, kmax)
-
-
-def test_colored_machine_projects_onto_final_language(ternary_system, ternary_automaton):
-    colored = colored_automaton(ternary_system)
-    lang = language_upto(colored, 8)
-    projected = {}
-    for n, ws in lang.items():
-        if ws:
-            projected[n] = {"".join(t.rsplit("~", 1)[0] for t in w) for w in ws}
-    assert projected == _language_set(ternary_automaton, 8)
+        tokens = tuple(f"{s}~{i}" for i, s in enumerate(pattern))
+        colored = regex_to_nfa(seed_regex(tokens, kmax), Alphabet(tokens))
+        erased = {(p, s.rsplit("~", 1)[0], q) for p, s, q in colored.edges}
+        decolored = LabeledAutomaton(
+            sys.alphabet, colored.states, colored.start, colored.accepting, erased
+        ).determinized()
+        machine = build_automaton(sys)
+        assert machine == decolored == machine.trimmed(), (pattern, kmax)
 
 
 def test_transfer_matrix_counts_edges(ternary_automaton):
@@ -254,6 +258,45 @@ class TestClosureCertificates:
         )
         with pytest.raises(ValueError):
             verify_duplication_closure(m, 1)
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_arrival_sets_match_the_path_table(self, kmax):
+        for pattern in canonical_patterns(5):
+            alphabet = "0123"[: int(max(pattern)) + 1]
+            sys = DuplicationSystem.parse(alphabet, pattern, kmax)
+            for machine in (build_automaton(sys), build_automaton(sys, minimize=True)):
+                got = verify_duplication_closure(machine, kmax).to_json_dict()
+                assert got == path_table_certificate(machine, kmax).to_json_dict(), (
+                    pattern,
+                    kmax,
+                    len(machine.states),
+                )
+
+    def test_failing_and_nondeterministic_machines_match_the_path_table(self):
+        ab = Alphabet("ab")
+        machines = [
+            # just "ab": duplicating either symbol leaves the language
+            LabeledAutomaton(ab, {0, 1, 2}, 0, {2}, {(0, "a", 1), (1, "b", 2)}),
+            # a+ b, nondeterministic on a
+            LabeledAutomaton(
+                ab, {0, 1, 2}, 0, {2}, {(0, "a", 0), (0, "a", 1), (1, "b", 2)}
+            ),
+            # a+ b?, where 1 replays "a" into its twin 2 but 3 cannot replay "b"
+            LabeledAutomaton(
+                ab,
+                {0, 1, 2, 3},
+                0,
+                {1, 2, 3},
+                {(0, "a", 1), (1, "a", 2), (2, "a", 2), (1, "b", 3), (2, "b", 3)},
+            ),
+        ]
+        verdicts = set()
+        for machine in machines:
+            for kmax in (1, 2, 3):
+                cert = verify_duplication_closure(machine, kmax)
+                assert cert.to_json_dict() == path_table_certificate(machine, kmax).to_json_dict()
+                verdicts |= {c.verdict for c in cert.checks}
+        assert verdicts == {VERDICT_LABEL_SETS, VERDICT_SUPERSTATE, VERDICT_FAIL}
 
     @pytest.mark.parametrize("kmax", [1, 2, 3])
     def test_canonical_seed_sweep(self, kmax):

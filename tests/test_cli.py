@@ -227,11 +227,25 @@ class TestExitCodes:
         ["capacity", *SYS3, "--empirical", "--max-len", "10", "--window", "-1"],
         ["capacity", *SYS3, "--numeric", "--tolerance", "-0.1"],
         ["avoid", "--alphabet", "012", "--forbid", "210", "--tolerance", "-0.1"],
+        ["capacity", *SYS3, "--exact"],
+        ["express", *SYS3, "--witness"],
+        ["witness", *SYS3],
+        ["count", "--alphabet", "012", "--max-dup", "3", "--max-len", "5"],
+        ["count", "--alphabet", "012", "--seed", "012", "--max-dup", "x", "--max-len", "5"],
+        # argparse takes -1e-6 for an option, so the value goes missing
+        ["avoid", "--alphabet", "012", "--forbid", "210", "--tolerance", "-1e-6"],
+        ["capacity", *SYS3, "--numeric", "--empirical"],
+        ["count", *SYS3, "--max-len", "5", "--budget", "0"],
+        ["member", *SYS3, "--word", "01212", "--budget", "0"],
+        ["dedup", "--alphabet", "012", "--word", "0121", "--max-dup", "3", "--budget", "0"],
     ],
     ids=["negative-length", "two-symbol-squarefree", "max-len-below-seed",
          "target-longer-than-word", "max-dup-zero", "one-symbol-forbidden-word",
          "zero-window", "negative-window", "negative-numeric-tolerance",
-         "negative-avoid-tolerance"],
+         "negative-avoid-tolerance", "capacity-exact", "express-witness",
+         "witness-subcommand", "missing-seed", "non-integer-max-dup",
+         "exponent-avoid-tolerance", "numeric-with-empirical", "count-budget-zero",
+         "member-budget-zero", "dedup-budget-zero"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     code = main(argv)
@@ -240,6 +254,33 @@ def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: "), captured.err
+
+
+def _subcommands():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return subparsers.choices
+
+
+def test_every_subcommand_reports_an_unknown_flag_in_one_line(capsys):
+    for name in _subcommands():
+        code = main([name, "--no-such-flag"])
+        captured = capsys.readouterr()
+        assert code == 2, name
+        assert captured.out == "", name
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: "), (name, captured.err)
+
+
+def test_help_and_version_still_exit_zero(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == cli.__version__
+    assert main(["capacity", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: tandemdup capacity")
+    assert "[--numeric | --empirical]" in captured.out
+    assert captured.err == ""
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
@@ -257,31 +298,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert len(doc["states"]) == 5
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["capacity", *SYS3, "--exact"],
-        ["express", *SYS3, "--witness"],
-        ["witness", *SYS3],
-    ],
-    ids=["capacity-exact", "express-witness", "witness-subcommand"],
-)
-def test_removed_flags_and_subcommand_are_rejected(capsys, argv):
-    assert main(argv) == 2
-    assert capsys.readouterr().out == ""
-
-
 def _args_read(function):
     return set(re.findall(r"\bargs\.(\w+)", inspect.getsource(function)))
 
 
 def test_every_option_is_read_by_its_handler():
-    subparsers = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
     # main() sends every result through _emit; _system reads the shared system flags
     emitted = _args_read(cli._emit)
-    for name, sub in subparsers.choices.items():
+    for name, sub in _subcommands().items():
         handler = sub.get_default("func")
         read = _args_read(handler) | emitted
         if "_system(args)" in inspect.getsource(handler):

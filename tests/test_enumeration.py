@@ -67,6 +67,23 @@ def test_budget_is_enforced(ternary_system):
     assert "budget" in str(err.value)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_bad_input(ternary_system, budget):
+    searches = [
+        lambda: count_words(ternary_system, 5, budget),
+        lambda: enumerate_words(ternary_system, 5, budget),
+        lambda: substrings_of_length(ternary_system, 2, 5, budget),
+        # the seed itself and a word too short to search: no search runs
+        lambda: derives_from(ternary_system, "012", budget),
+        lambda: derives_from(ternary_system, "0", budget),
+        lambda: dedup_roots("012", 3, budget),
+        lambda: dedup_distance("0121", "0121", 3, budget),
+    ]
+    for search in searches:
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            search()
+
+
 def test_language_grows_with_kmax():
     slices = {}
     for k in (1, 2, 3):
