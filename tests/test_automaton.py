@@ -167,6 +167,21 @@ class TestSerialization:
         assert "doublecircle" in dot
 
 
+def test_colored_machine_projects_onto_final_language(ternary_system, ternary_automaton):
+    # Color every seed position apart, then erase the colors from each
+    # accepted word: the words left are those of the plain machine.
+    tokens = tuple(f"{s}~{i}" for i, s in enumerate(ternary_system.seed))
+    colored = regex_to_nfa(
+        seed_regex(tokens, ternary_system.kmax), Alphabet(tokens)
+    ).determinized()
+    lang = language_upto(colored, 8)
+    projected = {}
+    for n, ws in lang.items():
+        if ws:
+            projected[n] = {"".join(t.rsplit("~", 1)[0] for t in w) for w in ws}
+    assert projected == _language_set(ternary_automaton, 8)
+
+
 @pytest.mark.parametrize("kmax", [1, 2, 3])
 def test_subset_constructions_come_out_trim(kmax):
     # The plain seed's machine equals the one built with every seed
