@@ -220,12 +220,13 @@ class GrowthEstimate:
 
 def empirical_capacity(table: CountTable, base: int, window: int = 5) -> GrowthEstimate:
     """Growth estimate log_base(counts[n+1] / counts[n]), averaged over the
-    last `window` ratios."""
+    last `window` ratios.  Over one symbol nothing grows, so every ratio
+    is 0.0, as in `exact_capacity` and `spectral_capacity`."""
     if window < 1:
         raise ValueError("window must be at least 1")
     counts = table.counts
     ratios = {
-        n: math.log(counts[n + 1] / counts[n]) / math.log(base)
+        n: math.log(counts[n + 1] / counts[n]) / math.log(base) if base > 1 else 0.0
         for n in sorted(counts)
         if counts.get(n, 0) > 0 and counts.get(n + 1, 0) > 0
     }

@@ -1,7 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 on domain errors (budget exhausted,
-unsupported duplication bound, degenerate inputs), 2 on usage errors.
+Exit codes: 0 on success, 1 on a `tandemdup.errors.DomainError` (budget
+exhausted, unsupported duplication bound, degenerate inputs), 2 on usage
+errors: a bad command line, any other `ValueError` from the library, or
+an unwritable `--out`.  `main` maps exception types to exit codes once;
+handlers call the library directly.
 """
 
 from __future__ import annotations
@@ -32,28 +35,8 @@ from .enumeration import (
     derives_from,
     enumerate_words,
 )
-from .errors import (
-    BudgetExceededError,
-    EmptyLanguageError,
-    InsufficientDataError,
-    NonConvergenceError,
-    NondeterministicAutomatonError,
-    UnsupportedDuplicationLength,
-)
+from .errors import DomainError
 from .expressiveness import is_fully_expressive
-
-_DOMAIN_ERRORS = (
-    BudgetExceededError,
-    EmptyLanguageError,
-    InsufficientDataError,
-    NonConvergenceError,
-    NondeterministicAutomatonError,
-    UnsupportedDuplicationLength,
-)
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,27 +47,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"usage error: {message}\n")
 
 
-def _checked(call, *args):
-    """Run a library call whose plain ValueErrors mean bad input; some
-    domain errors subclass ValueError and keep their exit code."""
-    try:
-        return call(*args)
-    except _DOMAIN_ERRORS:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc))
+def budget(text: str) -> int:
+    """The `--budget` type; argparse names it in "invalid budget value"."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
 
 
 def _system(args) -> DuplicationSystem:
-    return _checked(DuplicationSystem.parse, args.alphabet, args.seed, args.max_dup)
-
-
-def _alphabet(text: str) -> Alphabet:
-    return _checked(Alphabet.parse, text)
-
-
-def _word(alphabet: Alphabet, text: str):
-    return _checked(alphabet.word, text)
+    return DuplicationSystem.parse(args.alphabet, args.seed, args.max_dup)
 
 
 def _add_system_flags(sub):
@@ -102,7 +74,7 @@ def _add_output_flags(sub, formats=("json", "text")):
 
 def cmd_generate(args):
     system = _system(args)
-    piece = _checked(enumerate_words, system, args.max_len, args.budget)
+    piece = enumerate_words(system, args.max_len, args.budget)
     doc = piece.to_json_dict()
     lines = []
     for n in sorted(piece.by_length):
@@ -113,7 +85,7 @@ def cmd_generate(args):
 
 def cmd_count(args):
     system = _system(args)
-    table = _checked(count_words, system, args.max_len, args.budget)
+    table = count_words(system, args.max_len, args.budget)
     doc = table.to_json_dict()
     lines = [f"{n}\t{table.counts[n]}" for n in sorted(table.counts)]
     return doc, lines
@@ -121,8 +93,8 @@ def cmd_count(args):
 
 def cmd_member(args):
     system = _system(args)
-    word = _word(system.alphabet, args.word)
-    member = _checked(derives_from, system, word, args.budget)
+    word = system.alphabet.word(args.word)
+    member = derives_from(system, word, args.budget)
     doc = {
         "system": system.to_json_dict(),
         "word": args.word,
@@ -142,14 +114,14 @@ def cmd_automaton(args):
 def cmd_capacity(args):
     system = _system(args)
     if args.empirical:
-        table = _checked(count_words, system, args.max_len, args.budget)
-        estimate = _checked(empirical_capacity, table, system.base, args.window)
+        table = count_words(system, args.max_len, args.budget)
+        estimate = empirical_capacity(table, system.base, args.window)
         doc = estimate.to_json_dict()
     else:
         report = exact_capacity(system)
         doc = report.to_json_dict()
         if args.numeric:
-            doc["numericValue"] = _checked(spectral_capacity, system, args.tolerance)
+            doc["numericValue"] = spectral_capacity(system, args.tolerance)
     if args.bits:
         doc["valueBits"] = doc["value"] * math.log2(system.base)
     lines = [f"{key}\t{doc[key]}" for key in doc]
@@ -165,11 +137,9 @@ def cmd_express(args):
 
 
 def cmd_dedup(args):
-    alphabet = _alphabet(args.alphabet)
-    word = _word(alphabet, args.word)
-    if args.max_dup < 1:
-        raise UsageError("kmax must be at least 1")
-    result = _checked(dedup_roots, word, args.max_dup, args.budget)
+    alphabet = Alphabet.parse(args.alphabet)
+    word = alphabet.word(args.word)
+    result = dedup_roots(word, args.max_dup, args.budget)
     doc = {
         "word": args.word,
         "kmax": args.max_dup,
@@ -177,8 +147,8 @@ def cmd_dedup(args):
     }
     lines = [f"root\t{r}" for r in doc["roots"]]
     if args.target is not None:
-        target = _word(alphabet, args.target)
-        distance = _checked(dedup_distance, word, target, args.max_dup, args.budget)
+        target = alphabet.word(args.target)
+        distance = dedup_distance(word, target, args.max_dup, args.budget)
         doc["target"] = args.target
         doc["distance"] = distance
         lines.append(f"distance\t{distance}")
@@ -187,7 +157,7 @@ def cmd_dedup(args):
 
 def cmd_verify(args):
     system = _system(args)
-    machine = build_automaton(system)
+    machine = build_automaton(system, minimize=True)
     certificate = verify_duplication_closure(machine, system.kmax)
     doc = {
         "system": system.to_json_dict(),
@@ -196,7 +166,7 @@ def cmd_verify(args):
         "closure": certificate.to_json_dict(),
     }
     if args.check_upto is not None:
-        piece = _checked(enumerate_words, system, args.check_upto, args.budget)
+        piece = enumerate_words(system, args.check_upto, args.budget)
         accepted = language_upto(machine, args.check_upto)
         agrees = all(
             piece.by_length.get(n, frozenset()) == frozenset(accepted.get(n, ()))
@@ -215,17 +185,17 @@ def cmd_verify(args):
 
 
 def cmd_squarefree(args):
-    alphabet = _alphabet(args.alphabet)
-    word = _checked(thue_square_free, args.length, alphabet)
+    alphabet = Alphabet.parse(args.alphabet)
+    word = thue_square_free(args.length, alphabet)
     doc = {"length": args.length, "word": alphabet.text(word)}
     return doc, [doc["word"]]
 
 
 def cmd_avoid(args):
-    alphabet = _alphabet(args.alphabet)
+    alphabet = Alphabet.parse(args.alphabet)
     raw = args.forbid or []
-    forbidden = [_word(alphabet, w) for w in raw]
-    value = _checked(avoidance_capacity, alphabet, forbidden, args.tolerance)
+    forbidden = [alphabet.word(w) for w in raw]
+    value = avoidance_capacity(alphabet, forbidden, args.tolerance)
     doc = {
         "alphabet": alphabet.to_text(),
         "forbidden": list(raw),
@@ -245,21 +215,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("generate", help="enumerate all words up to a length")
     _add_system_flags(sub)
     sub.add_argument("--max-len", type=int, required=True)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_generate)
 
     sub = commands.add_parser("count", help="per-length word counts")
     _add_system_flags(sub)
     sub.add_argument("--max-len", type=int, required=True)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_count)
 
     sub = commands.add_parser("member", help="membership by reverse deduplication")
     _add_system_flags(sub)
     sub.add_argument("--word", required=True)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_member)
 
@@ -276,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--empirical", action="store_true", help="estimate from counts")
     sub.add_argument("--max-len", type=int, default=14)
     sub.add_argument("--window", type=int, default=5)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     sub.add_argument("--tolerance", type=float, default=1e-10)
     sub.add_argument("--bits", action="store_true", help="also report bits per symbol")
     _add_output_flags(sub)
@@ -292,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--word", required=True)
     sub.add_argument("--max-dup", type=int, required=True)
     sub.add_argument("--target", help="also report the distance to this word")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_dedup)
 
@@ -301,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--check-upto", type=int, help="also compare against enumeration up to here"
     )
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sub.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_verify)
 
@@ -342,12 +312,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         doc, lines = args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     try:
         _emit(args, doc, lines)
     except OSError as exc:

@@ -18,14 +18,14 @@ from .errors import BudgetExceededError
 DEFAULT_BUDGET = 10_000_000
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+def _at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def _levels(system: DuplicationSystem, max_length: int, budget: int):
     """Yield (length, words) pairs level by level, spending one budget unit per word."""
-    _check_budget(budget)
+    _at_least_one("budget", budget)
     seed_len = len(system.seed)
     if max_length < seed_len:
         raise ValueError(
@@ -139,7 +139,7 @@ def derives_from(
     deduplication is the exact inverse of duplication, so the seed is
     reachable backwards iff the word is reachable forwards.
     """
-    _check_budget(budget)
+    _at_least_one("budget", budget)
     if not system.alphabet.contains_word(word):
         raise ValueError(f"word {word!r} uses symbols outside the alphabet")
     seed = system.seed
@@ -157,7 +157,7 @@ def derives_from(
             y = deduplicate(w, loc)
             if len(y) >= len(seed) and y not in seen:
                 if len(seen) >= budget:
-                    raise BudgetExceededError(budget, len(word) - len(w))
+                    raise BudgetExceededError(budget)
                 seen.add(y)
                 stack.append(y)
     return False
@@ -193,7 +193,8 @@ def substrings_of_length(
 
 def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupResult:
     """All kmax-irreducible words reachable from `word` by deduplication."""
-    _check_budget(budget)
+    _at_least_one("kmax", kmax)
+    _at_least_one("budget", budget)
     seen = {word}
     stack = [word]
     roots: Set[Word] = set()
@@ -207,7 +208,7 @@ def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupRes
             y = deduplicate(w, loc)
             if y not in seen:
                 if len(seen) >= budget:
-                    raise BudgetExceededError(budget, len(word) - len(w))
+                    raise BudgetExceededError(budget)
                 seen.add(y)
                 stack.append(y)
     return DedupResult(word, kmax, frozenset(roots))
@@ -217,7 +218,8 @@ def dedup_distance(
     word: Word, target: Word, kmax: int, budget: int = DEFAULT_BUDGET
 ) -> Optional[int]:
     """Minimal number of deduplication steps from `word` to `target`, or None."""
-    _check_budget(budget)
+    _at_least_one("kmax", kmax)
+    _at_least_one("budget", budget)
     if len(target) > len(word):
         raise ValueError("target cannot be longer than the start word")
     if word == target:
@@ -235,7 +237,7 @@ def dedup_distance(
                     return steps
                 if len(y) > len(target) and y not in seen:
                     if len(seen) >= budget:
-                        raise BudgetExceededError(budget, steps)
+                        raise BudgetExceededError(budget)
                     seen.add(y)
                     nxt.add(y)
         frontier = nxt

@@ -194,6 +194,12 @@ class TestEmpirical:
         est = empirical_capacity(count_words(binary_system, 10), base=2)
         assert abs(est.estimate - 1.0) < 1e-12
 
+    def test_one_symbol_alphabet_grows_at_rate_zero(self):
+        unary = DuplicationSystem.parse("0", "0", 2)
+        est = empirical_capacity(count_words(unary, 6), base=1)
+        assert est.ratios == {n: 0.0 for n in range(1, 6)}
+        assert est.estimate == 0.0 == exact_capacity(unary).value == spectral_capacity(unary)
+
     def test_sparse_counts_are_rejected(self, ternary_system):
         from tandemdup.enumeration import CountTable
 

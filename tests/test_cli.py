@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from tandemdup import cli
+from tandemdup import cli, errors
 from tandemdup.cli import build_parser, main
 
 
@@ -96,6 +96,16 @@ class TestCapacity:
         assert doc["case"] == "empirical"
         assert abs(doc["value"] - 0.876036) < 0.05
 
+    def test_empirical_over_one_symbol_is_zero(self, capsys):
+        doc = run_json(
+            capsys,
+            "capacity",
+            "--alphabet", "0", "--seed", "0", "--max-dup", "2",
+            "--empirical", "--max-len", "6",
+        )
+        assert doc["value"] == 0.0
+        assert set(doc["ratios"].values()) == {0.0}
+
     def test_bits_conversion(self, capsys):
         doc = run_json(capsys, "capacity", *SYS3, "--bits")
         assert abs(doc["valueBits"] - doc["value"] * math.log2(3)) < 1e-12
@@ -158,6 +168,13 @@ class TestVerify:
         assert doc["oracleAgrees"] is True
         assert doc["oracleDepth"] == 9
 
+    @pytest.mark.parametrize("system", [SYS2, SYS3], ids=["binary", "ternary"])
+    def test_certifies_the_minimal_machine(self, capsys, system):
+        doc = run_json(capsys, "verify", *system)
+        machine = run_json(capsys, "automaton", *system, "--minimize")
+        assert doc["states"] == len(machine["states"])
+        assert doc["closure"]["passed"] is True
+
 
 class TestSquarefree:
     def test_word_is_emitted(self, capsys):
@@ -199,6 +216,23 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["member", *SYS3, "--word", "011212012012001122"],
+            ["dedup", "--alphabet", "012", "--word", "011212012012001122", "--max-dup", "3"],
+            ["dedup", "--alphabet", "012", "--word", "011212012012001122", "--max-dup", "3",
+             "--target", "012"],
+        ],
+        ids=["member", "dedup", "dedup-target"],
+    )
+    def test_reverse_search_budget_names_no_levels(self, capsys, argv):
+        code = main([*argv, "--budget", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: word budget of 5 exceeded\n"
+
     def test_usage_error_from_foreign_seed(self, capsys):
         code, _ = run(capsys, "count", "--alphabet", "01", "--seed", "02", "--max-dup", "2", "--max-len", "5")
         assert code == 2
@@ -238,6 +272,8 @@ class TestExitCodes:
         ["count", *SYS3, "--max-len", "5", "--budget", "0"],
         ["member", *SYS3, "--word", "01212", "--budget", "0"],
         ["dedup", "--alphabet", "012", "--word", "0121", "--max-dup", "3", "--budget", "0"],
+        ["verify", *SYS3, "--budget", "0"],
+        ["capacity", *SYS3, "--budget", "-5"],
     ],
     ids=["negative-length", "two-symbol-squarefree", "max-len-below-seed",
          "target-longer-than-word", "max-dup-zero", "one-symbol-forbidden-word",
@@ -245,7 +281,8 @@ class TestExitCodes:
          "negative-avoid-tolerance", "capacity-exact", "express-witness",
          "witness-subcommand", "missing-seed", "non-integer-max-dup",
          "exponent-avoid-tolerance", "numeric-with-empirical", "count-budget-zero",
-         "member-budget-zero", "dedup-budget-zero"],
+         "member-budget-zero", "dedup-budget-zero", "verify-budget-zero",
+         "capacity-negative-budget"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     code = main(argv)
@@ -254,6 +291,65 @@ def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: "), captured.err
+
+
+def test_non_integer_budget_is_named(capsys):
+    assert main(["count", *SYS3, "--max-len", "5", "--budget", "x"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: argument --budget: invalid budget value: 'x'\n"
+    )
+
+
+_SAMPLE_DOMAIN_ERRORS = [
+    errors.BudgetExceededError(5),
+    errors.EmptyLanguageError("no long words"),
+    errors.InsufficientDataError("too few counts"),
+    errors.NonConvergenceError(2.5, 10),
+    errors.NondeterministicAutomatonError("not deterministic"),
+    errors.UnsupportedDuplicationLength("kmax too large"),
+]
+
+
+def _raising(exc):
+    def call(*args, **kwargs):
+        raise exc
+
+    return call
+
+
+def test_a_plain_value_error_from_any_library_call_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "exact_capacity", _raising(ValueError("bad seed shape")))
+    code = main(["capacity", *SYS3])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "usage error: bad seed shape\n"
+
+
+@pytest.mark.parametrize("exc", _SAMPLE_DOMAIN_ERRORS, ids=lambda e: type(e).__name__)
+def test_every_domain_error_exits_one(capsys, monkeypatch, exc):
+    monkeypatch.setattr(cli, "exact_capacity", _raising(exc))
+    code = main(["capacity", *SYS3])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, base",
+    [
+        (errors.BudgetExceededError, RuntimeError),
+        (errors.EmptyLanguageError, ValueError),
+        (errors.InsufficientDataError, ValueError),
+        (errors.NonConvergenceError, RuntimeError),
+        (errors.NondeterministicAutomatonError, ValueError),
+        (errors.UnsupportedDuplicationLength, ValueError),
+    ],
+)
+def test_domain_errors_keep_their_builtin_base(kind, base):
+    assert issubclass(kind, errors.DomainError)
+    assert issubclass(kind, base)
 
 
 def _subcommands():

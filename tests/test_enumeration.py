@@ -84,6 +84,30 @@ def test_budget_below_one_is_bad_input(ternary_system, budget):
             search()
 
 
+@pytest.mark.parametrize("kmax", [0, -1])
+def test_dedup_kmax_below_one_is_bad_input(kmax):
+    with pytest.raises(ValueError, match="kmax must be at least 1"):
+        dedup_roots("0121", kmax)
+    with pytest.raises(ValueError, match="kmax must be at least 1"):
+        dedup_distance("0121", "01", kmax)
+
+
+def test_reverse_searches_report_no_level_progress(ternary_system):
+    # these searches build no levels, so the error names no complete length
+    word = "011212012012001122"
+    searches = [
+        lambda: derives_from(ternary_system, word, 5),
+        lambda: dedup_roots(word, 3, 5),
+        lambda: dedup_distance(word, "012", 3, 5),
+    ]
+    for search in searches:
+        with pytest.raises(BudgetExceededError) as err:
+            search()
+        assert err.value.limit == 5
+        assert err.value.depth_reached is None
+        assert str(err.value) == "word budget of 5 exceeded"
+
+
 def test_language_grows_with_kmax():
     slices = {}
     for k in (1, 2, 3):
