@@ -276,6 +276,11 @@ class LabeledAutomaton:
         self._out = {
             p: {s: frozenset(ts) for s, ts in m.items()} for p, m in out.items()
         }
+        # minimized() caches its result here; a minimal machine is flagged
+        # instead of pointing at itself, so no machine is left to the cycle
+        # collector
+        self._minimal: Optional[LabeledAutomaton] = None
+        self._is_minimal = False
 
     # -- basic structure
 
@@ -339,12 +344,19 @@ class LabeledAutomaton:
 
     def minimized(self) -> "LabeledAutomaton":
         """Minimal trim machine for the same language, by double reversal,
-        with states numbered breadth-first from the start."""
-        if not self.is_deterministic:
-            raise NondeterministicAutomatonError("minimize needs a deterministic machine")
-        return LabeledAutomaton(self.alphabet, *_minimal_raw(
-            self.start, set(self.accepting), self.edges, self.alphabet.symbols
-        ))
+        with states numbered breadth-first from the start.
+
+        Computed once per machine; a minimal machine returns itself.
+        """
+        if self._is_minimal:
+            return self
+        if self._minimal is None:
+            if not self.is_deterministic:
+                raise NondeterministicAutomatonError("minimize needs a deterministic machine")
+            self._minimal = _minimal_machine(
+                self.alphabet, self.start, set(self.accepting), self.edges
+            )
+        return self._minimal
 
     # -- serialization
 
@@ -404,8 +416,24 @@ class LabeledAutomaton:
         )
 
 
+def _minimal_machine(alphabet: Alphabet, start: int, accepting: Set[int], edges):
+    """The minimal machine of an NFA given as raw parts, flagged as minimal.
+
+    Its states are 0 .. n-1, numbered breadth-first from the start.
+    """
+    machine = LabeledAutomaton(
+        alphabet, *_minimal_raw(start, accepting, edges, alphabet.symbols)
+    )
+    machine._is_minimal = True
+    return machine
+
+
 # ---------------------------------------------------------------------------
 # construction for duplication systems
+
+# the largest duplication bound whose languages are regular, and so have an
+# automaton; beyond it the exhaustive searches of `enumeration` answer
+REGULAR_KMAX = 3
 
 
 def _pair_loop(a, b) -> Regex:
@@ -433,9 +461,9 @@ def seed_regex(symbols: Tuple, kmax: int) -> Regex:
     the duplication language of the renamed seed, and renaming positions
     back commutes with duplication.
     """
-    if kmax > 3:
+    if kmax > REGULAR_KMAX:
         raise UnsupportedDuplicationLength(
-            f"regular construction needs kmax <= 3, got {kmax}"
+            f"regular construction needs kmax <= {REGULAR_KMAX}, got {kmax}"
         )
     m = len(symbols)
     runs = [plus(sym(s)) for s in symbols]
@@ -462,70 +490,107 @@ def build_automaton(
 ) -> LabeledAutomaton:
     """Deterministic trim automaton for the language of a kmax <= 3 system,
     the minimal one when `minimize` is set."""
-    if system.kmax > 3:
+    if system.kmax > REGULAR_KMAX:
         raise UnsupportedDuplicationLength(
-            f"automaton construction needs kmax <= 3, got {system.kmax}"
+            f"automaton construction needs kmax <= {REGULAR_KMAX}, got {system.kmax}"
         )
     _, start, accepting, edges = _glushkov(seed_regex(tuple(system.seed), system.kmax))
-    symbols = system.alphabet.symbols
     if minimize:
-        raw = _minimal_raw(start, accepting, edges, symbols)
-    else:
-        # No trim pass: every Glushkov position of `seed_regex` can reach
-        # acceptance, so every subset can too, and discovery is breadth-first
-        # with symbols in order, the numbering `_trim_raw` would give.
-        raw = _determinize_raw({start}, accepting, edges, symbols)
-    return LabeledAutomaton(system.alphabet, *raw)
+        return _minimal_machine(system.alphabet, start, accepting, edges)
+    # No trim pass: every Glushkov position of `seed_regex` can reach
+    # acceptance, so every subset can too, and discovery is breadth-first
+    # with symbols in order, the numbering `_trim_raw` would give.
+    return LabeledAutomaton(system.alphabet, *_determinize_raw(
+        {start}, accepting, edges, system.alphabet.symbols
+    ))
 
 
 # ---------------------------------------------------------------------------
 # counting and language extraction
 
 
-def count_accepted(automaton: LabeledAutomaton, n: int) -> int:
-    """Number of accepted words of length exactly n, with exact integers.
+def accepted_counts(automaton: LabeledAutomaton, max_length: int) -> List[int]:
+    """Numbers of accepted words of each length 0 .. max_length, with exact
+    integers, from one forward sweep of per-state path counts.
 
-    The count runs on the minimal machine, which accepts the same words.
+    The sweep runs on the minimal machine, which accepts the same words.
     """
     if not automaton.is_deterministic:
         raise NondeterministicAutomatonError(
             "counting walks each word once, so the machine must be deterministic"
         )
-    if n < 0:
+    if max_length < 0:
         raise ValueError("length must be nonnegative")
-    automaton = automaton.minimized()
-    vec = {automaton.start: 1}
-    for _ in range(n):
-        nxt: Dict[int, int] = defaultdict(int)
-        for q, c in vec.items():
-            for targets in automaton.out_map(q).values():
-                for t in targets:
+    machine = automaton.minimized()
+    # a minimal machine numbers its states 0 .. n-1, so states index lists
+    targets = [
+        [t for ts in machine.out_map(q).values() for t in ts] for q in machine.states
+    ]
+    accepting = sorted(machine.accepting)
+    vec = [0] * len(targets)
+    vec[machine.start] = 1
+    counts = [sum(vec[q] for q in accepting)]
+    for _ in range(max_length):
+        nxt = [0] * len(targets)
+        for q, c in enumerate(vec):
+            if c:
+                for t in targets[q]:
                     nxt[t] += c
-        vec = dict(nxt)
-        if not vec:
-            return 0
-    return sum(c for q, c in vec.items() if q in automaton.accepting)
+        vec = nxt
+        counts.append(sum(vec[q] for q in accepting))
+    return counts
+
+
+def count_accepted(automaton: LabeledAutomaton, n: int) -> int:
+    """Number of accepted words of length exactly n: the last entry of
+    `accepted_counts`."""
+    return accepted_counts(automaton, n)[n]
 
 
 def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set[Word]]:
-    """Accepted words grouped by length, via depth-first path enumeration."""
+    """Accepted words grouped by length, read off level by level.
+
+    A prefix is extended only while an accepting state is still within
+    reach of the length left, so no prefix is built that ends nowhere.
+    """
     if not automaton.is_deterministic:
         raise NondeterministicAutomatonError(
             "language extraction needs a deterministic machine"
         )
-    empty: Word = "" if automaton.alphabet.single_char else ()
+    # fewest symbols from each state to acceptance, by breadth-first search backwards
+    backward = defaultdict(list)
+    for p, _, q in automaton.edges:
+        backward[q].append(p)
+    distance = dict.fromkeys(automaton.accepting, 0)
+    queue = deque(automaton.accepting)
+    while queue:
+        q = queue.popleft()
+        for p in backward[q]:
+            if p not in distance:
+                distance[p] = distance[q] + 1
+                queue.append(p)
+    single = automaton.alphabet.single_char
+    steps = {
+        q: [
+            (s if single else (s,), t)
+            for s, (t,) in automaton.out_map(q).items()
+            if t in distance
+        ]
+        for q in automaton.states
+    }
     out: Dict[int, Set[Word]] = {n: set() for n in range(max_length + 1)}
-    stack = [(automaton.start, empty)]
-    while stack:
-        q, prefix = stack.pop()
-        if q in automaton.accepting:
-            out[len(prefix)].add(prefix)
-        if len(prefix) == max_length:
-            continue
-        for s, targets in automaton.out_map(q).items():
-            (t,) = targets
-            child = prefix + s if isinstance(prefix, str) else prefix + (s,)
-            stack.append((t, child))
+    empty: Word = "" if single else ()
+    level = [(automaton.start, empty)]
+    for n in range(max_length + 1):
+        room = max_length - n - 1
+        nxt = []
+        for q, prefix in level:
+            if q in automaton.accepting:
+                out[n].add(prefix)
+            for piece, t in steps[q]:
+                if distance[t] <= room:
+                    nxt.append((t, prefix + piece))
+        level = nxt
     return out
 
 

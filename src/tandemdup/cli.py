@@ -1,5 +1,14 @@
 """Command line front end.
 
+Each question has one engine per duplication bound.  For kmax <= 3 the
+language is regular and the minimal automaton answers: `count` and
+`capacity --empirical` sweep it once for every length, `generate` reads
+its words off, `member` walks it, and `dedup` deletes the first square
+until none is left (the root is unique).  None of these spends the
+`--budget`.  For kmax >= 4 the exhaustive searches of
+`tandemdup.enumeration` answer under the budget, and so do
+`dedup --target` and `verify --check-upto` at any bound.
+
 Exit codes: 0 on success, 1 on a `tandemdup.errors.DomainError` (budget
 exhausted, unsupported duplication bound, degenerate inputs), 2 on usage
 errors: a bad command line, any other `ValueError` from the library, or
@@ -12,10 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import __version__
 from .automaton import (
+    REGULAR_KMAX,
+    accepted_counts,
     build_automaton,
     language_upto,
     verify_duplication_closure,
@@ -29,11 +41,15 @@ from .capacity import (
 from .core import Alphabet, DuplicationSystem, thue_square_free
 from .enumeration import (
     DEFAULT_BUDGET,
+    CountTable,
+    LanguageSlice,
     count_words,
     dedup_distance,
     dedup_roots,
     derives_from,
     enumerate_words,
+    greedy_root,
+    length_range,
 )
 from .errors import DomainError
 from .expressiveness import is_fully_expressive
@@ -42,6 +58,14 @@ from .expressiveness import is_fully_expressive
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as one `usage error:` line, exit code 2;
     subcommand parsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponent forms such as -1e-6 and
+        # would read them as options, so the value would never be checked
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
 
     def error(self, message):
         self.exit(2, f"usage error: {message}\n")
@@ -72,9 +96,34 @@ def _add_output_flags(sub, formats=("json", "text")):
     sub.add_argument("--out", help="write the result to this file")
 
 
+def _add_budget_flag(sub, when):
+    sub.add_argument(
+        "--budget",
+        type=budget,
+        default=DEFAULT_BUDGET,
+        help=f"word budget of the exhaustive search, which runs {when}",
+    )
+
+
+def _count_table(system, max_len, limit) -> CountTable:
+    """Counts of every length up to max_len, from one sweep over the
+    minimal automaton for kmax <= 3 and from the level loop beyond."""
+    if system.kmax > REGULAR_KMAX:
+        return count_words(system, max_len, limit)
+    lengths = length_range(system, max_len)
+    counts = accepted_counts(build_automaton(system, minimize=True), max_len)
+    return CountTable(system, max_len, {n: counts[n] for n in lengths})
+
+
 def cmd_generate(args):
     system = _system(args)
-    piece = enumerate_words(system, args.max_len, args.budget)
+    if system.kmax > REGULAR_KMAX:
+        piece = enumerate_words(system, args.max_len, args.budget)
+    else:
+        lengths = length_range(system, args.max_len)
+        words = language_upto(build_automaton(system, minimize=True), args.max_len)
+        by_length = {n: frozenset(words[n]) for n in lengths}
+        piece = LanguageSlice(system, args.max_len, by_length)
     doc = piece.to_json_dict()
     lines = []
     for n in sorted(piece.by_length):
@@ -85,7 +134,7 @@ def cmd_generate(args):
 
 def cmd_count(args):
     system = _system(args)
-    table = count_words(system, args.max_len, args.budget)
+    table = _count_table(system, args.max_len, args.budget)
     doc = table.to_json_dict()
     lines = [f"{n}\t{table.counts[n]}" for n in sorted(table.counts)]
     return doc, lines
@@ -94,7 +143,10 @@ def cmd_count(args):
 def cmd_member(args):
     system = _system(args)
     word = system.alphabet.word(args.word)
-    member = derives_from(system, word, args.budget)
+    if system.kmax > REGULAR_KMAX:
+        member = derives_from(system, word, args.budget)
+    else:
+        member = build_automaton(system, minimize=True).accepts(word)
     doc = {
         "system": system.to_json_dict(),
         "word": args.word,
@@ -114,7 +166,7 @@ def cmd_automaton(args):
 def cmd_capacity(args):
     system = _system(args)
     if args.empirical:
-        table = count_words(system, args.max_len, args.budget)
+        table = _count_table(system, args.max_len, args.budget)
         estimate = empirical_capacity(table, system.base, args.window)
         doc = estimate.to_json_dict()
     else:
@@ -139,11 +191,14 @@ def cmd_express(args):
 def cmd_dedup(args):
     alphabet = Alphabet.parse(args.alphabet)
     word = alphabet.word(args.word)
-    result = dedup_roots(word, args.max_dup, args.budget)
+    if args.max_dup > REGULAR_KMAX:
+        roots = dedup_roots(word, args.max_dup, args.budget).roots
+    else:
+        roots = {greedy_root(word, args.max_dup)}
     doc = {
         "word": args.word,
         "kmax": args.max_dup,
-        "roots": sorted(alphabet.text(r) for r in result.roots),
+        "roots": sorted(alphabet.text(r) for r in roots),
     }
     lines = [f"root\t{r}" for r in doc["roots"]]
     if args.target is not None:
@@ -215,21 +270,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("generate", help="enumerate all words up to a length")
     _add_system_flags(sub)
     sub.add_argument("--max-len", type=int, required=True)
-    sub.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
+    _add_budget_flag(sub, "only for kmax >= 4")
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_generate)
 
     sub = commands.add_parser("count", help="per-length word counts")
     _add_system_flags(sub)
     sub.add_argument("--max-len", type=int, required=True)
-    sub.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
+    _add_budget_flag(sub, "only for kmax >= 4")
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_count)
 
-    sub = commands.add_parser("member", help="membership by reverse deduplication")
+    sub = commands.add_parser(
+        "member", help="membership: automaton for kmax <= 3, reverse search beyond"
+    )
     _add_system_flags(sub)
     sub.add_argument("--word", required=True)
-    sub.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
+    _add_budget_flag(sub, "only for kmax >= 4")
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_member)
 
@@ -246,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--empirical", action="store_true", help="estimate from counts")
     sub.add_argument("--max-len", type=int, default=14)
     sub.add_argument("--window", type=int, default=5)
-    sub.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
+    _add_budget_flag(sub, "only for --empirical at kmax >= 4")
     sub.add_argument("--tolerance", type=float, default=1e-10)
     sub.add_argument("--bits", action="store_true", help="also report bits per symbol")
     _add_output_flags(sub)
@@ -257,12 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_express)
 
-    sub = commands.add_parser("dedup", help="irreducible roots under deduplication")
+    sub = commands.add_parser(
+        "dedup",
+        help="irreducible roots: first-square deletion for kmax <= 3, search beyond",
+    )
     sub.add_argument("--alphabet", required=True)
     sub.add_argument("--word", required=True)
     sub.add_argument("--max-dup", type=int, required=True)
     sub.add_argument("--target", help="also report the distance to this word")
-    sub.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
+    _add_budget_flag(sub, "for kmax >= 4 and for --target")
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_dedup)
 
@@ -271,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--check-upto", type=int, help="also compare against enumeration up to here"
     )
-    sub.add_argument("--budget", type=budget, default=DEFAULT_BUDGET)
+    _add_budget_flag(sub, "only for --check-upto")
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_verify)
 

@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Set
 
-from .core import DuplicationSystem, Word, deduplicate, iter_tandem_repeats
+from .core import (
+    DuplicationSystem,
+    Word,
+    deduplicate,
+    find_tandem_repeat,
+    iter_tandem_repeats,
+)
 from .errors import BudgetExceededError
 
 DEFAULT_BUDGET = 10_000_000
@@ -23,17 +29,23 @@ def _at_least_one(name: str, value: int) -> None:
         raise ValueError(f"{name} must be at least 1")
 
 
-def _levels(system: DuplicationSystem, max_length: int, budget: int):
-    """Yield (length, words) pairs level by level, spending one budget unit per word."""
-    _at_least_one("budget", budget)
+def length_range(system: DuplicationSystem, max_length: int) -> range:
+    """The word lengths of the system up to max_length: seed length .. max_length."""
     seed_len = len(system.seed)
     if max_length < seed_len:
         raise ValueError(
             f"max_length {max_length} is below the seed length {seed_len}"
         )
-    pending: Dict[int, Set[Word]] = {seed_len: {system.seed}}
+    return range(seed_len, max_length + 1)
+
+
+def _levels(system: DuplicationSystem, max_length: int, budget: int):
+    """Yield (length, words) pairs level by level, spending one budget unit per word."""
+    _at_least_one("budget", budget)
+    lengths = length_range(system, max_length)
+    pending: Dict[int, Set[Word]] = {lengths.start: {system.seed}}
     total = 1
-    for n in range(seed_len, max_length + 1):
+    for n in lengths:
         words = pending.pop(n, set())
         if not words:
             continue
@@ -212,6 +224,23 @@ def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupRes
                 seen.add(y)
                 stack.append(y)
     return DedupResult(word, kmax, frozenset(roots))
+
+
+def greedy_root(word: Word, kmax: int) -> Word:
+    """The kmax-irreducible word left by deleting the first square until
+    none is left, with no search and no budget.
+
+    For kmax <= 3 every word has exactly one root (Jain, Farnoud, Schwartz
+    and Bruck, "Duplication-correcting codes for data storage in the DNA of
+    living organisms", IEEE T-IT 2017), so this is the one `dedup_roots`
+    finds; for larger kmax it is one of them.
+    """
+    _at_least_one("kmax", kmax)
+    location = find_tandem_repeat(word, kmax)
+    while location is not None:
+        word = deduplicate(word, location)
+        location = find_tandem_repeat(word, kmax)
+    return word
 
 
 def dedup_distance(

@@ -16,6 +16,7 @@ from tandemdup import (
     VERDICT_SUPERSTATE,
     build_automaton,
     count_accepted,
+    count_words,
     language_upto,
     regex_to_nfa,
     right_language_subset,
@@ -23,7 +24,8 @@ from tandemdup import (
     transfer_matrix,
     verify_duplication_closure,
 )
-from tandemdup.automaton import alt, cat, plus, star, sym
+from tandemdup import automaton as automaton_module
+from tandemdup.automaton import accepted_counts, alt, cat, plus, star, sym
 from helpers import (
     accepted_by_scan,
     canonical_patterns,
@@ -109,6 +111,8 @@ def test_counting_rejects_nondeterminism():
     )
     with pytest.raises(NondeterministicAutomatonError):
         count_accepted(nfa, 3)
+    with pytest.raises(NondeterministicAutomatonError):
+        accepted_counts(nfa, 3)
     with pytest.raises(NondeterministicAutomatonError):
         language_upto(nfa, 3)
     with pytest.raises(NondeterministicAutomatonError):
@@ -360,8 +364,10 @@ class TestMinimalMachine:
         )
         want = LabeledAutomaton(Alphabet("ab"), {0, 1}, 0, {1}, {(0, "a", 1), (1, "a", 1)})
         assert m.minimized() == want == moore_minimized(m)
+        words = language_upto(m, 6)
         for n in range(7):
             assert count_accepted(m, n) == len(accepted_by_scan(m, "ab", n))
+            assert words[n] == accepted_by_scan(m, "ab", n)
 
     @pytest.mark.parametrize("accepting", [set(), {2}], ids=["none", "unreachable"])
     def test_empty_language_gives_one_rejecting_state(self, accepting):
@@ -376,6 +382,35 @@ class TestMinimalMachine:
         m = LabeledAutomaton(Alphabet("01"), {0}, 0, {0}, {(0, "0", 0), (0, "1", 0)})
         assert m.minimized() == m == moore_minimized(m)
         assert [count_accepted(m, n) for n in range(5)] == [1, 2, 4, 8, 16]
+
+    def test_counting_minimizes_once_per_machine(self, monkeypatch, ternary_system):
+        calls = []
+        real = automaton_module._minimal_raw
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(automaton_module, "_minimal_raw", counted)
+        machine = build_automaton(ternary_system)
+        counts = [count_accepted(machine, n) for n in range(6, 11)]
+        assert len(calls) == 1
+        assert counts == [21, 54, 138, 353, 906]
+
+    def test_a_minimal_machine_is_its_own_minimization(self, ternary_system):
+        built = build_automaton(ternary_system, minimize=True)
+        assert built.minimized() is built
+        minimal = build_automaton(ternary_system).minimized()
+        assert minimal.minimized() is minimal
+        assert minimal == built
+
+    def test_one_sweep_counts_every_length(self, ternary_system):
+        counts = accepted_counts(build_automaton(ternary_system), 10)
+        table = count_words(ternary_system, 10).counts
+        assert counts == [table.get(n, 0) for n in range(11)]
+        assert accepted_counts(build_automaton(ternary_system), 0) == [0]
+        with pytest.raises(ValueError, match="nonnegative"):
+            accepted_counts(build_automaton(ternary_system), -1)
 
     def test_long_seed_skips_the_forward_subset_blow_up(self):
         # the forward subset construction for the 96-symbol seed has about

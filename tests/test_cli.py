@@ -2,12 +2,23 @@ import argparse
 import inspect
 import json
 import math
+import random
 import re
 
 import pytest
 
-from tandemdup import cli, errors
+from tandemdup import (
+    DuplicationSystem,
+    cli,
+    count_words,
+    dedup_roots,
+    derives_from,
+    empirical_capacity,
+    enumerate_words,
+    errors,
+)
 from tandemdup.cli import build_parser, main
+from helpers import canonical_patterns
 
 
 def run(capsys, *argv):
@@ -24,6 +35,7 @@ def run_json(capsys, *argv):
 
 SYS3 = ["--alphabet", "012", "--seed", "012", "--max-dup", "3"]
 SYS2 = ["--alphabet", "01", "--seed", "01", "--max-dup", "2"]
+SYS4 = ["--alphabet", "012", "--seed", "012", "--max-dup", "4"]
 
 
 class TestGenerate:
@@ -198,13 +210,77 @@ class TestAvoid:
         assert abs(doc["value"] - 0.914838) < 1e-4
 
 
+class TestRegularEnginesMatchTheSearches:
+    """At kmax <= 3 the automaton and first-square deletion answer `count`,
+    `generate`, `member` and `dedup`; their documents must equal the ones
+    built from the exhaustive searches."""
+
+    @staticmethod
+    def _documents(parser, flags, system, max_len, words):
+        def document(*argv):
+            args = parser.parse_args([*argv[:1], *flags, *argv[1:]])
+            return args.func(args)[0]
+
+        text = system.alphabet.text
+        top = str(max_len)
+        assert document("count", "--max-len", top) == count_words(system, max_len).to_json_dict()
+        piece = enumerate_words(system, max_len)
+        assert document("generate", "--max-len", top) == piece.to_json_dict()
+        for word in words:
+            assert document("member", "--word", text(word)) == {
+                "system": system.to_json_dict(),
+                "word": text(word),
+                "member": derives_from(system, word),
+            }, word
+            args = parser.parse_args([
+                "dedup", "--alphabet", system.alphabet.to_text(), "--word", text(word),
+                "--max-dup", str(system.kmax),
+            ])
+            assert args.func(args)[0] == {
+                "word": text(word),
+                "kmax": system.kmax,
+                "roots": sorted(text(r) for r in dedup_roots(word, system.kmax).roots),
+            }, word
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_canonical_seed_sweep(self, kmax):
+        parser = build_parser()
+        rng = random.Random(kmax)
+        for pattern in canonical_patterns(5):
+            alphabet = "0123"[: int(max(pattern)) + 1]
+            system = DuplicationSystem.parse(alphabet, pattern, kmax)
+            max_len = len(pattern) + 4
+            members = sorted(set().union(*enumerate_words(system, max_len).by_length.values()))
+            words = rng.sample(members, min(3, len(members)))
+            # one changed symbol: mostly non-members
+            for word in list(words):
+                i = rng.randrange(len(word))
+                words.append(word[:i] + rng.choice(alphabet) + word[i + 1 :])
+            # shorter than the seed, and longer than any enumerated word
+            words.append(pattern[:-1])
+            words.append("".join(rng.choice(alphabet) for _ in range(max_len + 3)))
+            flags = ["--alphabet", alphabet, "--seed", pattern, "--max-dup", str(kmax)]
+            self._documents(parser, flags, system, max_len, words)
+
+    def test_comma_separated_symbols(self):
+        system = DuplicationSystem.parse("ab,cd,ef", "ab,cd,ef,ab", 3)
+        flags = ["--alphabet", "ab,cd,ef", "--seed", "ab,cd,ef,ab", "--max-dup", "3"]
+        words = [
+            ("ab", "cd", "ef", "ab"),
+            ("ab", "cd", "ef", "cd", "ef", "ab", "ab"),
+            ("ab", "ef", "cd", "ab"),
+            ("ab", "cd", "ab"),
+        ]
+        self._documents(build_parser(), flags, system, 8, words)
+
+
 class TestExitCodes:
     def test_domain_error_from_large_kmax(self, capsys):
         code, _ = run(capsys, "automaton", "--alphabet", "012", "--seed", "012", "--max-dup", "4")
         assert code == 1
 
     def test_domain_error_from_budget(self, capsys):
-        code, _ = run(capsys, "count", *SYS3, "--max-len", "9", "--budget", "10")
+        code, _ = run(capsys, "count", *SYS4, "--max-len", "9", "--budget", "10")
         assert code == 1
 
     def test_domain_error_from_empty_avoidance(self, capsys):
@@ -219,8 +295,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["member", *SYS3, "--word", "011212012012001122"],
-            ["dedup", "--alphabet", "012", "--word", "011212012012001122", "--max-dup", "3"],
+            ["member", *SYS4, "--word", "011212012012001122"],
+            ["dedup", "--alphabet", "012", "--word", "011212012012001122", "--max-dup", "4"],
+            # the breadth-first distance search spends the budget at any kmax
             ["dedup", "--alphabet", "012", "--word", "011212012012001122", "--max-dup", "3",
              "--target", "012"],
         ],
@@ -232,6 +309,58 @@ class TestExitCodes:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: word budget of 5 exceeded\n"
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["count", *SYS3, "--max-len", "9", "--budget", "10"],
+             lambda system: count_words(system, 9).to_json_dict()),
+            (["generate", *SYS3, "--max-len", "7", "--budget", "3"],
+             lambda system: enumerate_words(system, 7).to_json_dict()),
+            (["capacity", *SYS3, "--empirical", "--max-len", "10", "--budget", "3"],
+             lambda system: empirical_capacity(count_words(system, 10), 3).to_json_dict()),
+            (["member", *SYS3, "--word", "011212012012001122", "--budget", "5"],
+             lambda system: {"system": system.to_json_dict(),
+                             "word": "011212012012001122",
+                             "member": derives_from(system, "011212012012001122")}),
+            (["dedup", "--alphabet", "012", "--word", "011212012012001122", "--max-dup", "3",
+              "--budget", "5"],
+             lambda system: {"word": "011212012012001122", "kmax": 3,
+                             "roots": sorted(dedup_roots("011212012012001122", 3).roots)}),
+        ],
+        ids=["count", "generate", "capacity-empirical", "member", "dedup"],
+    )
+    def test_regular_questions_spend_no_budget(self, capsys, argv, want):
+        # at kmax <= 3 the automaton or the first-square deletion answers, so a
+        # budget the searches would exhaust is never spent
+        doc = run_json(capsys, *argv)
+        assert doc == want(DuplicationSystem.parse("012", "012", 3))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["avoid", "--alphabet", "012", "--forbid", "210", "--tolerance", "-1e-6"],
+            ["capacity", *SYS3, "--numeric", "--tolerance", "-1e-6"],
+        ],
+        ids=["avoid", "capacity-numeric"],
+    )
+    def test_negative_exponent_tolerance_reaches_its_check(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: tolerance must be nonnegative\n"
+
+    @pytest.mark.parametrize("system", [SYS3, SYS4], ids=["k3", "k4"])
+    @pytest.mark.parametrize(
+        "command",
+        [["count"], ["generate"], ["capacity", "--empirical"]],
+        ids=["count", "generate", "capacity-empirical"],
+    )
+    def test_max_len_below_the_seed_names_both_lengths(self, capsys, system, command):
+        assert main([*command, *system, "--max-len", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: max_length 2 is below the seed length 3\n"
 
     def test_usage_error_from_foreign_seed(self, capsys):
         code, _ = run(capsys, "count", "--alphabet", "01", "--seed", "02", "--max-dup", "2", "--max-len", "5")
@@ -266,7 +395,6 @@ class TestExitCodes:
         ["witness", *SYS3],
         ["count", "--alphabet", "012", "--max-dup", "3", "--max-len", "5"],
         ["count", "--alphabet", "012", "--seed", "012", "--max-dup", "x", "--max-len", "5"],
-        # argparse takes -1e-6 for an option, so the value goes missing
         ["avoid", "--alphabet", "012", "--forbid", "210", "--tolerance", "-1e-6"],
         ["capacity", *SYS3, "--numeric", "--empirical"],
         ["count", *SYS3, "--max-len", "5", "--budget", "0"],

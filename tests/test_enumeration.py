@@ -15,6 +15,7 @@ from tandemdup import (
     substrings_of_length,
     tandem_duplicate,
 )
+from tandemdup.enumeration import greedy_root
 from helpers import naive_closure
 
 
@@ -90,6 +91,8 @@ def test_dedup_kmax_below_one_is_bad_input(kmax):
         dedup_roots("0121", kmax)
     with pytest.raises(ValueError, match="kmax must be at least 1"):
         dedup_distance("0121", "01", kmax)
+    with pytest.raises(ValueError, match="kmax must be at least 1"):
+        greedy_root("0121", kmax)
 
 
 def test_reverse_searches_report_no_level_progress(ternary_system):
@@ -196,6 +199,21 @@ class TestDedup:
             d = dedup_distance(word, target, k)
             if d is not None:
                 assert d >= math.ceil((len(word) - len(target)) / k)
+
+    def test_greedy_root_is_the_only_root_up_to_kmax_three(self):
+        # roots are unique for kmax <= 3, so deleting the first square until
+        # none is left must land on the one root the full search finds
+        rng = random.Random(2017)
+        for _ in range(1500):
+            kmax = rng.randint(1, 3)
+            alphabet = "0123"[: rng.randint(2, 4)]
+            word = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 16)))
+            assert dedup_roots(word, kmax).roots == {greedy_root(word, kmax)}, (word, kmax)
+
+    def test_greedy_root_is_one_of_several_roots_beyond(self):
+        roots = dedup_roots("012101212", 4).roots
+        assert len(roots) == 2
+        assert greedy_root("012101212", 4) in roots
 
     def test_target_longer_than_word_is_an_error(self):
         with pytest.raises(ValueError):
