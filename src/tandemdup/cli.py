@@ -19,6 +19,7 @@ handlers call the library directly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -364,10 +365,18 @@ def _emit(args, doc, lines) -> None:
         print(text)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process: a build costs a few
+    milliseconds, and parsing leaves the parser unchanged.  Handlers are
+    bound here but look library functions up as module globals on every
+    call, so patching those still takes effect."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -5,6 +5,20 @@ increasing order is exhaustive: every word of length n is produced by
 expanding words of length n - kmax through n - 1.  Deduplication walks
 the same relation backwards and strictly decreases length, which makes
 membership and root searches finite.
+
+The level loop keeps each length as one sorted numpy array of distinct
+words packed as base-|alphabet| integers: every symbol is its alphabet
+rank in B = max(1, ceil(log2 |alphabet|)) bits, first symbol most
+significant.  Duplicating the k symbols at position i of a length-n word
+w is then whole-array arithmetic,
+
+    ((w >> (n-i-k)*B) << (n-i)*B) | (w & (2**((n-i)*B) - 1)),
+
+and `np.unique` merges the children into the pending level n + k.  The
+arrays are `uint64` when max_length * B <= 64 and hold Python ints
+otherwise, with the same arithmetic.  The packing never leaves this
+module: words are decoded to strings or tuples only where a caller asks
+for words.
 """
 
 from __future__ import annotations
@@ -12,7 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Set
 
+import numpy as np
+
 from .core import (
+    Alphabet,
     DuplicationSystem,
     Word,
     deduplicate,
@@ -29,6 +46,13 @@ def _at_least_one(name: str, value: int) -> None:
         raise ValueError(f"{name} must be at least 1")
 
 
+def _check_search(system: DuplicationSystem, word: Word, budget: int) -> None:
+    """The input checks of every search for one word in the language."""
+    _at_least_one("budget", budget)
+    if not system.alphabet.contains_word(word):
+        raise ValueError(f"word {word!r} uses symbols outside the alphabet")
+
+
 def length_range(system: DuplicationSystem, max_length: int) -> range:
     """The word lengths of the system up to max_length: seed length .. max_length."""
     seed_len = len(system.seed)
@@ -39,28 +63,105 @@ def length_range(system: DuplicationSystem, max_length: int) -> range:
     return range(seed_len, max_length + 1)
 
 
-def _levels(system: DuplicationSystem, max_length: int, budget: int):
-    """Yield (length, words) pairs level by level, spending one budget unit per word."""
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct codes in increasing order, by one sort.
+
+    Same result as `np.unique`, whose hash-based path in numpy 2 is about
+    20 times slower on `uint64` arrays of a few hundred thousand codes.
+    """
+    codes = np.sort(codes)
+    keep = np.empty(len(codes), dtype=bool)
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
+class _Packing:
+    """Words of one alphabet up to max_length as base-|alphabet| integer codes.
+
+    Codes are `uint64` when max_length symbols fit in 64 bits and Python
+    ints (dtype object) otherwise.  Shift counts and masks come from
+    `shift` and `mask` as scalars of the codes' own type, so `uint64`
+    arithmetic never depends on numpy's promotion of Python ints.
+    """
+
+    def __init__(self, alphabet: Alphabet, max_length: int):
+        self.alphabet = alphabet
+        self.bits = max(1, (len(alphabet) - 1).bit_length())
+        wide = max_length * self.bits > 64
+        self.dtype = np.dtype(object) if wide else np.dtype(np.uint64)
+        self.scalar = int if wide else np.uint64
+        self._symbols = np.array(alphabet.symbols)
+
+    def shift(self, symbols: int):
+        """The shift count that moves a code by this many symbols."""
+        return self.scalar(symbols * self.bits)
+
+    def mask(self, symbols: int):
+        """The mask that keeps the last this many symbols of a code."""
+        return self.scalar((1 << symbols * self.bits) - 1)
+
+    def array(self, codes) -> np.ndarray:
+        return np.array(codes, dtype=self.dtype)
+
+    def encode(self, word: Word):
+        code = 0
+        for symbol in word:
+            code = code << self.bits | self.alphabet.index(symbol)
+        return self.scalar(code)
+
+    def decode(self, codes: np.ndarray, n: int) -> list:
+        """The length-n words packed in `codes`, by one digit extraction."""
+        shifts = self.array([self.shift(j) for j in range(n - 1, -1, -1)])
+        ranks = ((codes[:, None] >> shifts) & self.mask(1)).astype(np.intp)
+        symbols = self._symbols[ranks]
+        if self.alphabet.single_char:
+            return symbols.view(np.dtype((np.str_, n))).ravel().tolist()
+        return list(map(tuple, symbols.tolist()))
+
+    def factors(self, codes: np.ndarray, n: int, m: int):
+        """The length-m factors of the length-n codes, one array per offset."""
+        mask = self.mask(m)
+        for offset in range(n - m + 1):
+            yield (codes >> self.shift(n - offset - m)) & mask
+
+
+def _levels(
+    system: DuplicationSystem, max_length: int, budget: int, packing: _Packing
+):
+    """Yield (length, codes) pairs level by level, spending one budget unit per word.
+
+    Each level is expanded before it is yielded, so a caller that stops
+    at length n has paid for every word its expansion produced.
+    """
     _at_least_one("budget", budget)
     lengths = length_range(system, max_length)
-    pending: Dict[int, Set[Word]] = {lengths.start: {system.seed}}
+    pending: Dict[int, np.ndarray] = {
+        lengths.start: packing.array([packing.encode(system.seed)])
+    }
     total = 1
     for n in lengths:
-        words = pending.pop(n, set())
-        if not words:
+        codes = pending.pop(n, None)
+        if codes is None:
             continue
-        span = min(system.kmax, max_length - n)
-        for w in words:
-            for k in range(1, span + 1):
-                target = pending.setdefault(n + k, set())
-                for i in range(0, n - k + 1):
-                    child = w[: i + k] + w[i:]
-                    if child not in target:
-                        target.add(child)
-                        total += 1
-                        if total > budget:
-                            raise BudgetExceededError(budget, n)
-        yield n, words
+        for k in range(1, min(system.kmax, max_length - n, n) + 1):
+            target = pending.get(n + k, packing.array([]))
+            batch = []
+            for i in range(n - k + 1):
+                tail = n - i
+                head = (codes >> packing.shift(tail - k)) << packing.shift(tail)
+                batch.append(head | (codes & packing.mask(tail)))
+                # merge once the children outnumber the pending level: the
+                # temporaries stay near one level's size, and each merge
+                # sorts at most about twice what it adds
+                if len(batch) * len(codes) >= len(target) or i == n - k:
+                    merged = _distinct(np.concatenate([target, *batch]))
+                    total += len(merged) - len(target)
+                    if total > budget:
+                        raise BudgetExceededError(budget, n)
+                    target, batch = merged, []
+            pending[n + k] = target
+        yield n, codes
 
 
 @dataclass(frozen=True)
@@ -128,8 +229,10 @@ def enumerate_words(
     system: DuplicationSystem, max_length: int, budget: int = DEFAULT_BUDGET
 ) -> LanguageSlice:
     """Every word of the system up to max_length, exactly."""
+    packing = _Packing(system.alphabet, max_length)
     by_length = {
-        n: frozenset(words) for n, words in _levels(system, max_length, budget)
+        n: frozenset(packing.decode(codes, n))
+        for n, codes in _levels(system, max_length, budget, packing)
     }
     return LanguageSlice(system, max_length, by_length)
 
@@ -138,7 +241,8 @@ def count_words(
     system: DuplicationSystem, max_length: int, budget: int = DEFAULT_BUDGET
 ) -> CountTable:
     """Per-length counts without retaining the words themselves."""
-    counts = {n: len(words) for n, words in _levels(system, max_length, budget)}
+    packing = _Packing(system.alphabet, max_length)
+    counts = {n: len(codes) for n, codes in _levels(system, max_length, budget, packing)}
     return CountTable(system, max_length, counts)
 
 
@@ -151,9 +255,7 @@ def derives_from(
     deduplication is the exact inverse of duplication, so the seed is
     reachable backwards iff the word is reachable forwards.
     """
-    _at_least_one("budget", budget)
-    if not system.alphabet.contains_word(word):
-        raise ValueError(f"word {word!r} uses symbols outside the alphabet")
+    _check_search(system, word, budget)
     seed = system.seed
     if len(word) < len(seed):
         return False
@@ -189,18 +291,45 @@ def substrings_of_length(
     if length < 1:
         raise ValueError("substring length must be positive")
     full = len(system.alphabet) ** length
-    found: Set[Word] = set()
-    for n, words in _levels(system, max_length, budget):
+    packing = _Packing(system.alphabet, max_length)
+    found = packing.array([])
+    for n, codes in _levels(system, max_length, budget, packing):
         if len(found) == full:
             break
         if n < length:
             continue
-        for w in words:
-            for i in range(n - length + 1):
-                found.add(w[i : i + length])
+        for factor in packing.factors(codes, n, length):
+            found = _distinct(np.concatenate([found, factor]))
         if len(found) == full:
             break
-    return SubstringProfile(system, length, max_length, frozenset(found))
+    words = frozenset(packing.decode(found, length))
+    return SubstringProfile(system, length, max_length, words)
+
+
+def occurs_as_factor(
+    system: DuplicationSystem,
+    word: Word,
+    max_length: int,
+    budget: int = DEFAULT_BUDGET,
+) -> bool:
+    """Whether `word` is a factor of some member of length at most max_length.
+
+    Enumerates level by level and stops at the first level where the word
+    occurs.  A word longer than max_length occurs in no such member: the
+    answer is False without enumerating, after the same input checks as
+    `derives_from`.
+    """
+    _check_search(system, word, budget)
+    if len(word) > max_length:
+        return False
+    packing = _Packing(system.alphabet, max_length)
+    code = packing.encode(word)
+    for n, codes in _levels(system, max_length, budget, packing):
+        if n >= len(word) and any(
+            (factor == code).any() for factor in packing.factors(codes, n, len(word))
+        ):
+            return True
+    return False
 
 
 def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupResult:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Set
 
 from .core import Alphabet, DuplicationSystem, Word, thue_square_free
-from .enumeration import DEFAULT_BUDGET, _levels, substrings_of_length
+from .enumeration import DEFAULT_BUDGET, occurs_as_factor, substrings_of_length
 
 ANSWER_YES = "yes"
 ANSWER_NO = "no"
@@ -130,13 +130,6 @@ def check_coverage(
     }
 
 
-def _contains(haystack: Word, needle: Word) -> bool:
-    if isinstance(haystack, str):
-        return needle in haystack
-    n = len(needle)
-    return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
-
-
 def verify_witness_absent(
     system: DuplicationSystem,
     word: Word,
@@ -146,14 +139,7 @@ def verify_witness_absent(
     """Check by enumeration that `word` is no factor of any member up to max_length.
 
     A word longer than max_length is vacuously absent and returns True
-    without enumerating.
+    without enumerating.  A budget below 1 and a symbol outside the
+    alphabet are rejected with ValueError on every path.
     """
-    if len(word) > max_length:
-        return True
-    for n, words in _levels(system, max_length, budget):
-        if n < len(word):
-            continue
-        for member in words:
-            if _contains(member, word):
-                return False
-    return True
+    return not occurs_as_factor(system, word, max_length, budget)

@@ -8,6 +8,7 @@ import itertools
 from collections import defaultdict
 
 from tandemdup import (
+    BudgetExceededError,
     VERDICT_FAIL,
     VERDICT_LABEL_SETS,
     VERDICT_SUPERSTATE,
@@ -45,6 +46,36 @@ def naive_closure(seed, kmax, max_length):
     for w in words:
         by_length.setdefault(len(w), set()).add(w)
     return by_length
+
+
+def set_levels(system, max_length, budget):
+    """The level loop on Python sets of words, the reference for the packed
+    one: yield (length, words) pairs level by level, spending one budget
+    unit per word."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    seed_len = len(system.seed)
+    if max_length < seed_len:
+        raise ValueError(f"max_length {max_length} is below the seed length {seed_len}")
+    lengths = range(seed_len, max_length + 1)
+    pending = {lengths.start: {system.seed}}
+    total = 1
+    for n in lengths:
+        words = pending.pop(n, set())
+        if not words:
+            continue
+        span = min(system.kmax, max_length - n)
+        for w in words:
+            for k in range(1, span + 1):
+                target = pending.setdefault(n + k, set())
+                for i in range(0, n - k + 1):
+                    child = w[: i + k] + w[i:]
+                    if child not in target:
+                        target.add(child)
+                        total += 1
+                        if total > budget:
+                            raise BudgetExceededError(budget, n)
+        yield n, words
 
 
 def square_locations(word, kmax=None):

@@ -507,6 +507,51 @@ def test_help_and_version_still_exit_zero(capsys):
     assert captured.err == ""
 
 
+# subcommands, a usage error from argparse and one from the library, a
+# domain error, --help and --version; `avoid` twice, so a default list
+# that parsing extended in place would show up in the second answer
+_MIXED_RUN = [
+    ["count", *SYS3, "--max-len", "6", "--format", "text"],
+    ["avoid", "--alphabet", "012", "--forbid", "210"],
+    ["count", *SYS4, "--max-len", "9", "--budget", "10"],
+    ["member", *SYS4, "--word", "01212"],
+    ["dedup", "--alphabet", "012", "--word", "0121", "--max-dup", "3", "--no-such-flag"],
+    ["capacity", "--help"],
+    ["avoid", "--alphabet", "012", "--forbid", "021"],
+    ["count", *SYS3, "--max-len", "2"],
+    ["--version"],
+    ["generate", *SYS2, "--max-len", "4"],
+]
+
+
+def test_one_parser_serves_a_run_of_calls(capsys, monkeypatch):
+    builds = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+
+    def answer(argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    separate = []
+    for argv in _MIXED_RUN:
+        cli._parser.cache_clear()
+        separate.append(answer(argv))
+    assert len(builds) == len(_MIXED_RUN)
+    assert [code for code, _, _ in separate] == [0, 0, 1, 0, 2, 0, 0, 2, 0, 0]
+
+    builds.clear()
+    cli._parser.cache_clear()
+    assert [answer(argv) for argv in _MIXED_RUN] == separate
+    assert len(builds) == 1
+
+    # handlers still look library functions up when they run
+    monkeypatch.setattr(cli, "derives_from", lambda *args: True)
+    assert answer(["member", *SYS4, "--word", "210", "--format", "text"])[1] == "member\ttrue\n"
+    cli._parser.cache_clear()
+
+
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     code = main(["squarefree", "--length", "5", "--out", str(tmp_path / "missing" / "w.json")])
     captured = capsys.readouterr()

@@ -1,9 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from tandemdup import (
+    Alphabet,
     BudgetExceededError,
     DuplicationSystem,
     count_words,
@@ -14,9 +16,11 @@ from tandemdup import (
     is_k_irreducible,
     substrings_of_length,
     tandem_duplicate,
+    thue_square_free,
+    verify_witness_absent,
 )
-from tandemdup.enumeration import greedy_root
-from helpers import naive_closure
+from tandemdup.enumeration import _Packing, greedy_root
+from helpers import canonical_patterns, naive_closure, set_levels
 
 
 @pytest.mark.parametrize(
@@ -255,3 +259,133 @@ def test_count_bound_when_a_window_is_missing(ternary_system):
     for n, c in counts.items():
         q, r = divmod(n, m)
         assert c <= (3**m - 1) ** q * 3**r
+
+
+# ---------------------------------------------------------------------------
+# the packed level loop against the set loop it replaced (`set_levels`)
+
+
+def _factors(by_length, m):
+    return {
+        w[i : i + m] for ws in by_length.values() for w in ws for i in range(len(w) - m + 1)
+    }
+
+
+def _outcome(search):
+    """A search's answer, or the limit, depth and message of its budget error."""
+    try:
+        return search()
+    except BudgetExceededError as err:
+        return err.limit, err.depth_reached, str(err)
+
+
+def _set_loop_counts(system, top, budget):
+    return {n: len(ws) for n, ws in set_levels(system, top, budget)}
+
+
+def _set_loop_profile(system, m, top, budget):
+    """`substrings_of_length` on the set loop, with the same early stops."""
+    full = len(system.alphabet) ** m
+    found = set()
+    for n, words in set_levels(system, top, budget):
+        if len(found) == full:
+            break
+        if n < m:
+            continue
+        found |= _factors({n: words}, m)
+        if len(found) == full:
+            break
+    return found
+
+
+def _set_loop_absent(system, word, top, budget):
+    """`verify_witness_absent` on the set loop, with the same early return."""
+    if len(word) > top:
+        return True
+    for n, words in set_levels(system, top, budget):
+        if n >= len(word) and word in _factors({n: words}, len(word)):
+            return False
+    return True
+
+
+def _agrees_with_the_set_loop(system, top, words_to_find):
+    want = {n: set(ws) for n, ws in set_levels(system, top, 10**7)}
+    got = enumerate_words(system, top).by_length
+    assert {n: set(ws) for n, ws in got.items()} == want
+    assert count_words(system, top).counts == {n: len(ws) for n, ws in want.items()}
+    for m in (1, 2, 3):
+        assert substrings_of_length(system, m, top).found == _factors(want, m), m
+    for word in words_to_find:
+        absent = word not in _factors(want, len(word))
+        assert verify_witness_absent(system, word, top) == absent, word
+    return want
+
+
+class TestPackedLevels:
+    @pytest.mark.parametrize("kmax", [1, 2, 3, 4, 5])
+    def test_canonical_seed_sweep(self, kmax):
+        # max length |seed| + kmax, so that every block length up to kmax
+        # is duplicated; one present and one random word are searched
+        rng = random.Random(kmax)
+        for pattern in canonical_patterns(5):
+            alphabet = "".join(sorted(set(pattern)))
+            system = DuplicationSystem.parse(alphabet, pattern, kmax)
+            top = len(pattern) + kmax
+            longest = sorted(enumerate_words(system, top).by_length[top])
+            member = rng.choice(longest)
+            i = rng.randrange(len(member))
+            present = member[i : i + rng.randint(1, 4)]
+            other = "".join(rng.choice(alphabet) for _ in range(rng.randint(2, 5)))
+            want = _agrees_with_the_set_loop(system, top, [present, other])
+            assert want == naive_closure(pattern, kmax, top), pattern
+
+    @pytest.mark.parametrize(
+        "alphabet,seed,kmax,top",
+        [("01", "01", 2, 7), ("012", "012", 4, 8), ("0123", "0120", 3, 7), ("012", "0", 5, 6)],
+    )
+    def test_budget_sweep(self, alphabet, seed, kmax, top):
+        system = DuplicationSystem.parse(alphabet, seed, kmax)
+        total = sum(_set_loop_counts(system, top, 10**7).values())
+        present = seed[-1] + seed[0]
+        for budget in range(1, total + 2):
+            assert _outcome(lambda: count_words(system, top, budget).counts) == _outcome(
+                lambda: _set_loop_counts(system, top, budget)
+            ), budget
+            for m in (1, 2):
+                assert _outcome(
+                    lambda: substrings_of_length(system, m, top, budget).found
+                ) == _outcome(lambda: _set_loop_profile(system, m, top, budget)), (budget, m)
+            for word in (present, alphabet[::-1]):
+                assert _outcome(
+                    lambda: verify_witness_absent(system, word, top, budget)
+                ) == _outcome(lambda: _set_loop_absent(system, word, top, budget)), (budget, word)
+
+    @pytest.mark.parametrize(
+        "alphabet,seed_length,kmax,top,width",
+        [
+            ("012", 29, 3, 31, 62),
+            ("012", 30, 2, 32, 64),
+            ("012", 30, 1, 33, 66),
+            ("01", 62, 2, 64, 64),
+            ("01", 63, 1, 65, 65),
+        ],
+    )
+    def test_both_sides_of_the_64_bit_width(self, alphabet, seed_length, kmax, top, width):
+        packing = _Packing(Alphabet(alphabet), top)
+        assert top * packing.bits == width
+        assert packing.dtype == (object if width > 64 else np.uint64)
+        if alphabet == "012":
+            seed = thue_square_free(seed_length)
+        else:
+            seed = ("01" * 40)[:seed_length]
+        system = DuplicationSystem.parse(alphabet, seed, kmax)
+        tail = seed[-5:] + seed[-1]
+        want = _agrees_with_the_set_loop(system, top, [seed, tail, seed[:3] + seed[:3]])
+        assert len(want[top]) > 1
+
+    def test_comma_separated_symbols(self):
+        system = DuplicationSystem.parse("a,bb,ccc", "a,bb,ccc,a", 3)
+        words = [("bb", "a"), ("a", "a", "a"), ("ccc", "bb", "ccc"), ("a", "ccc")]
+        want = _agrees_with_the_set_loop(system, 8, words)
+        assert want == naive_closure(system.seed, 3, 8)
+        assert all(isinstance(w, tuple) for ws in want.values() for w in ws)

@@ -161,6 +161,16 @@ class TestWitnessAbsence:
         assert len(w) == 17
         assert verify_witness_absent(ternary_system, w, 14)
 
+    def test_budget_is_checked_on_the_vacuous_path(self):
+        # the same call with the word "01" enumerates and rejects budget 0
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            verify_witness_absent(D("012", "012", 4), "0000000000", 8, budget=0)
+
+    @pytest.mark.parametrize("word,max_length", [("3", 14), ("0123", 14), ("3" * 20, 14)])
+    def test_symbols_outside_the_alphabet_are_bad_input(self, ternary_system, word, max_length):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            verify_witness_absent(ternary_system, word, max_length)
+
 
 def test_every_no_system_charges_nothing_for_its_witness():
     """The cheap half of soundness: the witness is never derivable itself."""
