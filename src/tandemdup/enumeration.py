@@ -14,11 +14,11 @@ w is then whole-array arithmetic,
 
     ((w >> (n-i-k)*B) << (n-i)*B) | (w & (2**((n-i)*B) - 1)),
 
-and `np.unique` merges the children into the pending level n + k.  The
-arrays are `uint64` when max_length * B <= 64 and hold Python ints
-otherwise, with the same arithmetic.  The packing never leaves this
-module: words are decoded to strings or tuples only where a caller asks
-for words.
+and one sort with duplicates dropped merges the children into the
+pending level n + k.  The arrays are `uint64` when max_length * B <= 64
+and hold Python ints otherwise, with the same arithmetic.  The packing
+never leaves this module: words are decoded to strings or tuples only
+where a caller asks for words.
 """
 
 from __future__ import annotations
