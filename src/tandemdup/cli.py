@@ -126,10 +126,7 @@ def cmd_generate(args):
         by_length = {n: frozenset(words[n]) for n in lengths}
         piece = LanguageSlice(system, args.max_len, by_length)
     doc = piece.to_json_dict()
-    lines = []
-    for n in sorted(piece.by_length):
-        for w in sorted(system.alphabet.text(x) for x in piece.by_length[n]):
-            lines.append(f"{n}\t{w}")
+    lines = [f"{n}\t{w}" for n, words in doc["words"].items() for w in words]
     return doc, lines
 
 

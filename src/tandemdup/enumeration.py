@@ -19,12 +19,22 @@ pending level n + k.  The arrays are `uint64` when max_length * B <= 64
 and hold Python ints otherwise, with the same arithmetic.  The packing
 never leaves this module: words are decoded to strings or tuples only
 where a caller asks for words.
+
+The reverse searches (`derives_from`, `dedup_roots`, `dedup_distance`)
+peel squares off words packed the same way, one Python int a word with a
+leading 1 bit above the symbols, so the length is implicit and there is
+no width limit.  The ranks come from the start word's own symbols,
+because deduplication never adds one.  Every square of block length l is
+found at once: x = c ^ (c >> l*B) is zero on each symbol that equals the
+one l places before it, and the AND of l shifted copies of that zero mask
+(an OR over a window of l*B bits of x, taken by doubling) marks the
+offsets where a whole block repeats.  Only the roots are decoded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +44,6 @@ from .core import (
     Word,
     deduplicate,
     find_tandem_repeat,
-    iter_tandem_repeats,
 )
 from .errors import BudgetExceededError
 
@@ -246,6 +255,81 @@ def count_words(
     return CountTable(system, max_length, counts)
 
 
+def _kept_by_deduplication(word: Word) -> tuple:
+    """The first symbol, the last symbol and the symbol set of a word,
+    which deduplication never changes.  Slices, so an empty word has no
+    end symbols and a string never matches a tuple."""
+    return word[:1], word[-1:], frozenset(word)
+
+
+class _Peeling:
+    """Words over the symbols of one start word as Python ints, for peeling
+    squares off them.
+
+    Each symbol is its rank among the start word's symbols, sorted, in
+    B = max(1, ceil(log2 |symbols|)) bits, first symbol most significant,
+    under a leading 1 bit.  A code of n symbols lies in [2**(n*B),
+    2**(n*B + 1)).
+    """
+
+    def __init__(self, word: Word, kmax: int):
+        self.kmax = kmax
+        self.symbols = sorted(set(word))
+        self.bits = max(1, (len(self.symbols) - 1).bit_length())
+        self._rank = {s: r for r, s in enumerate(self.symbols)}
+        self._join = "".join if isinstance(word, str) else tuple
+        # valid[m]: the lowest bit of each of the last m + 1 symbols, that
+        # is of the squares with t = 0..m symbols after them
+        self._valid = []
+        ones = 0
+        for t in range(len(word)):
+            ones |= 1 << t * self.bits
+            self._valid.append(ones)
+
+    def encode(self, word: Word) -> int:
+        code = 1
+        for symbol in word:
+            code = (code << self.bits) | self._rank[symbol]
+        return code
+
+    def decode(self, code: int) -> Word:
+        n = (code.bit_length() - 1) // self.bits
+        rank = (1 << self.bits) - 1
+        return self._join(
+            self.symbols[(code >> j * self.bits) & rank] for j in range(n - 1, -1, -1)
+        )
+
+    def peel(self, code: int, shortest: int = 0) -> List[Tuple[int, int, int]]:
+        """(offset, length, child) for every square of block length at most
+        kmax whose deletion leaves at least `shortest` symbols; the child is
+        the code with the square's second copy deleted.  In no fixed order:
+        sorted, the squares come in (offset, length) order."""
+        bits = self.bits
+        n = (code.bit_length() - 1) // bits
+        found = []
+        for length in range(1, min(self.kmax, n // 2, n - shortest) + 1):
+            shift = length * bits
+            # x is zero on every symbol that equals the one `length` places
+            # before it.  OR-ing each bit of x with the shift - 1 bits above
+            # it, by doubling, leaves the lowest bit of a symbol clear just
+            # where x is zero on it and the length - 1 symbols before it:
+            # the AND of `length` shifted copies of x's symbol-wise zero mask
+            x = code ^ (code >> shift)
+            span = 1
+            while 2 * span <= shift:
+                x |= x >> span
+                span *= 2
+            x |= x >> shift - span
+            hits = self._valid[n - 2 * length] & ~x
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                tail = low.bit_length() - 1  # bits of the symbols after the square
+                child = ((code >> tail + shift) << tail) | (code & low - 1)
+                found.append((n - 2 * length - tail // bits, length, child))
+        return found
+
+
 def derives_from(
     system: DuplicationSystem, word: Word, budget: int = DEFAULT_BUDGET
 ) -> bool:
@@ -253,27 +337,29 @@ def derives_from(
 
     Runs the search backwards, deduplicating at every square location;
     deduplication is the exact inverse of duplication, so the seed is
-    reachable backwards iff the word is reachable forwards.
+    reachable backwards iff the word is reachable forwards.  A word whose
+    end symbols or symbol set differ from the seed's is no member, and is
+    answered before any search.  The search is depth first and visits the
+    squares of a word in (offset, length) order.
     """
     _check_search(system, word, budget)
     seed = system.seed
-    if len(word) < len(seed):
+    if len(word) < len(seed) or _kept_by_deduplication(word) != _kept_by_deduplication(seed):
         return False
-    seen = {word}
-    stack = [word]
+    peeling = _Peeling(word, system.kmax)
+    start, goal = peeling.encode(word), peeling.encode(seed)
+    seen = {start}
+    stack = [start]
     while stack:
-        w = stack.pop()
-        if w == seed:
+        code = stack.pop()
+        if code == goal:
             return True
-        if len(w) <= len(seed):
-            continue
-        for loc in iter_tandem_repeats(w, system.kmax):
-            y = deduplicate(w, loc)
-            if len(y) >= len(seed) and y not in seen:
+        for _, _, child in sorted(peeling.peel(code, len(seed))):
+            if child not in seen:
                 if len(seen) >= budget:
                     raise BudgetExceededError(budget)
-                seen.add(y)
-                stack.append(y)
+                seen.add(child)
+                stack.append(child)
     return False
 
 
@@ -336,23 +422,24 @@ def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupRes
     """All kmax-irreducible words reachable from `word` by deduplication."""
     _at_least_one("kmax", kmax)
     _at_least_one("budget", budget)
-    seen = {word}
-    stack = [word]
-    roots: Set[Word] = set()
+    peeling = _Peeling(word, kmax)
+    start = peeling.encode(word)
+    seen = {start}
+    stack = [start]
+    roots = []
     while stack:
-        w = stack.pop()
-        locations = list(iter_tandem_repeats(w, kmax))
-        if not locations:
-            roots.add(w)
+        code = stack.pop()
+        squares = peeling.peel(code)
+        if not squares:
+            roots.append(code)
             continue
-        for loc in locations:
-            y = deduplicate(w, loc)
-            if y not in seen:
+        for _, _, child in squares:
+            if child not in seen:
                 if len(seen) >= budget:
                     raise BudgetExceededError(budget)
-                seen.add(y)
-                stack.append(y)
-    return DedupResult(word, kmax, frozenset(roots))
+                seen.add(child)
+                stack.append(child)
+    return DedupResult(word, kmax, frozenset(map(peeling.decode, roots)))
 
 
 def greedy_root(word: Word, kmax: int) -> Word:
@@ -375,28 +462,40 @@ def greedy_root(word: Word, kmax: int) -> Word:
 def dedup_distance(
     word: Word, target: Word, kmax: int, budget: int = DEFAULT_BUDGET
 ) -> Optional[int]:
-    """Minimal number of deduplication steps from `word` to `target`, or None."""
+    """Minimal number of deduplication steps from `word` to `target`, or None.
+
+    Breadth first; each frontier keeps its words in the order they were
+    found, squares in (offset, length) order, so the budget runs out on
+    the same inputs in every process.  A target whose end symbols or
+    symbol set differ from the word's is unreachable, and is answered
+    before any search.
+    """
     _at_least_one("kmax", kmax)
     _at_least_one("budget", budget)
     if len(target) > len(word):
         raise ValueError("target cannot be longer than the start word")
     if word == target:
         return 0
-    frontier = {word}
-    seen = {word}
+    if _kept_by_deduplication(word) != _kept_by_deduplication(target):
+        return None
+    peeling = _Peeling(word, kmax)
+    start, goal = peeling.encode(word), peeling.encode(target)
+    # the codes of words longer than the target
+    longer = 1 << (len(target) + 1) * peeling.bits
+    frontier = [start]
+    seen = {start}
     steps = 0
     while frontier:
         steps += 1
-        nxt: Set[Word] = set()
-        for w in frontier:
-            for loc in iter_tandem_repeats(w, kmax):
-                y = deduplicate(w, loc)
-                if y == target:
+        nxt = []
+        for code in frontier:
+            for _, _, child in sorted(peeling.peel(code, len(target))):
+                if child == goal:
                     return steps
-                if len(y) > len(target) and y not in seen:
+                if child >= longer and child not in seen:
                     if len(seen) >= budget:
                         raise BudgetExceededError(budget)
-                    seen.add(y)
-                    nxt.add(y)
+                    seen.add(child)
+                    nxt.append(child)
         frontier = nxt
     return None

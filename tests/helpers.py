@@ -96,6 +96,102 @@ def has_short_square(word, kmax):
     return bool(square_locations(word, kmax))
 
 
+# ---------------------------------------------------------------------------
+# the reverse searches on words as strings or tuples, the references for the
+# packed ones: same input checks, pruning, visiting order and budget
+
+
+def kept_by_deduplication(word):
+    """First symbol, last symbol and symbol set: deduplication keeps all three."""
+    return word[:1], word[-1:], frozenset(word)
+
+
+def _without_square(word, offset, length):
+    return word[: offset + length] + word[offset + 2 * length :]
+
+
+def string_derives_from(system, word, budget):
+    """Membership by depth-first square peeling, squares in (offset, length) order."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if not system.alphabet.contains_word(word):
+        raise ValueError(f"word {word!r} uses symbols outside the alphabet")
+    seed = system.seed
+    if len(word) < len(seed) or kept_by_deduplication(word) != kept_by_deduplication(seed):
+        return False
+    seen = {word}
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        if w == seed:
+            return True
+        for offset, length in square_locations(w, system.kmax):
+            y = _without_square(w, offset, length)
+            if len(y) >= len(seed) and y not in seen:
+                if len(seen) >= budget:
+                    raise BudgetExceededError(budget)
+                seen.add(y)
+                stack.append(y)
+    return False
+
+
+def string_dedup_roots(word, kmax, budget):
+    """The kmax-irreducible words reachable from `word`, by depth-first peeling."""
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    seen = {word}
+    stack = [word]
+    roots = set()
+    while stack:
+        w = stack.pop()
+        locations = square_locations(w, kmax)
+        if not locations:
+            roots.add(w)
+        for offset, length in locations:
+            y = _without_square(w, offset, length)
+            if y not in seen:
+                if len(seen) >= budget:
+                    raise BudgetExceededError(budget)
+                seen.add(y)
+                stack.append(y)
+    return roots
+
+
+def string_dedup_distance(word, target, kmax, budget):
+    """Fewest deduplications from `word` to `target`, breadth first, each
+    frontier a list in discovery order."""
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if len(target) > len(word):
+        raise ValueError("target cannot be longer than the start word")
+    if word == target:
+        return 0
+    if kept_by_deduplication(word) != kept_by_deduplication(target):
+        return None
+    frontier = [word]
+    seen = {word}
+    steps = 0
+    while frontier:
+        steps += 1
+        nxt = []
+        for w in frontier:
+            for offset, length in square_locations(w, kmax):
+                y = _without_square(w, offset, length)
+                if y == target:
+                    return steps
+                if len(y) > len(target) and y not in seen:
+                    if len(seen) >= budget:
+                        raise BudgetExceededError(budget)
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return None
+
+
 def accepted_by_scan(machine, alphabet_text, n):
     """Words of length n the machine accepts, by scanning all of Sigma^n."""
     hits = set()

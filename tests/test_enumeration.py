@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tandemdup
 from tandemdup import (
     Alphabet,
     BudgetExceededError,
@@ -19,8 +24,17 @@ from tandemdup import (
     thue_square_free,
     verify_witness_absent,
 )
-from tandemdup.enumeration import _Packing, greedy_root
-from helpers import canonical_patterns, naive_closure, set_levels
+from tandemdup.enumeration import _Packing, _Peeling, greedy_root
+from helpers import (
+    canonical_patterns,
+    kept_by_deduplication,
+    naive_closure,
+    set_levels,
+    square_locations,
+    string_dedup_distance,
+    string_dedup_roots,
+    string_derives_from,
+)
 
 
 @pytest.mark.parametrize(
@@ -389,3 +403,178 @@ class TestPackedLevels:
         want = _agrees_with_the_set_loop(system, 8, words)
         assert want == naive_closure(system.seed, 3, 8)
         assert all(isinstance(w, tuple) for ws in want.values() for w in ws)
+
+
+# ---------------------------------------------------------------------------
+# the packed reverse searches against the string searches they replaced
+
+
+def _agree_with_the_string_searches(alphabet, word, kmax, others, budget=10**7):
+    """`dedup_roots` of the word, and `dedup_distance` to each other word and
+    `derives_from` with it as the seed, give the string searches' answers
+    or budget errors."""
+    assert _outcome(lambda: dedup_roots(word, kmax, budget).roots) == _outcome(
+        lambda: string_dedup_roots(word, kmax, budget)
+    ), (word, kmax, budget)
+    for other in others:
+        assert _outcome(lambda: dedup_distance(word, other, kmax, budget)) == _outcome(
+            lambda: string_dedup_distance(word, other, kmax, budget)
+        ), (word, other, kmax, budget)
+        system = DuplicationSystem(alphabet, other, kmax)
+        assert _outcome(lambda: derives_from(system, word, budget)) == _outcome(
+            lambda: string_derives_from(system, word, budget)
+        ), (word, other, kmax, budget)
+
+
+def _descendants(word, kmax):
+    """How many words deduplication reaches from `word`, the word included."""
+    seen = {word}
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        for offset, length in square_locations(w, kmax):
+            y = w[: offset + length] + w[offset + 2 * length :]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen)
+
+
+def _grown(rng, word, kmax, extra):
+    """The word after random duplications of at most kmax symbols, until it
+    has grown by at least `extra` symbols."""
+    while extra > 0:
+        k = rng.randint(1, min(kmax, len(word)))
+        i = rng.randint(0, len(word) - k)
+        word = tandem_duplicate(word, i, k)
+        extra -= k
+    return word
+
+
+class TestPackedPeeling:
+    def test_random_words(self):
+        rng = random.Random(8)
+        for _ in range(600):
+            kmax = rng.randint(1, 5)
+            letters = "0123"[: rng.randint(1, 4)]
+            word = "".join(rng.choice(letters) for _ in range(rng.randint(1, 18)))
+            root = rng.choice(sorted(string_dedup_roots(word, kmax, 10**7)))
+            other = "".join(rng.choice(letters) for _ in range(rng.randint(1, len(word))))
+            _agree_with_the_string_searches(Alphabet(letters), word, kmax, [root, other])
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3, 4, 5])
+    def test_canonical_seed_members_and_mutants(self, kmax):
+        rng = random.Random(kmax)
+        for pattern in canonical_patterns(5):
+            alphabet = Alphabet("".join(sorted(set(pattern))))
+            member = _grown(rng, pattern, kmax, 8)
+            i = rng.randrange(len(member))
+            mutant = member[:i] + rng.choice(alphabet.symbols) + member[i + 1 :]
+            for word in (member, mutant):
+                _agree_with_the_string_searches(alphabet, word, kmax, [pattern])
+            assert derives_from(DuplicationSystem(alphabet, pattern, kmax), member)
+
+    def test_comma_separated_symbols(self):
+        alphabet = Alphabet.parse("a,bb,ccc")
+        rng = random.Random(3)
+        for _ in range(60):
+            kmax = rng.randint(1, 4)
+            seed = tuple(rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 4)))
+            word = _grown(rng, seed, kmax, 8)
+            _agree_with_the_string_searches(alphabet, word, kmax, [seed])
+            assert all(isinstance(root, tuple) for root in dedup_roots(word, kmax).roots)
+
+    @pytest.mark.parametrize(
+        "word,bits", [("", 1), ("0000", 1), ("0101", 1), ("0212", 2), ("3120", 2), ("01234", 3)]
+    )
+    def test_symbol_width_and_leading_bit(self, word, bits):
+        peeling = _Peeling(word, 2)
+        assert peeling.bits == bits
+        code = peeling.encode(word)
+        assert code.bit_length() == bits * len(word) + 1
+        assert peeling.decode(code) == word
+
+    def test_codes_wider_than_64_bits(self):
+        # 40 square-free ternary symbols take 80 bits; three spaced squares
+        seed = thue_square_free(40)
+        word = tandem_duplicate(tandem_duplicate(tandem_duplicate(seed, 30, 3), 17, 2), 2, 1)
+        assert _Peeling(word, 3).encode(word).bit_length() == 2 * len(word) + 1 > 64
+        _agree_with_the_string_searches(Alphabet("012"), word, 3, [seed, seed[:38]])
+        assert dedup_roots(word, 3).roots == {seed}
+        assert dedup_distance(word, seed, 3) == 3
+        assert derives_from(DuplicationSystem.parse("012", seed, 3), word)
+
+    @pytest.mark.parametrize(
+        "alphabet,word,kmax,others",
+        [
+            ("012", "012101212", 4, ["012", "0121012"]),
+            ("01", "0011001100", 2, ["010", "0100"]),
+            ("01", "0001", 1, ["011", "01"]),
+            ("01", "0011011", 3, ["011", "01"]),
+            ("012", "22100220002110", 4, ["2210", "20"]),
+            ("0123", "0123123312", 3, ["0123312", "012312"]),
+            ("a,bb", ("a", "bb", "bb", "a", "bb", "a", "bb"), 3, [("a", "bb"), ("a", "bb", "a", "bb")]),
+        ],
+    )
+    def test_budget_sweep(self, alphabet, word, kmax, others):
+        alphabet = Alphabet.parse(alphabet)
+        for budget in range(1, _descendants(word, kmax) + 2):
+            _agree_with_the_string_searches(alphabet, word, kmax, others, budget)
+
+    def test_distance_budget_outcome_ignores_string_hashing(self):
+        # the frontiers are lists in discovery order: string hashing, which
+        # orders a set of strings, cannot move the point where budget runs out
+        call = (
+            "from tandemdup import BudgetExceededError, dedup_distance\n"
+            "try:\n"
+            "    print(dedup_distance('22100220002110', '2210', 4, budget=55))\n"
+            "except BudgetExceededError as err:\n"
+            "    print(err)\n"
+        )
+        src = str(Path(tandemdup.__file__).resolve().parent.parent)
+        outcomes = {
+            subprocess.run(
+                [sys.executable, "-c", call],
+                env=dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+            ).stdout
+            for hash_seed in (1, 2)
+        }
+        assert outcomes == {"word budget of 55 exceeded\n"}
+
+
+class TestPrunedSearches:
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_deduplication_keeps_the_ends_and_the_symbols(self, kmax):
+        for seed in ("0", "01", "012", "0102", "0120", "01213"):
+            kept = kept_by_deduplication(seed)
+            for words in naive_closure(seed, kmax, len(seed) + 4).values():
+                assert {kept_by_deduplication(w) for w in words} == {kept}, seed
+
+    @pytest.mark.parametrize("word", ["0112120120120011221", "1112120120120011222", "011212011011001111"])
+    def test_a_non_member_by_its_ends_or_symbols_spends_no_budget(self, ternary_system, word):
+        assert not derives_from(ternary_system, word, budget=1)
+
+    @pytest.mark.parametrize("target", ["0121", "12", "02"])
+    def test_an_unreachable_target_by_its_ends_or_symbols_spends_no_budget(self, target):
+        assert dedup_distance("011212012012001122", target, 3, budget=1) is None
+
+    def test_a_search_with_matching_ends_and_symbols_still_spends_budget(self, ternary_system):
+        word = "011212012012001122"
+        with pytest.raises(BudgetExceededError):
+            derives_from(ternary_system, word, budget=1)
+        with pytest.raises(BudgetExceededError):
+            dedup_distance(word, "0122", 3, budget=1)
+
+    def test_pruning_follows_the_input_checks(self, ternary_system):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            derives_from(ternary_system, "0", budget=0)
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            derives_from(ternary_system, "0113", budget=1)
+        with pytest.raises(ValueError, match="kmax must be at least 1"):
+            dedup_distance("0112", "12", 0)
+        with pytest.raises(ValueError, match="longer than the start word"):
+            dedup_distance("0112", "01212", 3)
