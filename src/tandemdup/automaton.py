@@ -9,6 +9,15 @@ stay apart as states while sharing their edge label.  The minimal
 machine comes straight from the NFA by double reversal (Brzozowski), which
 never builds the forward subset construction.
 
+Both steps run on Python-int bitmasks.  The position construction keeps
+first and last positions as masks and records each follow link once, as a
+pair of masks, from which it emits the per-symbol rows of the NFA or of
+its reversal.  One subset construction serves the forward DFA, the two
+passes of double reversal and `LabeledAutomaton.determinized`: NFA states
+are ranked by their index in sorted order, a subset is one int keyed as
+such, and the first pass of double reversal hands its transition table,
+turned into rows, straight to the second.
+
 The module also carries the machinery to certify that an automaton's
 language is closed under bounded duplication: every short path label into
 a state must be replayable from that state to a "superstate", a state
@@ -20,6 +29,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import reduce
+from operator import or_
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import json
@@ -90,86 +100,169 @@ def star(inner: Regex) -> Regex:
 
 
 def _glushkov(regex: Regex):
-    """Position construction: an epsilon-free NFA with one state per occurrence.
+    """Position construction on bitmasks: an epsilon-free NFA with one state
+    per symbol occurrence.
 
-    Returns (symbol_of_position, start, accepting, edges) where positions are
-    numbered 1..n in reading order and 0 is the start state.
+    Positions are numbered 1..n in reading order and 0 is the start state;
+    bit p of a mask stands for state p.  Returns (symbols, first, last,
+    follows): symbols[p - 1] is the symbol at position p, `first` the
+    positions that can read the first symbol, `last` the accepting states
+    (0 among them when the regex accepts the empty word), and each pair
+    (last mask, first mask) in `follows` is one follow link: every position
+    of the first mask may follow every position of the last.
     """
     symbols: List[object] = []
-    follow: Dict[int, Set[int]] = defaultdict(set)
+    follows: List[Tuple[int, int]] = []
 
+    # node kinds are tested in the order of how often `seed_regex` makes them
     def analyse(r: Regex):
         if isinstance(r, Sym):
             symbols.append(r.symbol)
-            p = len(symbols)
-            return False, {p}, {p}
+            bit = 1 << len(symbols)
+            return False, bit, bit
+        if isinstance(r, (Plus, Star)):
+            pn, pf, pl = analyse(r.inner)
+            follows.append((pl, pf))
+            return (pn or isinstance(r, Star)), pf, pl
         if isinstance(r, Cat):
-            nullable, first, last = True, set(), set()
+            nullable, first, last = True, 0, 0
             for part in r.parts:
                 pn, pf, pl = analyse(part)
-                for q in last:
-                    follow[q] |= pf
+                if last:
+                    follows.append((last, pf))
                 if nullable:
                     first |= pf
-                last = pl if not pn else (last | pl)
+                last = (last | pl) if pn else pl
                 nullable = nullable and pn
             return nullable, first, last
         if isinstance(r, Alt):
-            nullable, first, last = False, set(), set()
+            nullable, first, last = False, 0, 0
             for part in r.parts:
                 pn, pf, pl = analyse(part)
                 nullable = nullable or pn
                 first |= pf
                 last |= pl
             return nullable, first, last
-        if isinstance(r, (Plus, Star)):
-            pn, pf, pl = analyse(r.inner)
-            for q in pl:
-                follow[q] |= pf
-            return (isinstance(r, Star) or pn), pf, pl
         raise TypeError(f"not a regex node: {r!r}")
 
     nullable, first, last = analyse(regex)
-    edges = {(0, symbols[p - 1], p) for p in first}
-    for p, targets in follow.items():
-        for q in targets:
-            edges.add((p, symbols[q - 1], q))
-    accepting = set(last) | ({0} if nullable else set())
-    return symbols, 0, accepting, edges
+    return symbols, first, last | (1 if nullable else 0), follows
+
+
+def _members(mask: int) -> List[int]:
+    """Indices of the set bits of a mask, highest first."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    return out
+
+
+def _followers(first: int, follows, n: int) -> List[int]:
+    """Mask of the positions that may follow each of the n Glushkov states."""
+    follow = [0] * n
+    follow[0] = first
+    for last, firsts in follows:
+        for p in _members(last):
+            follow[p] |= firsts
+    return follow
+
+
+def _position_rows(symbols, first: int, follows, symbol_order, reverse: bool):
+    """Per-symbol rows of the position NFA, or of its reversal.
+
+    Every edge into a position reads that position's symbol.  So the
+    forward row of symbol s sends each state to its followers that carry s,
+    and the reversed row sends each position that carries s back to its
+    predecessors, the start state among them for the first positions.
+    """
+    n = len(symbols) + 1
+    index = {s: i for i, s in enumerate(symbol_order)}
+    rows = [[0] * n for _ in symbol_order]
+    if reverse:
+        pred = [0] * n
+        for q in _members(first):
+            pred[q] = 1
+        for last, firsts in follows:
+            while firsts:
+                q = firsts.bit_length() - 1
+                pred[q] |= last
+                firsts ^= 1 << q
+        for q in range(1, n):
+            rows[index[symbols[q - 1]]][q] = pred[q]
+    else:
+        carriers = [0] * len(symbol_order)
+        for q in range(1, n):
+            carriers[index[symbols[q - 1]]] |= 1 << q
+        follow = _followers(first, follows, n)
+        for row, carrier in zip(rows, carriers):
+            row[:] = [f & carrier for f in follow]
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# raw machine helpers (states are ints, edges are (source, symbol, target))
+# raw machine helpers.  For the subset construction an NFA's states are
+# ranked 0 .. n-1, a set of states is one int with bit r for rank r, and
+# each symbol has a row: a list that maps a rank to its successor mask.  A
+# DFA comes out as a transition table: per symbol, the target id of each
+# state, None where it has no edge.  Elsewhere states are ints and edges
+# are (source, symbol, target) triples.
 
 
-def _determinize_raw(starts: Iterable[int], accepting: Set[int], edges, symbol_order):
-    """Subset construction from the set of start states; state ids follow
-    discovery order, so the result is stable for a fixed symbol order."""
-    move: Dict[Tuple[int, object], Set[int]] = defaultdict(set)
-    for p, s, q in edges:
-        move[(p, s)].add(q)
-    start_set = frozenset(starts)
-    ids = {start_set: 0}
-    queue = deque([start_set])
-    det_edges = set()
-    det_accepting = set()
-    while queue:
-        subset = queue.popleft()
-        sid = ids[subset]
-        if subset & accepting:
-            det_accepting.add(sid)
-        for s in symbol_order:
-            target = set()
-            for p in subset:
-                target.update(move.get((p, s), ()))
-            if not target:
+def _support(row: List[int]) -> int:
+    """Mask of the ranks that have a nonempty entry in a row."""
+    return int("".join(map("01".__getitem__, map(bool, reversed(row)))), 2)
+
+
+def _determinize_raw(start: int, accepting: int, rows):
+    """Subset construction from the start mask over per-symbol rows.
+
+    Each subset is one int, the key of `ids`.  Its target under a symbol is
+    the OR of its members' entries in that symbol's row.  The row's support
+    picks out the members that have one, and only those are read, so a
+    position of a Glushkov NFA's reversal, which reads one symbol, is read
+    once per subset.  State ids follow discovery order, breadth-first with
+    symbols in row order, so the result is stable for a fixed symbol order
+    and does not depend on how the NFA's states are ranked.  Returns the
+    number of states, the ids of the subsets that meet `accepting` and the
+    transition table.
+    """
+    ids = {start: 0}
+    subsets = [start]
+    table: List[List[Optional[int]]] = [[] for _ in rows]
+    steps = [(row, _support(row), targets) for row, targets in zip(rows, table)]
+    find = ids.get
+    # the list grows while it is walked: it is the breadth-first queue
+    for subset in subsets:
+        for row, support, targets in steps:
+            hit = subset & support
+            if not hit:
+                targets.append(None)
                 continue
-            key = frozenset(target)
-            if key not in ids:
-                ids[key] = len(ids)
-                queue.append(key)
-            det_edges.add((sid, s, ids[key]))
-    return set(ids.values()), 0, det_accepting, det_edges
+            target = 0
+            while hit:
+                r = hit.bit_length() - 1
+                target |= row[r]
+                hit ^= 1 << r
+            tid = find(target)
+            if tid is None:
+                tid = ids[target] = len(subsets)
+                subsets.append(target)
+            targets.append(tid)
+    det_accepting = [sid for sid, subset in enumerate(subsets) if subset & accepting]
+    return len(subsets), det_accepting, table
+
+
+def _dfa_parts(count: int, accepting, table, symbol_order):
+    """(states, start, accepting, edges) of a subset construction's result."""
+    edges = {
+        (p, s, q)
+        for s, targets in zip(symbol_order, table)
+        for p, q in enumerate(targets)
+        if q is not None
+    }
+    return range(count), 0, accepting, edges
 
 
 def _reach_sets(start: int, accepting: Set[int], edges):
@@ -223,22 +316,27 @@ def _trim_raw(states: Set[int], start: int, accepting: Set[int], edges, symbol_o
     return set(renumber.values()), 0, new_accepting, new_edges
 
 
-def _minimal_raw(start: int, accepting: Set[int], edges, symbol_order):
-    """Minimal trim DFA of any NFA, by Brzozowski's double reversal.
+def _minimal_raw(start: int, accepting: int, rows, symbol_order):
+    """Minimal trim DFA of any NFA, by Brzozowski's double reversal, given
+    the rows of the NFA's reversal: `start` masks the NFA's accepting
+    states and `accepting` its start state.
 
     Determinizing the reversal yields a reachable DFA for the reversed
-    language; determinizing its reversal again yields the minimal DFA.
-    Each subset in that last step holds a state the reversed machine
-    reached, so it can reach acceptance and the result is already trim.
-    Discovery order numbers it breadth-first from the start, symbols in
-    order, as `_trim_raw` would.
+    language.  Its transition table, turned around, is the rows of the
+    second pass, with its state ids as ranks; determinizing that yields the
+    minimal DFA.  Each subset in that last step holds a state the reversed
+    machine reached, so it can reach acceptance and the result is already
+    trim.  Discovery order numbers it breadth-first from the start, symbols
+    in order, as `_trim_raw` would.
     """
-    reverse = {(q, s, p) for p, s, q in edges}
-    _, _, back_accepting, back_edges = _determinize_raw(
-        accepting, {start}, reverse, symbol_order
-    )
-    reverse = {(q, s, p) for p, s, q in back_edges}
-    return _determinize_raw(back_accepting, {0}, reverse, symbol_order)
+    count, back_accepting, table = _determinize_raw(start, accepting, rows)
+    back_rows = [[0] * count for _ in table]
+    for row, targets in zip(back_rows, table):
+        for p, q in enumerate(targets):
+            if q is not None:
+                row[q] |= 1 << p
+    back_start = reduce(or_, (1 << sid for sid in back_accepting), 0)
+    return _dfa_parts(*_determinize_raw(back_start, 1, back_rows), symbol_order)
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +358,25 @@ class LabeledAutomaton:
             raise ValueError("start state missing from state set")
         if not accepting <= states:
             raise ValueError("accepting states missing from state set")
+        out: Dict[int, Dict[object, Set[int]]] = {q: {} for q in states}
+        symbols = frozenset(alphabet.symbols)
         for p, s, q in edges:
-            if p not in states or q not in states:
+            if p not in out or q not in out:
                 raise ValueError(f"edge {(p, s, q)} leaves the state set")
-            if s not in alphabet:
+            if s not in symbols:
                 raise ValueError(f"edge symbol {s!r} not in alphabet")
+            out[p].setdefault(s, set()).add(q)
         self.alphabet = alphabet
         self.states = tuple(sorted(states))
         self.start = start
         self.accepting = accepting
         self.edges = edges
-        out: Dict[int, Dict[object, Set[int]]] = {q: {} for q in states}
-        for p, s, q in edges:
-            out[p].setdefault(s, set()).add(q)
         self._out = {
             p: {s: frozenset(ts) for s, ts in m.items()} for p, m in out.items()
         }
+        # the edges are distinct, so the machine is deterministic exactly
+        # when it has one edge per (state, symbol) pair that has any
+        self._deterministic = sum(map(len, out.values())) == len(edges)
         # minimized() caches its result here; a minimal machine is flagged
         # instead of pointing at itself, so no machine is left to the cycle
         # collector
@@ -286,9 +387,7 @@ class LabeledAutomaton:
 
     @property
     def is_deterministic(self) -> bool:
-        return all(
-            len(targets) == 1 for m in self._out.values() for targets in m.values()
-        )
+        return self._deterministic
 
     def out_map(self, state: int) -> Dict[object, FrozenSet[int]]:
         return self._out[state]
@@ -321,12 +420,30 @@ class LabeledAutomaton:
 
     # -- transformations
 
+    def _rows(self, reverse: bool):
+        """(start mask, accepting mask, per-symbol rows) of this machine, or
+        of its reversal, each state ranked by its index in `states`."""
+        rank = {q: i for i, q in enumerate(self.states)}
+        index = {s: i for i, s in enumerate(self.alphabet.symbols)}
+        rows = [[0] * len(rank) for _ in index]
+        for p, s, q in self.edges:
+            if reverse:
+                p, q = q, p
+            rows[index[s]][rank[p]] |= 1 << rank[q]
+        start = 1 << rank[self.start]
+        accepting = reduce(or_, (1 << rank[q] for q in self.accepting), 0)
+        return (accepting, start, rows) if reverse else (start, accepting, rows)
+
     def determinized(self) -> "LabeledAutomaton":
-        return LabeledAutomaton(self.alphabet, *_determinize_raw(
-            {self.start}, set(self.accepting), self.edges, self.alphabet.symbols
+        return LabeledAutomaton(self.alphabet, *_dfa_parts(
+            *_determinize_raw(*self._rows(reverse=False)), self.alphabet.symbols
         ))
 
     def trimmed(self) -> "LabeledAutomaton":
+        """Trim machine for the same language, with states numbered
+        breadth-first from the start; a minimal machine returns itself."""
+        if self._is_minimal:
+            return self
         states, start, accepting, edges = _trim_raw(
             set(self.states),
             self.start,
@@ -353,9 +470,7 @@ class LabeledAutomaton:
         if self._minimal is None:
             if not self.is_deterministic:
                 raise NondeterministicAutomatonError("minimize needs a deterministic machine")
-            self._minimal = _minimal_machine(
-                self.alphabet, self.start, set(self.accepting), self.edges
-            )
+            self._minimal = _minimal_machine(self.alphabet, *self._rows(reverse=True))
         return self._minimal
 
     # -- serialization
@@ -416,13 +531,14 @@ class LabeledAutomaton:
         )
 
 
-def _minimal_machine(alphabet: Alphabet, start: int, accepting: Set[int], edges):
-    """The minimal machine of an NFA given as raw parts, flagged as minimal.
+def _minimal_machine(alphabet: Alphabet, start: int, accepting: int, rows):
+    """The minimal machine of an NFA given by the rows of its reversal, as
+    `_minimal_raw` takes them, flagged as minimal.
 
     Its states are 0 .. n-1, numbered breadth-first from the start.
     """
     machine = LabeledAutomaton(
-        alphabet, *_minimal_raw(start, accepting, edges, alphabet.symbols)
+        alphabet, *_minimal_raw(start, accepting, rows, alphabet.symbols)
     )
     machine._is_minimal = True
     return machine
@@ -480,9 +596,12 @@ def seed_regex(symbols: Tuple, kmax: int) -> Regex:
 
 def regex_to_nfa(regex: Regex, alphabet: Alphabet) -> LabeledAutomaton:
     """Compile a regex to an epsilon-free NFA via the position construction."""
-    symbols, start, accepting, edges = _glushkov(regex)
-    states = set(range(len(symbols) + 1))
-    return LabeledAutomaton(alphabet, states, start, accepting, edges)
+    symbols, first, last, follows = _glushkov(regex)
+    follow = _followers(first, follows, len(symbols) + 1)
+    edges = {
+        (p, symbols[q - 1], q) for p, mask in enumerate(follow) for q in _members(mask)
+    }
+    return LabeledAutomaton(alphabet, range(len(follow)), 0, _members(last), edges)
 
 
 def build_automaton(
@@ -494,14 +613,16 @@ def build_automaton(
         raise UnsupportedDuplicationLength(
             f"automaton construction needs kmax <= {REGULAR_KMAX}, got {system.kmax}"
         )
-    _, start, accepting, edges = _glushkov(seed_regex(tuple(system.seed), system.kmax))
+    symbols, first, last, follows = _glushkov(seed_regex(tuple(system.seed), system.kmax))
+    order = system.alphabet.symbols
+    rows = _position_rows(symbols, first, follows, order, reverse=minimize)
     if minimize:
-        return _minimal_machine(system.alphabet, start, accepting, edges)
+        return _minimal_machine(system.alphabet, last, 1, rows)
     # No trim pass: every Glushkov position of `seed_regex` can reach
     # acceptance, so every subset can too, and discovery is breadth-first
     # with symbols in order, the numbering `_trim_raw` would give.
-    return LabeledAutomaton(system.alphabet, *_determinize_raw(
-        {start}, accepting, edges, system.alphabet.symbols
+    return LabeledAutomaton(system.alphabet, *_dfa_parts(
+        *_determinize_raw(1, last, rows), order
     ))
 
 

@@ -5,7 +5,7 @@ the package cannot hide behind the same bug in the tests.
 """
 
 import itertools
-from collections import defaultdict
+from collections import defaultdict, deque
 
 from tandemdup import (
     BudgetExceededError,
@@ -16,7 +16,9 @@ from tandemdup import (
     ClosureCheck,
     LabeledAutomaton,
     right_language_subset,
+    seed_regex,
 )
+from tandemdup.automaton import Alt, Cat, Plus, Star, Sym
 
 
 def brute_duplicate(word, i, k):
@@ -217,6 +219,122 @@ def canonical_patterns(max_len, max_symbols=4):
 
     extend("", 0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the k <= 3 automaton pipeline on Python sets, the references for the
+# bitmask one: same positions, same discovery order, same state numbers
+
+
+def set_glushkov(regex):
+    """Position construction with one set of followers per position.
+
+    Returns (states, start, accepting, edges): positions are 1..n in
+    reading order, 0 is the start state and edges are (p, symbol, q).
+    """
+    symbols = []
+    follow = defaultdict(set)
+
+    def analyse(r):
+        if isinstance(r, Sym):
+            symbols.append(r.symbol)
+            p = len(symbols)
+            return False, {p}, {p}
+        if isinstance(r, Cat):
+            nullable, first, last = True, set(), set()
+            for part in r.parts:
+                pn, pf, pl = analyse(part)
+                for q in last:
+                    follow[q] |= pf
+                if nullable:
+                    first |= pf
+                last = pl if not pn else (last | pl)
+                nullable = nullable and pn
+            return nullable, first, last
+        if isinstance(r, Alt):
+            nullable, first, last = False, set(), set()
+            for part in r.parts:
+                pn, pf, pl = analyse(part)
+                nullable = nullable or pn
+                first |= pf
+                last |= pl
+            return nullable, first, last
+        if isinstance(r, (Plus, Star)):
+            pn, pf, pl = analyse(r.inner)
+            for q in pl:
+                follow[q] |= pf
+            return (isinstance(r, Star) or pn), pf, pl
+        raise TypeError(f"not a regex node: {r!r}")
+
+    nullable, first, last = analyse(regex)
+    edges = {(0, symbols[p - 1], p) for p in first}
+    for p, targets in follow.items():
+        for q in targets:
+            edges.add((p, symbols[q - 1], q))
+    accepting = set(last) | ({0} if nullable else set())
+    return set(range(len(symbols) + 1)), 0, accepting, edges
+
+
+def set_determinize(starts, accepting, edges, symbol_order):
+    """Subset construction on frozensets from the set of start states;
+    state ids follow discovery order, breadth-first with symbols in order.
+
+    Returns (states, start, accepting, edges).
+    """
+    move = defaultdict(set)
+    for p, s, q in edges:
+        move[(p, s)].add(q)
+    start_set = frozenset(starts)
+    ids = {start_set: 0}
+    queue = deque([start_set])
+    det_edges = set()
+    det_accepting = set()
+    while queue:
+        subset = queue.popleft()
+        sid = ids[subset]
+        if subset & accepting:
+            det_accepting.add(sid)
+        for s in symbol_order:
+            target = set()
+            for p in subset:
+                target.update(move.get((p, s), ()))
+            if not target:
+                continue
+            key = frozenset(target)
+            if key not in ids:
+                ids[key] = len(ids)
+                queue.append(key)
+            det_edges.add((sid, s, ids[key]))
+    return set(ids.values()), 0, det_accepting, det_edges
+
+
+def set_minimal(start, accepting, edges, symbol_order):
+    """Minimal trim DFA by double reversal, each pass `set_determinize`."""
+    reverse = {(q, s, p) for p, s, q in edges}
+    _, _, back_accepting, back_edges = set_determinize(accepting, {start}, reverse, symbol_order)
+    reverse = {(q, s, p) for p, s, q in back_edges}
+    return set_determinize(back_accepting, {0}, reverse, symbol_order)
+
+
+def set_pipeline(system):
+    """(NFA, DFA, minimal DFA) of a k <= 3 system built by the set references."""
+    alphabet = system.alphabet
+    order = alphabet.symbols
+    states, start, accepting, edges = set_glushkov(seed_regex(tuple(system.seed), system.kmax))
+    nfa = LabeledAutomaton(alphabet, states, start, accepting, edges)
+    dfa = LabeledAutomaton(alphabet, *set_determinize({start}, accepting, edges, order))
+    minimal = LabeledAutomaton(alphabet, *set_minimal(start, accepting, edges, order))
+    return nfa, dfa, minimal
+
+
+def edge_count_matrix(machine):
+    """Transfer matrix of a machine by a plain loop over its edges, rows and
+    columns in `states` order."""
+    index = {q: i for i, q in enumerate(machine.states)}
+    rows = [[0] * len(index) for _ in index]
+    for p, _, q in machine.edges:
+        rows[index[p]][index[q]] += 1
+    return rows
 
 
 def moore_minimized(machine):

@@ -29,9 +29,14 @@ from tandemdup.automaton import accepted_counts, alt, cat, plus, star, sym
 from helpers import (
     accepted_by_scan,
     canonical_patterns,
+    edge_count_matrix,
     moore_minimized,
     naive_closure,
     path_table_certificate,
+    set_determinize,
+    set_glushkov,
+    set_minimal,
+    set_pipeline,
 )
 
 
@@ -421,3 +426,103 @@ class TestMinimalMachine:
         machine = build_automaton(sys, minimize=True)
         assert len(machine.states) == 147
         assert machine.accepts(seeds[1])
+        # 557 and 1 133 Glushkov positions: every mask is wider than 64 bits
+        small = DuplicationSystem.parse("012", seeds[0], 3)
+        nfa, dfa, minimal = set_pipeline(small)
+        assert len(nfa.states) == 557
+        assert build_automaton(small) == dfa
+        assert build_automaton(small, minimize=True) == minimal == dfa.minimized()
+        _, start, accepting, edges = set_glushkov(seed_regex(tuple(seeds[1]), 3))
+        assert machine == LabeledAutomaton(
+            sys.alphabet, *set_minimal(start, accepting, edges, sys.alphabet.symbols)
+        )
+
+
+def _reference_determinized(machine):
+    return LabeledAutomaton(machine.alphabet, *set_determinize(
+        {machine.start}, set(machine.accepting), machine.edges, machine.alphabet.symbols
+    ))
+
+
+class TestBitmaskSubsetConstruction:
+    """The bitmask pipeline against the frozenset references of
+    `tests/helpers.py`, state numbering included."""
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_canonical_seed_sweep_matches_the_set_references(self, kmax):
+        for pattern in canonical_patterns(6):
+            alphabet = "0123"[: int(max(pattern)) + 1]
+            sys = DuplicationSystem.parse(alphabet, pattern, kmax)
+            nfa, dfa, minimal = set_pipeline(sys)
+            full = build_automaton(sys)
+            built = build_automaton(sys, minimize=True)
+            assert regex_to_nfa(seed_regex(tuple(pattern), kmax), sys.alphabet) == nfa
+            assert full == nfa.determinized() == dfa, (pattern, kmax)
+            assert built == full.minimized() == moore_minimized(full) == minimal, (pattern, kmax)
+            # a minimal machine is its own trim, and the transfer matrix reads it as is
+            assert built.trimmed() is built
+            for machine in (full, built):
+                tm = transfer_matrix(machine)
+                assert tm.states == machine.states
+                assert tm.matrix.tolist() == edge_count_matrix(machine), (pattern, kmax)
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_colored_seed_nfas_keep_their_edges(self, kmax):
+        for pattern in canonical_patterns(6):
+            tokens = tuple(f"{s}~{i}" for i, s in enumerate(pattern))
+            regex = seed_regex(tokens, kmax)
+            states, start, accepting, edges = set_glushkov(regex)
+            nfa = regex_to_nfa(regex, Alphabet(tokens))
+            assert (set(nfa.states), nfa.start, set(nfa.accepting), set(nfa.edges)) == (
+                states, start, accepting, edges
+            ), (pattern, kmax)
+
+    @pytest.mark.parametrize(
+        "states,start,accepting,edges",
+        [
+            ({-3, 7, 1000}, -3, {1000}, {(-3, "0", 7), (7, "1", 1000), (1000, "0", -3), (1000, "1", 1000)}),
+            ({-9, -4, -1}, -1, {-9}, {(-1, "0", -4), (-4, "0", -9), (-4, "1", -1), (-9, "1", -9)}),
+            ({0, 64, 4096}, 4096, {0, 64}, {(4096, "0", 64), (64, "1", 0), (0, "0", 4096), (64, "0", 64)}),
+            ({2**70, 3 * 2**80, 5}, 3 * 2**80, {5}, {(3 * 2**80, "1", 2**70), (2**70, "0", 5), (5, "0", 2**70)}),
+            (
+                {-2, 0, 5, 9},
+                0,
+                {9},
+                {(0, "0", 0), (0, "0", 5), (0, "1", -2), (5, "1", 9), (-2, "1", 9), (9, "0", 9), (9, "0", -2)},
+            ),
+            ({-3, 7, 1000}, 7, set(), {(7, "0", -3), (-3, "1", 1000), (1000, "0", 7)}),
+        ],
+        ids=["issue-ids", "negative", "sparse", "large", "nfa", "no-accepting"],
+    )
+    def test_any_int_state_ids(self, states, start, accepting, edges):
+        machine = LabeledAutomaton(Alphabet.parse("01"), states, start, accepting, edges)
+        want = _reference_determinized(machine)
+        assert machine.determinized() == want
+        order = machine.alphabet.symbols
+        minimal = LabeledAutomaton(machine.alphabet, *set_minimal(start, set(accepting), edges, order))
+        assert want.minimized() == moore_minimized(want) == minimal
+        if machine.is_deterministic:
+            assert machine.minimized() == minimal
+
+    def test_random_nfas_match_the_reference(self):
+        rng = random.Random(9)
+        ab = Alphabet("abc")
+        for _ in range(300):
+            ids = rng.sample(range(-40, 300), rng.randint(1, 7))
+            edges = {
+                (rng.choice(ids), rng.choice(ab.symbols), rng.choice(ids))
+                for _ in range(rng.randint(0, 18))
+            }
+            accepting = set(rng.sample(ids, rng.randint(0, len(ids))))
+            machine = LabeledAutomaton(ab, ids, ids[0], accepting, edges)
+            want = _reference_determinized(machine)
+            assert machine.determinized() == want
+            assert want.minimized() == LabeledAutomaton(
+                ab, *set_minimal(machine.start, accepting, edges, ab.symbols)
+            )
+
+    def test_determinism_is_read_from_the_edges(self):
+        ab = Alphabet("ab")
+        assert LabeledAutomaton(ab, {0, 1}, 0, {1}, {(0, "a", 1), (0, "b", 1)}).is_deterministic
+        assert not LabeledAutomaton(ab, {0, 1}, 0, {1}, {(0, "a", 0), (0, "a", 1)}).is_deterministic
+        assert LabeledAutomaton(ab, {0}, 0, set(), set()).is_deterministic
