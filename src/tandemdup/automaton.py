@@ -179,25 +179,23 @@ def _position_rows(symbols, first: int, follows, symbol_order, reverse: bool):
     """
     n = len(symbols) + 1
     index = {s: i for i, s in enumerate(symbol_order)}
-    rows = [[0] * n for _ in symbol_order]
-    if reverse:
-        pred = [0] * n
-        for q in _members(first):
-            pred[q] = 1
-        for last, firsts in follows:
-            while firsts:
-                q = firsts.bit_length() - 1
-                pred[q] |= last
-                firsts ^= 1 << q
-        for q in range(1, n):
-            rows[index[symbols[q - 1]]][q] = pred[q]
-    else:
+    if not reverse:
         carriers = [0] * len(symbol_order)
         for q in range(1, n):
             carriers[index[symbols[q - 1]]] |= 1 << q
         follow = _followers(first, follows, n)
-        for row, carrier in zip(rows, carriers):
-            row[:] = [f & carrier for f in follow]
+        return [[f & carrier for f in follow] for carrier in carriers]
+    pred = [0] * n
+    for q in _members(first):
+        pred[q] = 1
+    for last, firsts in follows:
+        while firsts:
+            q = firsts.bit_length() - 1
+            pred[q] |= last
+            firsts ^= 1 << q
+    rows = [[0] * n for _ in symbol_order]
+    for q in range(1, n):
+        rows[index[symbols[q - 1]]][q] = pred[q]
     return rows
 
 
@@ -211,7 +209,8 @@ def _position_rows(symbols, first: int, follows, symbol_order, reverse: bool):
 
 
 def _support(row: List[int]) -> int:
-    """Mask of the ranks that have a nonempty entry in a row."""
+    """Mask of the ranks that have a nonempty entry in a row, read as one
+    binary string: OR-ing in one bit per rank would copy the mask each time."""
     return int("".join(map("01".__getitem__, map(bool, reversed(row)))), 2)
 
 
@@ -240,6 +239,8 @@ def _determinize_raw(start: int, accepting: int, rows):
             if not hit:
                 targets.append(None)
                 continue
+            # bits are read inline: a helper call per subset and symbol costs
+            # more than the loop on the few members a hit usually has
             target = 0
             while hit:
                 r = hit.bit_length() - 1
