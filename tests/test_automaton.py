@@ -492,7 +492,7 @@ class TestBitmaskSubsetConstruction:
             ),
             ({-3, 7, 1000}, 7, set(), {(7, "0", -3), (-3, "1", 1000), (1000, "0", 7)}),
         ],
-        ids=["issue-ids", "negative", "sparse", "large", "nfa", "no-accepting"],
+        ids=["mixed", "negative", "sparse", "large", "nfa", "no-accepting"],
     )
     def test_any_int_state_ids(self, states, start, accepting, edges):
         machine = LabeledAutomaton(Alphabet.parse("01"), states, start, accepting, edges)
