@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -526,3 +527,19 @@ class TestBitmaskSubsetConstruction:
         assert LabeledAutomaton(ab, {0, 1}, 0, {1}, {(0, "a", 1), (0, "b", 1)}).is_deterministic
         assert not LabeledAutomaton(ab, {0, 1}, 0, {1}, {(0, "a", 0), (0, "a", 1)}).is_deterministic
         assert LabeledAutomaton(ab, {0}, 0, set(), set()).is_deterministic
+
+
+def test_canonical_machines_keep_their_json_digest():
+    # every machine of the k <= 3 pipeline on the canonical seeds, as JSON,
+    # pinned byte for byte: a rewrite of the construction must not move
+    # one state number
+    digest = hashlib.sha256()
+    machines = 0
+    for pattern in canonical_patterns(6):
+        for kmax in (1, 2, 3):
+            for minimize in (False, True):
+                sys = DuplicationSystem.parse("0123", pattern, kmax)
+                digest.update((build_automaton(sys, minimize=minimize).to_json() + "\n").encode())
+                machines += 1
+    assert machines == 1566
+    assert digest.hexdigest() == "470b46faf8050c33c69bd3942dac60aae388bfd68367838c1c7b7cdf78c76ec0"
