@@ -1,22 +1,22 @@
 """Finite automata for duplication languages with block bound at most 3.
 
 For kmax <= 3 the language of a duplication system is regular.  The
-construction here writes a structured regular expression over the seed's
-own symbols, compiles it with the position (Glushkov) construction and
-determinizes the result.  Repeated seed symbols need no special care:
-Glushkov states are regex positions, so two occurrences of one symbol
-stay apart as states while sharing their edge label.  The minimal
-machine comes straight from the NFA by double reversal (Brzozowski), which
-never builds the forward subset construction.
+construction here writes one fixed expression over the seed's own symbols
+(`seed_regex`) straight into its position (Glushkov) automaton and
+determinizes that.  Repeated seed symbols need no special care: Glushkov
+states are expression positions, so two occurrences of one symbol stay
+apart as states while sharing their edge label.  The minimal machine comes
+straight from the NFA by double reversal (Brzozowski), which never builds
+the forward subset construction.
 
 Both steps run on Python-int bitmasks.  The position construction keeps
 first and last positions as masks and records each follow link once, as a
 pair of masks, from which it emits the per-symbol rows of the NFA or of
 its reversal.  One subset construction serves the forward DFA, the two
-passes of double reversal and `LabeledAutomaton.determinized`: NFA states
-are ranked by their index in sorted order, a subset is one int keyed as
-such, and the first pass of double reversal hands its transition table,
-turned into rows, straight to the second.
+passes of double reversal and `LabeledAutomaton.determinized` and
+`trimmed`: NFA states are ranked by their index in sorted order, a subset
+is one int keyed as such, and the first pass of double reversal hands its
+transition table, turned into rows, straight to the second.
 
 The module also carries the machinery to certify that an automaton's
 language is closed under bounded duplication: every short path label into
@@ -26,7 +26,7 @@ whose right language contains the original one.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -41,112 +41,8 @@ from .errors import NondeterministicAutomatonError, UnsupportedDuplicationLength
 
 
 # ---------------------------------------------------------------------------
-# structured regular expressions
-
-
-class Regex:
-    """Node of a structured regular expression."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Sym(Regex):
-    symbol: object
-
-
-@dataclass(frozen=True)
-class Cat(Regex):
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Alt(Regex):
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Plus(Regex):
-    inner: Regex
-
-
-@dataclass(frozen=True)
-class Star(Regex):
-    inner: Regex
-
-
-def sym(symbol) -> Regex:
-    return Sym(symbol)
-
-
-def cat(*parts: Regex) -> Regex:
-    if not parts:
-        raise ValueError("empty concatenation")
-    return parts[0] if len(parts) == 1 else Cat(tuple(parts))
-
-
-def alt(*parts: Regex) -> Regex:
-    if not parts:
-        raise ValueError("empty alternation")
-    return parts[0] if len(parts) == 1 else Alt(tuple(parts))
-
-
-def plus(inner: Regex) -> Regex:
-    return Plus(inner)
-
-
-def star(inner: Regex) -> Regex:
-    return Star(inner)
-
-
-def _glushkov(regex: Regex):
-    """Position construction on bitmasks: an epsilon-free NFA with one state
-    per symbol occurrence.
-
-    Positions are numbered 1..n in reading order and 0 is the start state;
-    bit p of a mask stands for state p.  Returns (symbols, first, last,
-    follows): symbols[p - 1] is the symbol at position p, `first` the
-    positions that can read the first symbol, `last` the accepting states
-    (0 among them when the regex accepts the empty word), and each pair
-    (last mask, first mask) in `follows` is one follow link: every position
-    of the first mask may follow every position of the last.
-    """
-    symbols: List[object] = []
-    follows: List[Tuple[int, int]] = []
-
-    # node kinds are tested in the order of how often `seed_regex` makes them
-    def analyse(r: Regex):
-        if isinstance(r, Sym):
-            symbols.append(r.symbol)
-            bit = 1 << len(symbols)
-            return False, bit, bit
-        if isinstance(r, (Plus, Star)):
-            pn, pf, pl = analyse(r.inner)
-            follows.append((pl, pf))
-            return (pn or isinstance(r, Star)), pf, pl
-        if isinstance(r, Cat):
-            nullable, first, last = True, 0, 0
-            for part in r.parts:
-                pn, pf, pl = analyse(part)
-                if last:
-                    follows.append((last, pf))
-                if nullable:
-                    first |= pf
-                last = (last | pl) if pn else pl
-                nullable = nullable and pn
-            return nullable, first, last
-        if isinstance(r, Alt):
-            nullable, first, last = False, 0, 0
-            for part in r.parts:
-                pn, pf, pl = analyse(part)
-                nullable = nullable or pn
-                first |= pf
-                last |= pl
-            return nullable, first, last
-        raise TypeError(f"not a regex node: {r!r}")
-
-    nullable, first, last = analyse(regex)
-    return symbols, first, last | (1 if nullable else 0), follows
+# position automata.  Positions are numbered 1..n in reading order and 0 is
+# the start state; bit p of a mask stands for state p.
 
 
 def _members(mask: int) -> List[int]:
@@ -214,6 +110,20 @@ def _support(row: List[int]) -> int:
     return int("".join(map("01".__getitem__, map(bool, reversed(row)))), 2)
 
 
+def _layers(mask: int, rows) -> List[int]:
+    """Breadth-first layers along the rows from the ranks of `mask`: layer d
+    masks the ranks first reached after d steps, so their OR is everything
+    reachable."""
+    layers = []
+    seen = 0
+    while mask:
+        layers.append(mask)
+        seen |= mask
+        members = _members(mask)
+        mask = reduce(or_, (row[r] for row in rows for r in members), 0) & ~seen
+    return layers
+
+
 def _determinize_raw(start: int, accepting: int, rows):
     """Subset construction from the start mask over per-symbol rows.
 
@@ -255,72 +165,24 @@ def _determinize_raw(start: int, accepting: int, rows):
     return len(subsets), det_accepting, table
 
 
-def _dfa_parts(count: int, accepting, table, symbol_order):
-    """(states, start, accepting, edges) of a subset construction's result."""
+def _subset_machine(alphabet: Alphabet, start: int, accepting: int, rows) -> "LabeledAutomaton":
+    """The DFA of the subset construction over per-symbol rows, whose order
+    is the alphabet's."""
+    count, det_accepting, table = _determinize_raw(start, accepting, rows)
     edges = {
         (p, s, q)
-        for s, targets in zip(symbol_order, table)
+        for s, targets in zip(alphabet.symbols, table)
         for p, q in enumerate(targets)
         if q is not None
     }
-    return range(count), 0, accepting, edges
+    return LabeledAutomaton(alphabet, range(count), 0, det_accepting, edges)
 
 
-def _reach_sets(start: int, accepting: Set[int], edges):
-    forward = defaultdict(list)
-    backward = defaultdict(list)
-    for p, _, q in edges:
-        forward[p].append(q)
-        backward[q].append(p)
-    reachable = {start}
-    queue = deque([start])
-    while queue:
-        p = queue.popleft()
-        for q in forward[p]:
-            if q not in reachable:
-                reachable.add(q)
-                queue.append(q)
-    coreachable = set(a for a in accepting if a in reachable)
-    queue = deque(coreachable)
-    while queue:
-        q = queue.popleft()
-        for p in backward[q]:
-            if p in reachable and p not in coreachable:
-                coreachable.add(p)
-                queue.append(p)
-    return reachable, coreachable
-
-
-def _trim_raw(states: Set[int], start: int, accepting: Set[int], edges, symbol_order):
-    """Keep states reachable from the start and co-reachable to acceptance,
-    renumbering in reachability order (stable for a fixed symbol order)."""
-    _, coreachable = _reach_sets(start, accepting, edges)
-    keep = coreachable if start in coreachable else {start}
-    symbol_key = {s: i for i, s in enumerate(symbol_order)}
-    by_source = defaultdict(list)
-    for p, s, q in edges:
-        by_source[p].append((s, q))
-    renumber = {start: 0}
-    queue = deque([start])
-    while queue:
-        p = queue.popleft()
-        for s, q in sorted(by_source[p], key=lambda e: (symbol_key[e[0]], e[1])):
-            if q in keep and q not in renumber:
-                renumber[q] = len(renumber)
-                queue.append(q)
-    new_edges = {
-        (renumber[p], s, renumber[q])
-        for p, s, q in edges
-        if p in renumber and q in renumber
-    }
-    new_accepting = {renumber[a] for a in accepting if a in renumber}
-    return set(renumber.values()), 0, new_accepting, new_edges
-
-
-def _minimal_raw(start: int, accepting: int, rows, symbol_order):
+def _minimal_raw(alphabet: Alphabet, start: int, accepting: int, rows) -> "LabeledAutomaton":
     """Minimal trim DFA of any NFA, by Brzozowski's double reversal, given
     the rows of the NFA's reversal: `start` masks the NFA's accepting
-    states and `accepting` its start state.
+    states and `accepting` its start state.  The result is flagged as
+    minimal; its states are 0 .. n-1, numbered breadth-first from the start.
 
     Determinizing the reversal yields a reachable DFA for the reversed
     language.  Its transition table, turned around, is the rows of the
@@ -328,7 +190,7 @@ def _minimal_raw(start: int, accepting: int, rows, symbol_order):
     minimal DFA.  Each subset in that last step holds a state the reversed
     machine reached, so it can reach acceptance and the result is already
     trim.  Discovery order numbers it breadth-first from the start, symbols
-    in order, as `_trim_raw` would.
+    in order, as `trimmed` would.
     """
     count, back_accepting, table = _determinize_raw(start, accepting, rows)
     back_rows = [[0] * count for _ in table]
@@ -337,7 +199,9 @@ def _minimal_raw(start: int, accepting: int, rows, symbol_order):
             if q is not None:
                 row[q] |= 1 << p
     back_start = reduce(or_, (1 << sid for sid in back_accepting), 0)
-    return _dfa_parts(*_determinize_raw(back_start, 1, back_rows), symbol_order)
+    machine = _subset_machine(alphabet, back_start, 1, back_rows)
+    machine._is_minimal = True
+    return machine
 
 
 # ---------------------------------------------------------------------------
@@ -436,29 +300,33 @@ class LabeledAutomaton:
         return (accepting, start, rows) if reverse else (start, accepting, rows)
 
     def determinized(self) -> "LabeledAutomaton":
-        return LabeledAutomaton(self.alphabet, *_dfa_parts(
-            *_determinize_raw(*self._rows(reverse=False)), self.alphabet.symbols
-        ))
+        return _subset_machine(self.alphabet, *self._rows(reverse=False))
 
     def trimmed(self) -> "LabeledAutomaton":
         """Trim machine for the same language, with states numbered
-        breadth-first from the start; a minimal machine returns itself."""
+        breadth-first from the start; a minimal machine returns itself.
+
+        The subset construction runs over rows that keep only the states
+        that can reach acceptance.  On a deterministic machine every subset
+        holds one state, so it discovers exactly the trim part, or, for an
+        empty language, the start state alone without edges.
+        """
         if self._is_minimal:
             return self
-        states, start, accepting, edges = _trim_raw(
-            set(self.states),
-            self.start,
-            set(self.accepting),
-            self.edges,
-            self.alphabet.symbols,
-        )
-        return LabeledAutomaton(self.alphabet, states, start, accepting, edges)
+        if not self.is_deterministic:
+            raise NondeterministicAutomatonError("trim needs a deterministic machine")
+        start, accepting, rows = self._rows(reverse=False)
+        _, _, back_rows = self._rows(reverse=True)
+        live = reduce(or_, _layers(accepting, back_rows), 0)
+        rows = [[entry & live for entry in row] for row in rows]
+        return _subset_machine(self.alphabet, start, accepting, rows)
 
     def is_trim(self) -> bool:
-        reachable, coreachable = _reach_sets(
-            self.start, set(self.accepting), self.edges
+        everything = (1 << len(self.states)) - 1
+        return all(
+            reduce(or_, _layers(origin, rows), 0) == everything
+            for origin, _, rows in (self._rows(reverse=False), self._rows(reverse=True))
         )
-        return all(q in reachable and q in coreachable for q in self.states)
 
     def minimized(self) -> "LabeledAutomaton":
         """Minimal trim machine for the same language, by double reversal,
@@ -471,7 +339,7 @@ class LabeledAutomaton:
         if self._minimal is None:
             if not self.is_deterministic:
                 raise NondeterministicAutomatonError("minimize needs a deterministic machine")
-            self._minimal = _minimal_machine(self.alphabet, *self._rows(reverse=True))
+            self._minimal = _minimal_raw(self.alphabet, *self._rows(reverse=True))
         return self._minimal
 
     # -- serialization
@@ -532,19 +400,6 @@ class LabeledAutomaton:
         )
 
 
-def _minimal_machine(alphabet: Alphabet, start: int, accepting: int, rows):
-    """The minimal machine of an NFA given by the rows of its reversal, as
-    `_minimal_raw` takes them, flagged as minimal.
-
-    Its states are 0 .. n-1, numbered breadth-first from the start.
-    """
-    machine = LabeledAutomaton(
-        alphabet, *_minimal_raw(start, accepting, rows, alphabet.symbols)
-    )
-    machine._is_minimal = True
-    return machine
-
-
 # ---------------------------------------------------------------------------
 # construction for duplication systems
 
@@ -553,51 +408,91 @@ def _minimal_machine(alphabet: Alphabet, start: int, accepting: int, rows):
 REGULAR_KMAX = 3
 
 
-def _pair_loop(a, b) -> Regex:
-    # (a+ b+)*
-    return star(cat(plus(sym(a)), plus(sym(b))))
+def seed_regex(symbols: Tuple, kmax: int):
+    """Positions of the expression for the language of the duplication
+    system with this seed and block bound.
 
+    Write a+ for a run of a, P(a, b) = (a+ b+)* for interleaved runs and
+    T(a, b, c) = a+ P(c, a) b+ P(a, b) c+ P(b, c) for a three-symbol block.
+    For the seed s1 .. sm the expression is
 
-def _triple_block(a, b, c) -> Regex:
-    # a+(c+a+)* b+(a+b+)* c+(b+c+)*
-    return cat(
-        plus(sym(a)), _pair_loop(c, a),
-        plus(sym(b)), _pair_loop(a, b),
-        plus(sym(c)), _pair_loop(b, c),
-    )
+        kmax = 1:  s1+ s2+ .. sm+
+        kmax = 2:  s1+ s2+ P(s1, s2) s3+ P(s2, s3) .. sm+ P(sm-1, sm)
+        kmax = 3:  as for kmax = 2, with T(si-2, si-1, si)* after each
+                   P(si-1, si) from i = 3 on
 
+    and s1+ for a one-symbol seed.  So for kmax = 1 only runs pump, for
+    kmax = 2 adjacent runs interleave, and for kmax = 3 every window of
+    three seed symbols additionally spins off its own block language.  The
+    expression is the same whether or not seed symbols repeat: with every
+    position renamed apart it describes the duplication language of the
+    renamed seed, and renaming positions back commutes with duplication.
 
-def seed_regex(symbols: Tuple, kmax: int) -> Regex:
-    """Language of the duplication system with this seed and block bound.
-
-    For kmax = 1 only runs pump, for kmax = 2 adjacent runs interleave, and
-    for kmax = 3 every window of three seed symbols additionally spins off
-    its own three-symbol block language.  Seeds shorter than the window
-    degenerate to the smaller forms.  The expression is the same whether or
-    not seed symbols repeat: with every position renamed apart it describes
-    the duplication language of the renamed seed, and renaming positions
-    back commutes with duplication.
+    The expression is never built: each piece goes straight to its
+    (nullable, first mask, last mask) and its follow links, in reading
+    order, which numbers the positions 1..n.  Returns (symbols, first,
+    last, follows): symbols[p - 1] is the symbol at position p, `first` the
+    positions that can read the first symbol, `last` the accepting ones,
+    and each pair (last mask, first mask) in `follows` is one follow link:
+    every position of the first mask may follow every position of the last.
     """
     if kmax > REGULAR_KMAX:
         raise UnsupportedDuplicationLength(
             f"regular construction needs kmax <= {REGULAR_KMAX}, got {kmax}"
         )
-    m = len(symbols)
-    runs = [plus(sym(s)) for s in symbols]
-    if kmax == 1 or m == 1:
-        return cat(*runs)
-    parts = [runs[0], runs[1], _pair_loop(symbols[0], symbols[1])]
-    for i in range(2, m):
-        parts.append(runs[i])
-        parts.append(_pair_loop(symbols[i - 1], symbols[i]))
-        if kmax == 3:
-            parts.append(star(_triple_block(symbols[i - 2], symbols[i - 1], symbols[i])))
-    return cat(*parts)
+    if not symbols:
+        raise ValueError("seed must be nonempty")
+    letters: List[object] = []
+    follows: List[Tuple[int, int]] = []
+
+    def symbol(s):
+        letters.append(s)
+        bit = 1 << len(letters)
+        return False, bit, bit
+
+    def loop(piece, optional=False):
+        # piece+, or piece* when optional: its last positions lead back to its first
+        nullable, first, last = piece
+        follows.append((last, first))
+        return nullable or optional, first, last
+
+    def concatenation(*pieces):
+        nullable, first, last = True, 0, 0
+        for pn, pf, pl in pieces:
+            if last:
+                follows.append((last, pf))
+            if nullable:
+                first |= pf
+            last = (last | pl) if pn else pl
+            nullable = nullable and pn
+        return nullable, first, last
+
+    # arguments are evaluated left to right, so positions come in reading order
+    def run(a):
+        return loop(symbol(a))
+
+    def pair(a, b):
+        return loop(concatenation(run(a), run(b)), optional=True)
+
+    s = symbols
+    if kmax == 1 or len(s) == 1:
+        pieces = [run(a) for a in s]
+    else:
+        pieces = [run(s[0]), run(s[1]), pair(s[0], s[1])]
+        for i in range(2, len(s)):
+            pieces += [run(s[i]), pair(s[i - 1], s[i])]
+            if kmax == 3:
+                a, b, c = s[i - 2 : i + 1]
+                block = concatenation(run(a), pair(c, a), run(b), pair(a, b), run(c), pair(b, c))
+                pieces.append(loop(block, optional=True))
+    _, first, last = concatenation(*pieces)
+    return tuple(letters), first, last, follows
 
 
-def regex_to_nfa(regex: Regex, alphabet: Alphabet) -> LabeledAutomaton:
-    """Compile a regex to an epsilon-free NFA via the position construction."""
-    symbols, first, last, follows = _glushkov(regex)
+def regex_to_nfa(positions, alphabet: Alphabet) -> LabeledAutomaton:
+    """The position NFA of `seed_regex`'s positions: state 0 is the start
+    and state p reads the symbol at position p."""
+    symbols, first, last, follows = positions
     follow = _followers(first, follows, len(symbols) + 1)
     edges = {
         (p, symbols[q - 1], q) for p, mask in enumerate(follow) for q in _members(mask)
@@ -614,17 +509,14 @@ def build_automaton(
         raise UnsupportedDuplicationLength(
             f"automaton construction needs kmax <= {REGULAR_KMAX}, got {system.kmax}"
         )
-    symbols, first, last, follows = _glushkov(seed_regex(tuple(system.seed), system.kmax))
-    order = system.alphabet.symbols
-    rows = _position_rows(symbols, first, follows, order, reverse=minimize)
+    symbols, first, last, follows = seed_regex(tuple(system.seed), system.kmax)
+    rows = _position_rows(symbols, first, follows, system.alphabet.symbols, reverse=minimize)
     if minimize:
-        return _minimal_machine(system.alphabet, last, 1, rows)
+        return _minimal_raw(system.alphabet, last, 1, rows)
     # No trim pass: every Glushkov position of `seed_regex` can reach
     # acceptance, so every subset can too, and discovery is breadth-first
-    # with symbols in order, the numbering `_trim_raw` would give.
-    return LabeledAutomaton(system.alphabet, *_dfa_parts(
-        *_determinize_raw(1, last, rows), order
-    ))
+    # with symbols in order, the numbering `trimmed` would give.
+    return _subset_machine(system.alphabet, 1, last, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -680,17 +572,12 @@ def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set
             "language extraction needs a deterministic machine"
         )
     # fewest symbols from each state to acceptance, by breadth-first search backwards
-    backward = defaultdict(list)
-    for p, _, q in automaton.edges:
-        backward[q].append(p)
-    distance = dict.fromkeys(automaton.accepting, 0)
-    queue = deque(automaton.accepting)
-    while queue:
-        q = queue.popleft()
-        for p in backward[q]:
-            if p not in distance:
-                distance[p] = distance[q] + 1
-                queue.append(p)
+    accepting, _, back_rows = automaton._rows(reverse=True)
+    distance = {
+        automaton.states[r]: d
+        for d, layer in enumerate(_layers(accepting, back_rows))
+        for r in _members(layer)
+    }
     single = automaton.alphabet.single_char
     steps = {
         q: [

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Optional, Set
 
 import numpy as np
 
-from .automaton import build_automaton, transfer_matrix
+from .automaton import REGULAR_KMAX, build_automaton, transfer_matrix
 from .core import Alphabet, DuplicationSystem, Word
 from .enumeration import CountTable
 from .errors import (
@@ -170,9 +170,9 @@ def exact_capacity(system: DuplicationSystem) -> CapacityReport:
     window of three pairwise distinct seed symbols raises it to
     (3 + sqrt 5) / 2 when kmax is 3.
     """
-    if system.kmax > 3:
+    if system.kmax > REGULAR_KMAX:
         raise UnsupportedDuplicationLength(
-            f"closed forms cover kmax <= 3, got {system.kmax}"
+            f"closed forms cover kmax <= {REGULAR_KMAX}, got {system.kmax}"
         )
     base = system.base
     if len(set(system.seed)) == 1:

@@ -16,9 +16,7 @@ from tandemdup import (
     ClosureCheck,
     LabeledAutomaton,
     right_language_subset,
-    seed_regex,
 )
-from tandemdup.automaton import Alt, Cat, Plus, Star, Sym
 
 
 def brute_duplicate(word, i, k):
@@ -226,7 +224,30 @@ def canonical_patterns(max_len, max_symbols=4):
 # bitmask one: same positions, same discovery order, same state numbers
 
 
-def set_glushkov(regex):
+def seed_expression(symbols, kmax):
+    """The expression of the `seed_regex` docstring as nested tuples:
+    ("sym", a), ("plus", e), ("star", e) and ("cat", e1, e2, ...)."""
+
+    def run(a):
+        return ("plus", ("sym", a))
+
+    def pair(a, b):
+        return ("star", ("cat", run(a), run(b)))
+
+    s = tuple(symbols)
+    if kmax == 1 or len(s) == 1:
+        return ("cat", *map(run, s))
+    parts = [run(s[0]), run(s[1]), pair(s[0], s[1])]
+    for i in range(2, len(s)):
+        parts += [run(s[i]), pair(s[i - 1], s[i])]
+        if kmax == 3:
+            a, b, c = s[i - 2 : i + 1]
+            block = ("cat", run(a), pair(c, a), run(b), pair(a, b), run(c), pair(b, c))
+            parts.append(("star", block))
+    return ("cat", *parts)
+
+
+def set_glushkov(expression):
     """Position construction with one set of followers per position.
 
     Returns (states, start, accepting, edges): positions are 1..n in
@@ -235,14 +256,15 @@ def set_glushkov(regex):
     symbols = []
     follow = defaultdict(set)
 
-    def analyse(r):
-        if isinstance(r, Sym):
-            symbols.append(r.symbol)
+    def analyse(node):
+        kind, *parts = node
+        if kind == "sym":
+            symbols.append(parts[0])
             p = len(symbols)
             return False, {p}, {p}
-        if isinstance(r, Cat):
+        if kind == "cat":
             nullable, first, last = True, set(), set()
-            for part in r.parts:
+            for part in parts:
                 pn, pf, pl = analyse(part)
                 for q in last:
                     follow[q] |= pf
@@ -251,22 +273,14 @@ def set_glushkov(regex):
                 last = pl if not pn else (last | pl)
                 nullable = nullable and pn
             return nullable, first, last
-        if isinstance(r, Alt):
-            nullable, first, last = False, set(), set()
-            for part in r.parts:
-                pn, pf, pl = analyse(part)
-                nullable = nullable or pn
-                first |= pf
-                last |= pl
-            return nullable, first, last
-        if isinstance(r, (Plus, Star)):
-            pn, pf, pl = analyse(r.inner)
+        if kind in ("plus", "star"):
+            pn, pf, pl = analyse(parts[0])
             for q in pl:
                 follow[q] |= pf
-            return (isinstance(r, Star) or pn), pf, pl
-        raise TypeError(f"not a regex node: {r!r}")
+            return (kind == "star" or pn), pf, pl
+        raise TypeError(f"not an expression node: {node!r}")
 
-    nullable, first, last = analyse(regex)
+    nullable, first, last = analyse(expression)
     edges = {(0, symbols[p - 1], p) for p in first}
     for p, targets in follow.items():
         for q in targets:
@@ -316,11 +330,58 @@ def set_minimal(start, accepting, edges, symbol_order):
     return set_determinize(back_accepting, {0}, reverse, symbol_order)
 
 
+def set_trim(start, accepting, edges, symbol_order):
+    """Keep the states reachable from the start and co-reachable to
+    acceptance, renumbered breadth-first from the start with symbols in
+    order; the start stays even when nothing is accepted.
+
+    Returns (states, start, accepting, edges).
+    """
+    forward = defaultdict(list)
+    backward = defaultdict(list)
+    for p, _, q in edges:
+        forward[p].append(q)
+        backward[q].append(p)
+    reachable = {start}
+    queue = deque([start])
+    while queue:
+        p = queue.popleft()
+        for q in forward[p]:
+            if q not in reachable:
+                reachable.add(q)
+                queue.append(q)
+    coreachable = {a for a in accepting if a in reachable}
+    queue = deque(coreachable)
+    while queue:
+        q = queue.popleft()
+        for p in backward[q]:
+            if p in reachable and p not in coreachable:
+                coreachable.add(p)
+                queue.append(p)
+    keep = coreachable if start in coreachable else {start}
+    symbol_key = {s: i for i, s in enumerate(symbol_order)}
+    by_source = defaultdict(list)
+    for p, s, q in edges:
+        by_source[p].append((s, q))
+    renumber = {start: 0}
+    queue = deque([start])
+    while queue:
+        p = queue.popleft()
+        for s, q in sorted(by_source[p], key=lambda e: (symbol_key[e[0]], e[1])):
+            if q in keep and q not in renumber:
+                renumber[q] = len(renumber)
+                queue.append(q)
+    new_edges = {
+        (renumber[p], s, renumber[q]) for p, s, q in edges if p in renumber and q in renumber
+    }
+    return set(renumber.values()), 0, {renumber[a] for a in accepting if a in renumber}, new_edges
+
+
 def set_pipeline(system):
     """(NFA, DFA, minimal DFA) of a k <= 3 system built by the set references."""
     alphabet = system.alphabet
     order = alphabet.symbols
-    states, start, accepting, edges = set_glushkov(seed_regex(tuple(system.seed), system.kmax))
+    states, start, accepting, edges = set_glushkov(seed_expression(system.seed, system.kmax))
     nfa = LabeledAutomaton(alphabet, states, start, accepting, edges)
     dfa = LabeledAutomaton(alphabet, *set_determinize({start}, accepting, edges, order))
     minimal = LabeledAutomaton(alphabet, *set_minimal(start, accepting, edges, order))

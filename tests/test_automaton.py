@@ -26,7 +26,7 @@ from tandemdup import (
     verify_duplication_closure,
 )
 from tandemdup import automaton as automaton_module
-from tandemdup.automaton import accepted_counts, alt, cat, plus, star, sym
+from tandemdup.automaton import accepted_counts
 from helpers import (
     accepted_by_scan,
     canonical_patterns,
@@ -34,10 +34,12 @@ from helpers import (
     moore_minimized,
     naive_closure,
     path_table_certificate,
+    seed_expression,
     set_determinize,
     set_glushkov,
     set_minimal,
     set_pipeline,
+    set_trim,
 )
 
 
@@ -47,20 +49,6 @@ def _language_set(machine, max_length):
 
 
 class TestRegexPieces:
-    def test_plus_of_symbol(self):
-        nfa = regex_to_nfa(plus(sym("a")), Alphabet("a"))
-        m = nfa.determinized().trimmed()
-        assert m.accepts("a") and m.accepts("aaa")
-        assert not m.accepts("")
-
-    def test_alternation_and_star(self):
-        rx = cat(sym("a"), star(alt(sym("b"), sym("c"))))
-        m = regex_to_nfa(rx, Alphabet("abc")).determinized().trimmed()
-        for w in ["a", "ab", "acb", "abcbc"]:
-            assert m.accepts(w)
-        for w in ["", "b", "ba", "aa"]:
-            assert not m.accepts(w)
-
     def test_seed_regex_rejects_large_blocks(self):
         with pytest.raises(UnsupportedDuplicationLength):
             seed_regex(("0", "1"), 4)
@@ -433,7 +421,7 @@ class TestMinimalMachine:
         assert len(nfa.states) == 557
         assert build_automaton(small) == dfa
         assert build_automaton(small, minimize=True) == minimal == dfa.minimized()
-        _, start, accepting, edges = set_glushkov(seed_regex(tuple(seeds[1]), 3))
+        _, start, accepting, edges = set_glushkov(seed_expression(seeds[1], 3))
         assert machine == LabeledAutomaton(
             sys.alphabet, *set_minimal(start, accepting, edges, sys.alphabet.symbols)
         )
@@ -471,9 +459,8 @@ class TestBitmaskSubsetConstruction:
     def test_colored_seed_nfas_keep_their_edges(self, kmax):
         for pattern in canonical_patterns(6):
             tokens = tuple(f"{s}~{i}" for i, s in enumerate(pattern))
-            regex = seed_regex(tokens, kmax)
-            states, start, accepting, edges = set_glushkov(regex)
-            nfa = regex_to_nfa(regex, Alphabet(tokens))
+            states, start, accepting, edges = set_glushkov(seed_expression(tokens, kmax))
+            nfa = regex_to_nfa(seed_regex(tokens, kmax), Alphabet(tokens))
             assert (set(nfa.states), nfa.start, set(nfa.accepting), set(nfa.edges)) == (
                 states, start, accepting, edges
             ), (pattern, kmax)
@@ -527,6 +514,50 @@ class TestBitmaskSubsetConstruction:
         assert LabeledAutomaton(ab, {0, 1}, 0, {1}, {(0, "a", 1), (0, "b", 1)}).is_deterministic
         assert not LabeledAutomaton(ab, {0, 1}, 0, {1}, {(0, "a", 0), (0, "a", 1)}).is_deterministic
         assert LabeledAutomaton(ab, {0}, 0, set(), set()).is_deterministic
+
+
+class TestTrim:
+    """`trimmed` is the subset construction over rows cut down to the
+    states that can reach acceptance; `set_trim` is the plain-loop
+    reference."""
+
+    def test_empty_language_trims_to_the_minimal_machine(self):
+        m = LabeledAutomaton(Alphabet("ab"), {0}, 0, set(), {(0, "a", 0)})
+        want = LabeledAutomaton(Alphabet("ab"), {0}, 0, set(), set())
+        assert m.trimmed() == m.minimized() == moore_minimized(m) == want
+
+    def test_nondeterministic_machine_is_refused(self):
+        nfa = LabeledAutomaton(Alphabet("ab"), {0, 1}, 0, {1}, {(0, "a", 0), (0, "a", 1)})
+        with pytest.raises(NondeterministicAutomatonError):
+            nfa.trimmed()
+        assert nfa.determinized().trimmed().accepts("aa")
+
+    def test_random_dfas_match_the_reference(self):
+        rng = random.Random(11)
+        ab = Alphabet("abc")
+        empty = 0
+        for i in range(1000):
+            ids = rng.sample(range(-50, 400), rng.randint(1, 8))
+            edges = {
+                (p, s, rng.choice(ids)) for p in ids for s in ab.symbols if rng.random() < 0.5
+            }
+            accepting = set(rng.sample(ids, rng.randint(0, min(2, len(ids)))))
+            start = rng.choice(ids)
+            machine = LabeledAutomaton(ab, ids, start, accepting, edges)
+            want = LabeledAutomaton(ab, *set_trim(start, accepting, edges, ab.symbols))
+            trim = machine.trimmed()
+            if want.accepting:
+                assert trim == want
+                assert trim.is_trim()
+                assert machine.is_trim() == (len(want.states) == len(machine.states))
+            else:
+                empty += 1
+                assert trim == machine.minimized() == LabeledAutomaton(ab, {0}, 0, set(), set())
+                assert not machine.is_trim()
+            if i % 5 == 0:
+                words = language_upto(machine, 4)
+                assert words == {n: accepted_by_scan(machine, "abc", n) for n in range(5)}
+        assert 50 < empty < 950
 
 
 def test_canonical_machines_keep_their_json_digest():
