@@ -29,6 +29,18 @@ found at once: x = c ^ (c >> l*B) is zero on each symbol that equals the
 one l places before it, and the AND of l shifted copies of that zero mask
 (an OR over a window of l*B bits of x, taken by doubling) marks the
 offsets where a whole block repeats.  Only the roots are decoded.
+
+`dedup_roots` searches run-free words only.  A run `aa` never changes a
+word's roots: if w has a run and w' is w with one letter of it deleted,
+w and w' have the same kmax-irreducible descendants for every kmax >= 1.
+w -> w' is itself a deduplication, and every other step w -> v is matched
+from w' by at most two steps, to v or to v with one letter of a run
+deleted; the six cases, by where the run sits against the square's
+start, middle and end, are in the `dedup_roots` docstring.  So the roots
+of a word are those of its collapse, the word with every run cut to one
+symbol, and a square deleted from a run-free word leaves it run-free.
+`derives_from` and `dedup_distance` still visit every descendant: a
+distance counts the steps through runs, and a seed may have a run.
 """
 
 from __future__ import annotations
@@ -299,6 +311,41 @@ class _Peeling:
             self.symbols[(code >> j * self.bits) & rank] for j in range(n - 1, -1, -1)
         )
 
+    def _squares(self, code: int, n: int, length: int) -> int:
+        """A mask with the lowest bit of the last symbol of every square of
+        block length `length` in a code of n >= 2 * length symbols, so the
+        bits below a mark are those of the symbols after its square."""
+        shift = length * self.bits
+        # x is zero on every symbol that equals the one `length` places
+        # before it.  OR-ing each bit of x with the shift - 1 bits above
+        # it, by doubling, leaves the lowest bit of a symbol clear just
+        # where x is zero on it and the length - 1 symbols before it:
+        # the AND of `length` shifted copies of x's symbol-wise zero mask
+        x = code ^ (code >> shift)
+        span = 1
+        while 2 * span <= shift:
+            x |= x >> span
+            span *= 2
+        x |= x >> shift - span
+        return self._valid[n - 2 * length] & ~x
+
+    def collapse(self, code: int) -> int:
+        """The code with every run of one symbol cut to a single symbol.
+
+        A run of r symbols holds r - 1 squares of block length 1.  Their
+        second copies are deleted from the top bit down, so no deletion
+        moves the bits of the squares below it."""
+        bits = self.bits
+        n = (code.bit_length() - 1) // bits
+        if n < 2:
+            return code
+        hits = self._squares(code, n, 1)
+        while hits:
+            tail = hits.bit_length() - 1  # bits of the symbols after the run
+            hits ^= 1 << tail
+            code = ((code >> tail + bits) << tail) | (code & (1 << tail) - 1)
+        return code
+
     def peel(self, code: int, shortest: int = 0) -> List[Tuple[int, int, int]]:
         """(offset, length, child) for every square of block length at most
         kmax whose deletion leaves at least `shortest` symbols; the child is
@@ -309,18 +356,7 @@ class _Peeling:
         found = []
         for length in range(1, min(self.kmax, n // 2, n - shortest) + 1):
             shift = length * bits
-            # x is zero on every symbol that equals the one `length` places
-            # before it.  OR-ing each bit of x with the shift - 1 bits above
-            # it, by doubling, leaves the lowest bit of a symbol clear just
-            # where x is zero on it and the length - 1 symbols before it:
-            # the AND of `length` shifted copies of x's symbol-wise zero mask
-            x = code ^ (code >> shift)
-            span = 1
-            while 2 * span <= shift:
-                x |= x >> span
-                span *= 2
-            x |= x >> shift - span
-            hits = self._valid[n - 2 * length] & ~x
+            hits = self._squares(code, n, length)
             while hits:
                 low = hits & -hits
                 hits ^= low
@@ -419,11 +455,41 @@ def occurs_as_factor(
 
 
 def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupResult:
-    """All kmax-irreducible words reachable from `word` by deduplication."""
+    """All kmax-irreducible words reachable from `word` by deduplication.
+
+    The search starts from the collapse of `word`, every run cut to one
+    symbol, and visits only run-free words; the budget counts those.  That
+    the roots stay the same is a lemma: let w have a run `aa` and let w'
+    be w with one of those a's deleted; then w and w' have the same roots.
+    w -> w' is a deduplication, so the roots of w' are roots of w.  For
+    the converse, by induction on |w|, take a root r of w and the first
+    step w -> v of a path to it, which deletes the second copy of a
+    square x u u y -> x u y with |u| = l <= kmax.  By where the run sits:
+
+    1. Outside the square: w' -> v' by the same square, where v' is v
+       with one letter of the same run deleted.
+    2. Across the start, u = a z: w' = x' u u y with x = x' a, and
+       w' -> x' u y, which is v = x' a a z y less one a of its run.
+    3. Across the end, u = z a: likewise w' -> x u y' with y = a y'.
+    4. Across the middle, u = a s = t a: if l = 1 then v = w'; otherwise
+       w' = x t a s y has the square t t at x (a s starts with t), and
+       deleting it gives x t a y = v.
+    5. Inside the first copy, u = s a a t: w' = x s a t s a a t y.  Delete
+       the twin a in the second copy, then the square of (s a t), of
+       block length l - 1: x s a t y is v less one a of its run.
+    6. Inside the second copy: the mirror of case 5.
+
+    So w' ->* v', with v' = v or v less one letter of a run.  In the
+    second case |v| < |w|, so v and v' have the same roots by induction,
+    and r, a root of v, is reachable from w' either way.
+    """
     _at_least_one("kmax", kmax)
     _at_least_one("budget", budget)
     peeling = _Peeling(word, kmax)
-    start = peeling.encode(word)
+    # a square deleted from a run-free word leaves a run-free word: every
+    # pair of neighbours in x u y is a pair of neighbours in x u u y.  So
+    # once the start word is collapsed, every word visited is run-free
+    start = peeling.collapse(peeling.encode(word))
     seen = {start}
     stack = [start]
     roots = []

@@ -135,12 +135,29 @@ def string_derives_from(system, word, budget):
     return False
 
 
-def string_dedup_roots(word, kmax, budget):
-    """The kmax-irreducible words reachable from `word`, by depth-first peeling."""
+def collapse(word):
+    """The word with every run of one symbol cut to a single symbol."""
+    out = word[:0]
+    for i in range(len(word)):
+        if i == 0 or word[i] != word[i - 1]:
+            out += word[i : i + 1]
+    return out
+
+
+def string_dedup_roots(word, kmax, budget, collapsed=False):
+    """The kmax-irreducible words reachable from `word`, by depth-first peeling.
+
+    With `collapsed`, the start word and every word found are first cut by
+    `collapse`, so the budget counts run-free words only: the budget
+    reference for the packed `dedup_roots`.  Without it, this is the full
+    search over every descendant, the oracle for root sets.
+    """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    cut = collapse if collapsed else (lambda w: w)
+    word = cut(word)
     seen = {word}
     stack = [word]
     roots = set()
@@ -150,7 +167,7 @@ def string_dedup_roots(word, kmax, budget):
         if not locations:
             roots.add(w)
         for offset, length in locations:
-            y = _without_square(w, offset, length)
+            y = cut(_without_square(w, offset, length))
             if y not in seen:
                 if len(seen) >= budget:
                     raise BudgetExceededError(budget)

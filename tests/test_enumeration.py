@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import os
 import random
@@ -27,6 +29,7 @@ from tandemdup import (
 from tandemdup.enumeration import _Packing, _Peeling, greedy_root
 from helpers import (
     canonical_patterns,
+    collapse,
     kept_by_deduplication,
     naive_closure,
     set_levels,
@@ -412,10 +415,16 @@ class TestPackedLevels:
 def _agree_with_the_string_searches(alphabet, word, kmax, others, budget=10**7):
     """`dedup_roots` of the word, and `dedup_distance` to each other word and
     `derives_from` with it as the seed, give the string searches' answers
-    or budget errors."""
-    assert _outcome(lambda: dedup_roots(word, kmax, budget).roots) == _outcome(
-        lambda: string_dedup_roots(word, kmax, budget)
+    or budget errors.
+
+    `dedup_roots` spends its budget as the collapsed string search does,
+    on run-free words, and its roots are those of the full search."""
+    roots = _outcome(lambda: dedup_roots(word, kmax, budget).roots)
+    assert roots == _outcome(
+        lambda: string_dedup_roots(word, kmax, budget, collapsed=True)
     ), (word, kmax, budget)
+    if not isinstance(roots, tuple):
+        assert roots == _full_roots(word, kmax), (word, kmax, budget)
     for other in others:
         assert _outcome(lambda: dedup_distance(word, other, kmax, budget)) == _outcome(
             lambda: string_dedup_distance(word, other, kmax, budget)
@@ -424,6 +433,22 @@ def _agree_with_the_string_searches(alphabet, word, kmax, others, budget=10**7):
         assert _outcome(lambda: derives_from(system, word, budget)) == _outcome(
             lambda: string_derives_from(system, word, budget)
         ), (word, other, kmax, budget)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_roots(word, kmax):
+    """The roots by the full string search, which visits every descendant."""
+    return frozenset(string_dedup_roots(word, kmax, 10**7))
+
+
+def _lemma_sweep():
+    """(word, kmax) for every word over 01 up to length 10 and over 012 up
+    to length 7, at kmax = 1..5."""
+    for letters, top in (("01", 10), ("012", 7)):
+        for n in range(top + 1):
+            for symbols in itertools.product(letters, repeat=n):
+                for kmax in range(1, 6):
+                    yield "".join(symbols), kmax
 
 
 def _descendants(word, kmax):
@@ -520,6 +545,31 @@ class TestPackedPeeling:
         alphabet = Alphabet.parse(alphabet)
         for budget in range(1, _descendants(word, kmax) + 2):
             _agree_with_the_string_searches(alphabet, word, kmax, others, budget)
+
+    def test_a_run_never_changes_the_roots(self):
+        # the lemma behind the run-free search, on the string oracle alone
+        pairs = 0
+        for word, kmax in _lemma_sweep():
+            assert _full_roots(word, kmax) == _full_roots(collapse(word), kmax), (word, kmax)
+            pairs += 1
+        assert pairs == 26_635
+
+    def test_run_free_search_on_the_lemma_sweep(self):
+        for word, kmax in _lemma_sweep():
+            assert dedup_roots(word, kmax).roots == _full_roots(word, kmax), (word, kmax)
+
+    def test_collapse_matches_the_string_collapse(self):
+        rng = random.Random(11)
+        words = ["", "0", "1111", "0110", ("a",), ("bb", "bb", "bb")]
+        for _ in range(600):
+            # 1 to 9 distinct symbols: one to four bits a symbol
+            letters = "012345678"[: rng.randint(1, 9)]
+            words.append("".join(rng.choice(letters) for _ in range(rng.randint(0, 30))))
+        for _ in range(60):
+            words.append(tuple(rng.choice(("a", "bb")) for _ in range(rng.randint(0, 12))))
+        for word in words:
+            peeling = _Peeling(word, 4)
+            assert peeling.decode(peeling.collapse(peeling.encode(word))) == collapse(word), word
 
     def test_distance_budget_outcome_ignores_string_hashing(self):
         # the frontiers are lists in discovery order: string hashing, which
