@@ -30,13 +30,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from .core import Alphabet, DuplicationSystem, Word
+from .enumeration import _Packing
 from .errors import NondeterministicAutomatonError, UnsupportedDuplicationLength
 
 
@@ -205,6 +208,105 @@ def _minimal_raw(alphabet: Alphabet, start: int, accepting: int, rows) -> "Label
 
 
 # ---------------------------------------------------------------------------
+# JSON text.  `json.dumps(doc, indent=2)` runs the pure-Python encoder, one
+# generator step per item; `_json_text` writes the same bytes and joins each
+# flat list of scalars at once, which is where machines and word lists
+# spend their length.
+
+
+def _float_json(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _scalar_json(value) -> Optional[str]:
+    """The JSON text of a scalar, tested in the order `json` tests them, or
+    None for anything else."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_json(value)
+    return None
+
+
+def _key_json(key) -> str:
+    text = key if isinstance(key, str) else _scalar_json(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _quote(text)
+
+
+# the text of a scalar by its exact type; subclasses take `_scalar_json`
+_EXACT_JSON = {
+    str: _quote,
+    int: int.__repr__,
+    float: _float_json,
+    bool: _scalar_json,
+    type(None): _scalar_json,
+}
+_EXACT_KINDS = frozenset(_EXACT_JSON)
+
+
+def _write_json(value, newline: str, out: List[str]) -> None:
+    """Append the JSON text of a value whose line starts at `newline`."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds <= _EXACT_KINDS:
+            if len(kinds) == 1:
+                texts = map(_EXACT_JSON[kinds.pop()], value)
+            else:
+                texts = [_EXACT_JSON[type(item)](item) for item in value]
+            out.append("[" + inner + ("," + inner).join(texts) + newline + "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            out.append(separator + _key_json(key) + ": ")
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        text = _scalar_json(value)
+        if text is None:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        out.append(text)
+
+
+def _json_text(doc) -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte."""
+    out: List[str] = []
+    _write_json(doc, "\n", out)
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
 # the public automaton type
 
 
@@ -358,7 +460,7 @@ class LabeledAutomaton:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _json_text(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "LabeledAutomaton":
@@ -519,6 +621,48 @@ def build_automaton(
     return _subset_machine(system.alphabet, 1, last, rows)
 
 
+def position_walk(system: DuplicationSystem) -> Callable[[Word], bool]:
+    """A membership test for the language of a kmax <= 3 system that walks
+    the seed's position NFA; no automaton is built.
+
+    The live positions are one mask.  Every edge into a position reads that
+    position's symbol, so a step is the union of the live positions'
+    followers, cut down to the positions that carry the symbol, as in
+    `_position_rows`.  The union is computed once per mask and remembered
+    across the words the test is given, so the walks build lazily just the
+    part of the subset DFA that they visit.  A symbol outside the alphabet,
+    like one outside the seed, leaves no position live.
+    """
+    symbols, first, last, follows = seed_regex(tuple(system.seed), system.kmax)
+    follow = _followers(first, follows, len(symbols) + 1)
+    carriers = dict.fromkeys(system.alphabet.symbols, 0)
+    for q, s in enumerate(symbols, 1):
+        carriers[s] |= 1 << q
+    reach: Dict[int, int] = {}
+
+    def accepts(word: Word) -> bool:
+        mask = 1
+        for s in word:
+            carrier = carriers.get(s)
+            if carrier is None:
+                return False
+            after = reach.get(mask)
+            if after is None:
+                after = 0
+                live = mask
+                while live:
+                    r = live.bit_length() - 1
+                    after |= follow[r]
+                    live ^= 1 << r
+                reach[mask] = after
+            mask = after & carrier
+            if not mask:
+                return False
+        return bool(mask & last)
+
+    return accepts
+
+
 # ---------------------------------------------------------------------------
 # counting and language extraction
 
@@ -564,42 +708,64 @@ def count_accepted(automaton: LabeledAutomaton, n: int) -> int:
 def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set[Word]]:
     """Accepted words grouped by length, read off level by level.
 
-    A prefix is extended only while an accepting state is still within
-    reach of the length left, so no prefix is built that ends nowhere.
+    A level is one array of prefixes packed as codes, in the format of the
+    enumeration's level loop, beside the array of states they lead to.  A
+    level grows into the next by one table lookup per prefix and symbol,
+    and its accepted words are decoded at once.  A prefix is extended only
+    while an accepting state is still within reach of the length left, so
+    no prefix is built that ends nowhere.
     """
     if not automaton.is_deterministic:
         raise NondeterministicAutomatonError(
             "language extraction needs a deterministic machine"
         )
-    # fewest symbols from each state to acceptance, by breadth-first search backwards
-    accepting, _, back_rows = automaton._rows(reverse=True)
-    distance = {
-        automaton.states[r]: d
-        for d, layer in enumerate(_layers(accepting, back_rows))
-        for r in _members(layer)
-    }
-    single = automaton.alphabet.single_char
-    steps = {
-        q: [
-            (s if single else (s,), t)
-            for s, (t,) in automaton.out_map(q).items()
-            if t in distance
-        ]
-        for q in automaton.states
-    }
+    if max_length < 0:
+        return {}
+    alphabet = automaton.alphabet
+    rank = {q: r for r, q in enumerate(automaton.states)}
+    sink = len(rank)
+    edges = [(rank[p], alphabet.index(s), rank[q]) for p, s, q in automaton.edges]
+    # the transition table by rank, straight from the edges; a missing edge
+    # leads to an extra sink row that leads to itself and accepts nothing
+    table = np.full((sink + 1, len(alphabet)), sink, dtype=np.intp)
+    sources, symbols, targets = np.array(edges, dtype=np.intp).reshape(-1, 3).T
+    table[sources, symbols] = targets
+    layer = [rank[q] for q in automaton.accepting]
+    accepting = np.zeros(sink + 1, dtype=bool)
+    accepting[layer] = True
+    # fewest symbols from each state to acceptance, by breadth-first search
+    # backwards, as far as a prefix of at least one symbol can use it
+    back: List[List[int]] = [[] for _ in range(sink)]
+    for p, _, q in edges:
+        back[q].append(p)
+    far = max_length + 1
+    distance = [far] * (sink + 1)
+    for d in range(max_length):
+        if not layer:
+            break
+        for q in layer:
+            distance[q] = d
+        layer = {p for q in layer for p in back[q] if distance[p] == far}
+    distance = np.array(distance)
+
     out: Dict[int, Set[Word]] = {n: set() for n in range(max_length + 1)}
-    empty: Word = "" if single else ()
-    level = [(automaton.start, empty)]
-    for n in range(max_length + 1):
-        room = max_length - n - 1
-        nxt = []
-        for q, prefix in level:
-            if q in automaton.accepting:
-                out[n].add(prefix)
-            for piece, t in steps[q]:
-                if distance[t] <= room:
-                    nxt.append((t, prefix + piece))
-        level = nxt
+    if accepting[rank[automaton.start]]:
+        out[0].add("" if alphabet.single_char else ())
+    packing = _Packing(alphabet, max_length)
+    shift = packing.shift(1)
+    states = np.array([rank[automaton.start]], dtype=np.intp)
+    codes = packing.array([0])
+    for n in range(1, max_length + 1):
+        # (prefix, symbol) pairs whose target can still reach acceptance
+        steps = table[states]
+        prefixes, ranks = np.nonzero(distance[steps] <= max_length - n)
+        if not len(prefixes):
+            break
+        states = steps[prefixes, ranks]
+        codes = (codes[prefixes] << shift) | ranks.astype(packing.dtype)
+        hits = codes[accepting[states]]
+        if len(hits):
+            out[n].update(packing.decode(hits, n))
     return out
 
 

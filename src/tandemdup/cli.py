@@ -1,11 +1,12 @@
 """Command line front end.
 
 Each question has one engine per duplication bound.  For kmax <= 3 the
-language is regular and the minimal automaton answers: `count` and
-`capacity --empirical` sweep it once for every length, `generate` reads
-its words off, `member` walks it, and `dedup` deletes the first square
-until none is left (the root is unique).  None of these spends the
-`--budget`.  For kmax >= 4 the exhaustive searches of
+language is regular: `count` and `capacity --empirical` sweep the minimal
+automaton once for every length, `generate` reads its words off it,
+`member` walks the seed's position automaton and forms its subsets only
+as the word reaches them, so no machine is built, and `dedup` deletes the
+first square until none is left (the root is unique).  None of these
+spends the `--budget`.  For kmax >= 4 the exhaustive searches of
 `tandemdup.enumeration` answer under the budget, and so do
 `dedup --target` and `verify --check-upto` at any bound.
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -28,9 +28,11 @@ import sys
 from . import __version__
 from .automaton import (
     REGULAR_KMAX,
+    _json_text,
     accepted_counts,
     build_automaton,
     language_upto,
+    position_walk,
     verify_duplication_closure,
 )
 from .capacity import (
@@ -126,8 +128,9 @@ def cmd_generate(args):
         by_length = {n: frozenset(words[n]) for n in lengths}
         piece = LanguageSlice(system, args.max_len, by_length)
     doc = piece.to_json_dict()
-    lines = [f"{n}\t{w}" for n, words in doc["words"].items() for w in words]
-    return doc, lines
+    if args.format == "json":
+        return doc, None
+    return doc, [f"{n}\t{w}" for n, words in doc["words"].items() for w in words]
 
 
 def cmd_count(args):
@@ -144,7 +147,7 @@ def cmd_member(args):
     if system.kmax > REGULAR_KMAX:
         member = derives_from(system, word, args.budget)
     else:
-        member = build_automaton(system, minimize=True).accepts(word)
+        member = position_walk(system)(word)
     doc = {
         "system": system.to_json_dict(),
         "word": args.word,
@@ -351,10 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, doc, lines) -> None:
-    if args.format == "json" and doc is not None:
-        text = json.dumps(doc, indent=2)
-    else:
-        text = "\n".join(lines if lines is not None else [json.dumps(doc, indent=2)])
+    text = _json_text(doc) if args.format == "json" else "\n".join(lines)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")

@@ -202,10 +202,12 @@ class LanguageSlice:
 
     def to_json_dict(self) -> dict:
         """The count document plus the words of each length, sorted."""
-        text = self.system.alphabet.text
+        alphabet = self.system.alphabet
+        # words over one-character symbols are their own text already
+        text = None if alphabet.single_char else alphabet.text
         doc = self.counts().to_json_dict()
         doc["words"] = {
-            str(n): sorted(text(w) for w in self.by_length[n])
+            str(n): sorted(map(text, self.by_length[n]) if text else self.by_length[n])
             for n in sorted(self.by_length)
         }
         return doc

@@ -415,6 +415,38 @@ def edge_count_matrix(machine):
     return rows
 
 
+def prefix_language_upto(machine, max_length):
+    """Accepted words of a DFA grouped by length, one prefix at a time: the
+    reference for the packed `language_upto`.  A prefix is extended only
+    while an accepting state is still within reach of the length left."""
+    # fewest symbols from each state to acceptance, by breadth-first search backwards
+    back = defaultdict(set)
+    for p, _, q in machine.edges:
+        back[q].add(p)
+    distance = {q: 0 for q in machine.accepting}
+    queue = deque(machine.accepting)
+    while queue:
+        q = queue.popleft()
+        for p in back[q]:
+            if p not in distance:
+                distance[p] = distance[q] + 1
+                queue.append(p)
+    single = machine.alphabet.single_char
+    out = {n: set() for n in range(max_length + 1)}
+    level = [(machine.start, "" if single else ())]
+    for n in range(max_length + 1):
+        room = max_length - n - 1
+        nxt = []
+        for q, prefix in level:
+            if q in machine.accepting:
+                out[n].add(prefix)
+            for s, (t,) in machine.out_map(q).items():
+                if distance.get(t, room + 1) <= room:
+                    nxt.append((t, prefix + (s if single else (s,))))
+        level = nxt
+    return out
+
+
 def moore_minimized(machine):
     """Minimal machine by Moore partition refinement, for cross-checking
     the library's double reversal.

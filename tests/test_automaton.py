@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import itertools
 import json
@@ -26,7 +27,8 @@ from tandemdup import (
     verify_duplication_closure,
 )
 from tandemdup import automaton as automaton_module
-from tandemdup.automaton import accepted_counts
+from tandemdup.automaton import _json_text, accepted_counts, position_walk
+from tandemdup.core import tandem_duplicate
 from helpers import (
     accepted_by_scan,
     canonical_patterns,
@@ -34,6 +36,7 @@ from helpers import (
     moore_minimized,
     naive_closure,
     path_table_certificate,
+    prefix_language_upto,
     seed_expression,
     set_determinize,
     set_glushkov,
@@ -145,6 +148,88 @@ class TestMachineBasics:
         mt = ternary_automaton.minimized()
         assert len(mt.states) == 7
         assert _language_set(mt, 9) == _language_set(ternary_automaton, 9)
+
+
+def machine_word(system, rng, length):
+    """A member of at least `length` symbols, by random duplications of the seed."""
+    word = system.seed
+    while len(word) < length:
+        k = rng.randint(1, system.kmax)
+        if k <= len(word):
+            word = tandem_duplicate(word, rng.randrange(len(word) - k + 1), k)
+    return word
+
+
+class TestPositionWalk:
+    """`member` at kmax <= 3 walks the seed's position NFA with a lazy
+    subset step; the minimal machine's `accepts` is the reference."""
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_canonical_seed_sweep(self, kmax):
+        rng = random.Random(kmax)
+        short = {
+            text: ["".join(w) for n in range(7) for w in itertools.product(text, repeat=n)]
+            for text in ("01", "012")
+        }
+        for pattern in canonical_patterns(5):
+            system = DuplicationSystem.parse("0123", pattern, kmax)
+            machine = build_automaton(system, minimize=True)
+            # every short word over the seed's symbols, or over 012 for a
+            # seed with all four; random words over 0123 and random members
+            words = short["01" if max(pattern) <= "1" else "012"] + [
+                "".join(rng.choice("0123") for _ in range(rng.randint(1, 16)))
+                for _ in range(200)
+            ]
+            words += [machine_word(system, rng, 16) for _ in range(50)]
+            walk = position_walk(system)
+            for word in words:
+                assert walk(word) == machine.accepts(word), (pattern, word)
+
+    def test_regular_bounds_only(self):
+        with pytest.raises(UnsupportedDuplicationLength):
+            position_walk(DuplicationSystem.parse("012", "012", 4))
+
+    def test_empty_word_is_never_a_member(self, ternary_system):
+        assert not position_walk(ternary_system)("")
+
+    def test_symbol_outside_the_seed_or_alphabet(self):
+        system = DuplicationSystem.parse("0123", "012", 3)
+        machine = build_automaton(system, minimize=True)
+        for word in ("0123", "3", "0112", "01a2", "0122"):
+            assert position_walk(system)(word) == machine.accepts(word), word
+        assert position_walk(system)("0112")
+        assert not position_walk(system)("0123")
+        assert not position_walk(system)("01a2")
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_one_symbol_seed(self, kmax):
+        system = DuplicationSystem.parse("01", "0", kmax)
+        assert [position_walk(system)("0" * n) for n in range(4)] == [False, True, True, True]
+        assert not position_walk(system)("010")
+        assert not position_walk(system)("1")
+
+    def test_comma_separated_symbols(self):
+        system = DuplicationSystem.parse("ab,cd,ef", "ab,cd,ef,ab", 3)
+        machine = build_automaton(system, minimize=True)
+        for word in [
+            ("ab", "cd", "ef", "ab"),
+            ("ab", "cd", "ef", "cd", "ef", "ab", "ab"),
+            ("ab", "ef", "cd", "ab"),
+            ("ab", "cd", "ab"),
+        ]:
+            assert position_walk(system)(word) == machine.accepts(word), word
+
+    def test_a_long_word(self):
+        rng = random.Random(5)
+        system = DuplicationSystem.parse("012", "0120210", 3)
+        machine = build_automaton(system, minimize=True)
+        member = machine_word(system, rng, 10_000)
+        assert len(member) >= 10_000
+        i = rng.randrange(1, len(member) - 1)
+        twisted = member[:i] + "21" + member[i:]
+        assert position_walk(system)(member) and machine.accepts(member)
+        assert position_walk(system)(twisted) == machine.accepts(twisted)
+        assert not position_walk(system)(member + "1")
 
 
 class TestSerialization:
@@ -558,6 +643,146 @@ class TestTrim:
                 words = language_upto(machine, 4)
                 assert words == {n: accepted_by_scan(machine, "abc", n) for n in range(5)}
         assert 50 < empty < 950
+
+
+class TestLanguageUpto:
+    """`language_upto` reads a DFA level by level on packed codes;
+    `prefix_language_upto` is the one-prefix-at-a-time reference."""
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_canonical_seed_sweep(self, kmax):
+        for pattern in canonical_patterns(5):
+            system = DuplicationSystem.parse("0123", pattern, kmax)
+            for minimize in (False, True):
+                machine = build_automaton(system, minimize=minimize)
+                top = len(pattern) + 4
+                assert language_upto(machine, top) == prefix_language_upto(machine, top), pattern
+
+    def test_multi_character_symbols(self):
+        system = DuplicationSystem.parse("a,bb,c", "a,bb,c,a", 3)
+        machine = build_automaton(system, minimize=True)
+        words = language_upto(machine, 9)
+        assert words == prefix_language_upto(machine, 9)
+        assert ("a", "bb", "c", "a") in words[4]
+        assert all(isinstance(w, tuple) for ws in words.values() for w in ws)
+        assert {n: len(ws) for n, ws in words.items()} == {
+            n: c for n, c in enumerate(accepted_counts(machine, 9))
+        }
+
+    @pytest.mark.parametrize("max_length", [-1, 0, 1])
+    def test_shortest_lengths(self, max_length):
+        ab = Alphabet("ab")
+        accepting_start = LabeledAutomaton(ab, {0, 1}, 0, {0}, {(0, "a", 1), (1, "b", 0)})
+        rejecting_start = LabeledAutomaton(ab, {0, 1}, 0, {1}, {(0, "a", 1)})
+        for machine in (accepting_start, rejecting_start):
+            got = language_upto(machine, max_length)
+            assert got == prefix_language_upto(machine, max_length)
+            assert sorted(got) == list(range(max_length + 1))
+        if max_length >= 0:
+            assert language_upto(accepting_start, max_length)[0] == {""}
+            assert language_upto(rejecting_start, max_length)[0] == set()
+
+    @pytest.mark.parametrize(
+        "alphabet, seed, max_length",
+        [("01", "01", 70), ("012", "012", 33), ("a,bb,c", "a,bb,c", 33)],
+    )
+    def test_wide_codes(self, alphabet, seed, max_length):
+        # max_length symbols take more than 64 bits, so codes are Python ints
+        system = DuplicationSystem.parse(alphabet, seed, 1)
+        machine = build_automaton(system, minimize=True)
+        assert max_length * max(1, (len(system.alphabet) - 1).bit_length()) > 64
+        words = language_upto(machine, max_length)
+        assert words == prefix_language_upto(machine, max_length)
+        assert len(words[max_length]) == count_accepted(machine, max_length) > 0
+
+    def test_sparse_negative_ids_and_dead_states(self):
+        ab = Alphabet("abc")
+        edges = {
+            (-7, "a", 3), (3, "b", 100), (100, "a", -7), (100, "c", 100),
+            (-7, "b", 42), (42, "a", 42), (3, "c", 42),  # 42 is dead
+            (5000, "a", 100),  # 5000 is unreachable
+        }
+        machine = LabeledAutomaton(ab, {-7, 3, 42, 100, 5000}, -7, {100}, edges)
+        words = language_upto(machine, 7)
+        assert words == prefix_language_upto(machine, 7)
+        assert words == {n: accepted_by_scan(machine, "abc", n) for n in range(8)}
+        assert words[2] == {"ab"} and words[5] == {"abaab", "abccc"}
+
+    def test_random_dfas_match_the_reference(self):
+        rng = random.Random(12)
+        ab = Alphabet("abc")
+        for _ in range(300):
+            ids = rng.sample(range(-50, 400), rng.randint(1, 9))
+            edges = {
+                (p, s, rng.choice(ids)) for p in ids for s in ab.symbols if rng.random() < 0.6
+            }
+            accepting = set(rng.sample(ids, rng.randint(0, min(3, len(ids)))))
+            machine = LabeledAutomaton(ab, ids, rng.choice(ids), accepting, edges)
+            top = rng.randint(0, 7)
+            assert language_upto(machine, top) == prefix_language_upto(machine, top)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+class _Name(str):
+    pass
+
+
+class TestJsonText:
+    """`_json_text` must write `json.dumps(doc, indent=2)` byte for byte."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            (),
+            [[]],
+            [{}],
+            {"a": {}, "b": [], "c": [[], {}]},
+            (1, 2),
+            ("x", (3, ("y",))),
+            "plain",
+            "é ü \u00ff \u2603 \U0001f600",
+            ["tab\t", "newline\n", 'quote"', "back\\slash", "nul\x00", "bell\x07", "\u007f"],
+            -0.0,
+            [0.0, -0.0, 1e-7, 1e16, 1.5, -2.25, 1e308, 5e-324, 0.1 + 0.2],
+            [float("nan"), float("inf"), float("-inf")],
+            {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf")},
+            [True, False, None],
+            True,
+            None,
+            [1, True, 0, False],
+            [2**70, -(2**70), 0, -1],
+            [np.float64(0.1), np.float64(-0.0), np.float64("inf")],
+            [_Level.LOW, _Level.HIGH, 3],
+            _Level.HIGH,
+            [_Name("sub"), "str"],
+            {_Name("key"): _Name("value")},
+            {1: "int", 2.5: "float", True: "true", False: "false", None: "null", _Level.HIGH: "enum"},
+            {np.float64(1.5): 1, -0.0: 2, float("nan"): 3},
+            [[0, "a", 1], [1, "b", 0]],
+            [1, "mixed", 2.0, None, True, [3], {"k": ()}],
+            {"outer": {"inner": {"deep": [1, [2, [3, []]]]}}},
+        ],
+        ids=repr,
+    )
+    def test_matches_json_dumps(self, doc):
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc", [object(), [np.int64(3)], {"set": {1, 2}}, {(1, 2): "tuple key"}, [b"bytes"]],
+        ids=repr,
+    )
+    def test_refuses_what_json_dumps_refuses(self, doc):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError) as got:
+            _json_text(doc)
+        assert str(got.value) == str(want.value)
 
 
 def test_canonical_machines_keep_their_json_digest():

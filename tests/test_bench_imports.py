@@ -32,3 +32,43 @@ def test_every_name_the_benchmark_imports_resolves():
             except ModuleNotFoundError:
                 missing.append(f"{where}: from {module} import {name}")
     assert not missing, missing
+
+
+def _patched_pairs():
+    """(module, name) for every `(module_alias, "name", ...)` tuple in
+    bench/tracing.py whose alias is a `from tandemdup import module as alias`."""
+    path = BENCH / "tracing.py"
+    tree = ast.parse(path.read_text(), str(path))
+    aliases = {
+        alias.asname: f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "tandemdup"
+        for alias in node.names
+        if alias.asname
+    }
+    pairs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            owner, name = node.elts[:2]
+            if (
+                isinstance(owner, ast.Name)
+                and owner.id in aliases
+                and isinstance(name, ast.Constant)
+                and isinstance(name.value, str)
+            ):
+                pairs.add((aliases[owner.id], name.value))
+    return pairs
+
+
+def test_every_name_the_traced_run_patches_exists():
+    # the traced run swaps these module globals for wrappers; a missing one
+    # would crash only that run
+    pairs = _patched_pairs()
+    assert ("tandemdup.cli", "build_automaton") in pairs
+    assert ("tandemdup.capacity", "transfer_matrix") in pairs
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(pairs)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, missing

@@ -17,8 +17,22 @@ from tandemdup import (
     enumerate_words,
     errors,
 )
+from tandemdup.automaton import _json_text
 from tandemdup.cli import build_parser, main
 from helpers import canonical_patterns
+
+
+@pytest.fixture(autouse=True)
+def _emitted_json_matches_json_dumps(monkeypatch):
+    """Every document a test here prints goes through the JSON writer, which
+    must give `json.dumps(doc, indent=2)` byte for byte."""
+
+    def checked(doc):
+        text = _json_text(doc)
+        assert text == json.dumps(doc, indent=2)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
 
 
 def run(capsys, *argv):
@@ -69,6 +83,13 @@ class TestMember:
         code, out = run(capsys, "member", *SYS3, "--word", "00000", "--format", "text")
         assert code == 0
         assert out.strip() == "member\tfalse"
+
+
+    def test_regular_member_builds_no_machine(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_automaton", _raising(AssertionError("built a machine")))
+        assert run_json(capsys, "member", *SYS3, "--word", "01212")["member"] is True
+        assert run_json(capsys, "member", *SYS3, "--word", "0210")["member"] is False
+        assert run_json(capsys, "member", *SYS2, "--word", "0110")["member"] is False
 
 
 class TestAutomaton:
