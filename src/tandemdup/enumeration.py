@@ -15,10 +15,15 @@ w is then whole-array arithmetic,
     ((w >> (n-i-k)*B) << (n-i)*B) | (w & (2**((n-i)*B) - 1)),
 
 and one sort with duplicates dropped merges the children into the
-pending level n + k.  The arrays are `uint64` when max_length * B <= 64
-and hold Python ints otherwise, with the same arithmetic.  The packing
-never leaves this module: words are decoded to strings or tuples only
-where a caller asks for words.
+pending level n + k.  A merge comes once the children outnumber every
+word the loop holds, the level being expanded and all pending ones, and
+at the end of each block length.  That bound follows the memory already
+in use, so there is no batch size to tune, and it leaves the budget
+outcome alone: the word total at the end of each block length is the
+same for any merge schedule.  The arrays take the narrowest of `uint32`
+(max_length * B <= 32), `uint64` (<= 64) and Python ints, with the same
+arithmetic.  The packing never leaves this module: words are decoded to
+strings or tuples only where a caller asks for words.
 
 The reverse searches (`derives_from`, `dedup_roots`, `dedup_distance`)
 peel squares off words packed the same way, one Python int a word with a
@@ -85,34 +90,45 @@ def length_range(system: DuplicationSystem, max_length: int) -> range:
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
-    """The distinct codes in increasing order, by one sort.
+    """The distinct codes in increasing order, by one sort in place, so
+    `codes` must be an array the caller no longer needs.
 
     Same result as `np.unique`, whose hash-based path in numpy 2 is about
     20 times slower on `uint64` arrays of a few hundred thousand codes.
     """
-    codes = np.sort(codes)
+    codes.sort()
     keep = np.empty(len(codes), dtype=bool)
     keep[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-    return codes[keep]
+    return codes.compress(keep)
 
 
 class _Packing:
     """Words of one alphabet up to max_length as base-|alphabet| integer codes.
 
-    Codes are `uint64` when max_length symbols fit in 64 bits and Python
-    ints (dtype object) otherwise.  Shift counts and masks come from
-    `shift` and `mask` as scalars of the codes' own type, so `uint64`
-    arithmetic never depends on numpy's promotion of Python ints.
+    Codes take the narrowest type that holds max_length symbols: `uint32`
+    up to 32 bits, `uint64` up to 64 and Python ints (dtype object)
+    beyond; half-width codes halve what every sort, shift and compare
+    moves.  Shift counts and masks come from `shift` and `mask` as
+    scalars of the codes' own type, so fixed-width arithmetic never
+    depends on numpy's promotion of Python ints.
     """
 
     def __init__(self, alphabet: Alphabet, max_length: int):
         self.alphabet = alphabet
         self.bits = max(1, (len(alphabet) - 1).bit_length())
-        wide = max_length * self.bits > 64
-        self.dtype = np.dtype(object) if wide else np.dtype(np.uint64)
-        self.scalar = int if wide else np.uint64
+        width = max_length * self.bits
+        if width <= 32:
+            self.scalar = np.uint32
+        elif width <= 64:
+            self.scalar = np.uint64
+        else:
+            self.scalar = int
+        self.dtype = np.dtype(object if self.scalar is int else self.scalar)
         self._symbols = np.array(alphabet.symbols)
+        # the shift of each symbol of a max_length word, first symbol
+        # first; a shorter word's shifts are the last ones
+        self._shifts = self.array(range(max_length - 1, -1, -1)) * self.shift(1)
 
     def shift(self, symbols: int):
         """The shift count that moves a code by this many symbols."""
@@ -133,7 +149,7 @@ class _Packing:
 
     def decode(self, codes: np.ndarray, n: int) -> list:
         """The length-n words packed in `codes`, by one digit extraction."""
-        shifts = self.array([self.shift(j) for j in range(n - 1, -1, -1)])
+        shifts = self._shifts[len(self._shifts) - n :]
         ranks = ((codes[:, None] >> shifts) & self.mask(1)).astype(np.intp)
         symbols = self._symbols[ranks]
         if self.alphabet.single_char:
@@ -160,7 +176,8 @@ def _levels(
     pending: Dict[int, np.ndarray] = {
         lengths.start: packing.array([packing.encode(system.seed)])
     }
-    total = 1
+    total = 1  # distinct words generated
+    released = 0  # words of the levels already yielded
     for n in lengths:
         codes = pending.pop(n, None)
         if codes is None:
@@ -170,18 +187,23 @@ def _levels(
             batch = []
             for i in range(n - k + 1):
                 tail = n - i
-                head = (codes >> packing.shift(tail - k)) << packing.shift(tail)
-                batch.append(head | (codes & packing.mask(tail)))
-                # merge once the children outnumber the pending level: the
-                # temporaries stay near one level's size, and each merge
-                # sorts at most about twice what it adds
-                if len(batch) * len(codes) >= len(target) or i == n - k:
+                child = codes >> packing.shift(tail - k)
+                child <<= packing.shift(tail)
+                child |= codes & packing.mask(tail)
+                batch.append(child)
+                # merge once the children outnumber every word the loop
+                # holds, this level and all pending ones (total - released):
+                # the children in flight stay under twice the words held,
+                # and every merge but the last of a block length sorts at
+                # most twice the children it takes in
+                if len(batch) * len(codes) >= total - released or i == n - k:
                     merged = _distinct(np.concatenate([target, *batch]))
                     total += len(merged) - len(target)
                     if total > budget:
                         raise BudgetExceededError(budget, n)
                     target, batch = merged, []
             pending[n + k] = target
+        released += len(codes)
         yield n, codes
 
 
@@ -415,7 +437,8 @@ def substrings_of_length(
     if length < 1:
         raise ValueError("substring length must be positive")
     full = len(system.alphabet) ** length
-    packing = _Packing(system.alphabet, max_length)
+    # found is decoded as words of `length` symbols, even when none fits
+    packing = _Packing(system.alphabet, max(length, max_length))
     found = packing.array([])
     for n, codes in _levels(system, max_length, budget, packing):
         if len(found) == full:

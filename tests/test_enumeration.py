@@ -15,23 +15,26 @@ from tandemdup import (
     Alphabet,
     BudgetExceededError,
     DuplicationSystem,
+    build_automaton,
     count_words,
     dedup_distance,
     dedup_roots,
     derives_from,
     enumerate_words,
     is_k_irreducible,
+    language_upto,
     substrings_of_length,
     tandem_duplicate,
     thue_square_free,
     verify_witness_absent,
 )
-from tandemdup.enumeration import _Packing, _Peeling, greedy_root
+from tandemdup.enumeration import _Packing, _Peeling, greedy_root, length_range
 from helpers import (
     canonical_patterns,
     collapse,
     kept_by_deduplication,
     naive_closure,
+    prefix_language_upto,
     set_levels,
     square_locations,
     string_dedup_distance,
@@ -325,6 +328,22 @@ def _set_loop_absent(system, word, top, budget):
     return True
 
 
+def _block_totals(system, top):
+    """The level loop's word count after each (level, block length) pair,
+    in loop order, on sets of words; the seed alone comes first."""
+    seed = system.seed
+    pending = {len(seed): {seed}}
+    totals = [1]
+    for n in length_range(system, top):
+        words = pending.pop(n, set())
+        for k in range(1, min(system.kmax, top - n, n) + 1):
+            target = pending.setdefault(n + k, set())
+            before = len(target)
+            target.update(w[: i + k] + w[i:] for w in words for i in range(n - k + 1))
+            totals.append(totals[-1] + len(target) - before)
+    return totals
+
+
 def _agrees_with_the_set_loop(system, top, words_to_find):
     want = {n: set(ws) for n, ws in set_levels(system, top, 10**7)}
     got = enumerate_words(system, top).by_length
@@ -377,6 +396,29 @@ class TestPackedLevels:
                     lambda: verify_witness_absent(system, word, top, budget)
                 ) == _outcome(lambda: _set_loop_absent(system, word, top, budget)), (budget, word)
 
+    def test_budget_at_every_block_total(self):
+        # levels large enough that the loop merges inside block lengths
+        # too (27 merges for 18 (level, block length) pairs); budgets at
+        # each pair's cumulative total and next to it, where the first
+        # level to overrun the budget changes, plus a stride
+        system = DuplicationSystem.parse("0123", "0123", 4)
+        top = 10
+        totals = _block_totals(system, top)
+        budgets = {t + d for t in totals for d in (-1, 0, 1) if t + d >= 1}
+        budgets |= set(range(1, totals[-1] + 2, 37))
+        for budget in sorted(budgets):
+            assert _outcome(lambda: count_words(system, top, budget).counts) == _outcome(
+                lambda: _set_loop_counts(system, top, budget)
+            ), budget
+            for m in (1, 2):
+                assert _outcome(
+                    lambda: substrings_of_length(system, m, top, budget).found
+                ) == _outcome(lambda: _set_loop_profile(system, m, top, budget)), (budget, m)
+            for word in ("30", "3210"):
+                assert _outcome(
+                    lambda: verify_witness_absent(system, word, top, budget)
+                ) == _outcome(lambda: _set_loop_absent(system, word, top, budget)), (budget, word)
+
     @pytest.mark.parametrize(
         "alphabet,seed_length,kmax,top,width",
         [
@@ -399,6 +441,41 @@ class TestPackedLevels:
         tail = seed[-5:] + seed[-1]
         want = _agrees_with_the_set_loop(system, top, [seed, tail, seed[:3] + seed[:3]])
         assert len(want[top]) > 1
+
+    @pytest.mark.parametrize(
+        "alphabet,seed_length,kmax,top,width",
+        [
+            ("01", 30, 2, 32, 32),
+            ("01", 31, 2, 33, 33),
+            ("012", 13, 2, 15, 30),
+            ("012", 14, 2, 16, 32),
+            ("012", 15, 2, 17, 34),
+            ("0123", 12, 3, 15, 30),
+            ("0123", 13, 3, 16, 32),
+            ("0123", 14, 3, 17, 34),
+        ],
+    )
+    def test_both_sides_of_the_32_bit_width(self, alphabet, seed_length, kmax, top, width):
+        packing = _Packing(Alphabet(alphabet), top)
+        assert top * packing.bits == width
+        assert packing.dtype == (np.uint32 if width <= 32 else np.uint64)
+        if alphabet == "01":
+            seed = ("01" * 40)[:seed_length]
+        elif alphabet == "012":
+            seed = thue_square_free(seed_length)
+        else:
+            # square-free, with every symbol of 0123
+            seed = thue_square_free(seed_length - 1) + "3"
+        system = DuplicationSystem.parse(alphabet, seed, kmax)
+        tail = seed[-5:] + seed[-1]
+        want = _agrees_with_the_set_loop(system, top, [seed, tail, seed[:3] + seed[:3]])
+        assert len(want[top]) > 1
+        if alphabet == "0123":
+            # the k <= 3 machine's words, packed by the same rule
+            machine = build_automaton(system, minimize=True)
+            words = language_upto(machine, top)
+            assert words == prefix_language_upto(machine, top)
+            assert words[top] == want[top]
 
     def test_comma_separated_symbols(self):
         system = DuplicationSystem.parse("a,bb,ccc", "a,bb,ccc,a", 3)
