@@ -11,12 +11,21 @@ the forward subset construction.
 
 Both steps run on Python-int bitmasks.  The position construction keeps
 first and last positions as masks and records each follow link once, as a
-pair of masks, from which it emits the per-symbol rows of the NFA or of
-its reversal.  One subset construction serves the forward DFA, the two
+pair of masks.  One subset construction serves the forward DFA, the two
 passes of double reversal and `LabeledAutomaton.determinized` and
 `trimmed`: NFA states are ranked by their index in sorted order, a subset
-is one int keyed as such, and the first pass of double reversal hands its
-transition table, turned into rows, straight to the second.
+is one int keyed as such, and the edges come as rows with cuts.  The
+forward DFA reads one row, the followers of each position, so a subset's
+union of followers is formed once and cut per symbol by the positions that
+read it; `position_walk` forms the same union lazily, one mask at a time.
+Reversals read one row per symbol.
+
+The subset construction hands its transition table (per symbol, the target
+of each state) straight to the machine it builds, and that table is the
+machine: minimization, counting, word extraction, the transfer matrix and
+JSON read it, and the edge set and out-maps are derived from it when
+asked for.  The first pass of double reversal turns its table around into
+the rows of the second.
 
 The module also carries the machinery to certify that an automaton's
 language is closed under bounded duplication: every short path label into
@@ -58,6 +67,18 @@ def _members(mask: int) -> List[int]:
     return out
 
 
+def _union(mask: int, row: List[int]) -> int:
+    """OR of row[r] over the set bits r of a mask: over a row of followers,
+    every successor of the states a subset holds, formed once and then cut
+    per symbol."""
+    after = 0
+    while mask:
+        r = mask.bit_length() - 1
+        after |= row[r]
+        mask ^= 1 << r
+    return after
+
+
 def _followers(first: int, follows, n: int) -> List[int]:
     """Mask of the positions that may follow each of the n Glushkov states."""
     follow = [0] * n
@@ -68,22 +89,24 @@ def _followers(first: int, follows, n: int) -> List[int]:
     return follow
 
 
-def _position_rows(symbols, first: int, follows, symbol_order, reverse: bool):
-    """Per-symbol rows of the position NFA, or of its reversal.
+def _carriers(symbols, symbol_order) -> List[int]:
+    """Per symbol, the mask of the positions that read it.  Every edge into
+    a position reads that position's symbol, so a state's successors under
+    a symbol are its followers cut down to that symbol's carrier."""
+    index = {s: i for i, s in enumerate(symbol_order)}
+    carriers = [0] * len(symbol_order)
+    for q, s in enumerate(symbols, 1):
+        carriers[index[s]] |= 1 << q
+    return carriers
 
-    Every edge into a position reads that position's symbol.  So the
-    forward row of symbol s sends each state to its followers that carry s,
-    and the reversed row sends each position that carries s back to its
-    predecessors, the start state among them for the first positions.
-    """
+
+def _reversed_positions(symbols, first: int, follows, symbol_order) -> List[List[int]]:
+    """Per-symbol rows of the position NFA's reversal.  Every edge into a
+    position reads that position's symbol, so the row of symbol s sends
+    each position that carries s back to its predecessors, the start state
+    among them for the first positions."""
     n = len(symbols) + 1
     index = {s: i for i, s in enumerate(symbol_order)}
-    if not reverse:
-        carriers = [0] * len(symbol_order)
-        for q in range(1, n):
-            carriers[index[symbols[q - 1]]] |= 1 << q
-        follow = _followers(first, follows, n)
-        return [[f & carrier for f in follow] for carrier in carriers]
     pred = [0] * n
     for q in _members(first):
         pred[q] = 1
@@ -93,18 +116,30 @@ def _position_rows(symbols, first: int, follows, symbol_order, reverse: bool):
             pred[q] |= last
             firsts ^= 1 << q
     rows = [[0] * n for _ in symbol_order]
-    for q in range(1, n):
-        rows[index[symbols[q - 1]]][q] = pred[q]
+    for q, s in enumerate(symbols, 1):
+        rows[index[s]][q] = pred[q]
     return rows
 
 
 # ---------------------------------------------------------------------------
 # raw machine helpers.  For the subset construction an NFA's states are
-# ranked 0 .. n-1, a set of states is one int with bit r for rank r, and
-# each symbol has a row: a list that maps a rank to its successor mask.  A
-# DFA comes out as a transition table: per symbol, the target id of each
+# ranked 0 .. n-1, and a set of states is one int with bit r for rank r.
+# Its edges come as rows with cuts: a row is a list that maps a rank to the
+# mask of its successors, and each cut of a row masks out the successors
+# under one symbol; read in order, the cuts follow the alphabet.  A position
+# NFA has one row, its followers, cut by each symbol's carrier.  Any other
+# NFA has one row per symbol, cut by `_ALL` or by the ranks that are kept.
+# A DFA comes out as a transition table: per symbol, the target id of each
 # state, None where it has no edge.  Elsewhere states are ints and edges
 # are (source, symbol, target) triples.
+
+# the cut that keeps every successor
+_ALL = -1
+
+
+def _per_symbol(rows: List[List[int]], cut: int = _ALL):
+    """Per-symbol rows, each with its one cut."""
+    return [(row, [cut]) for row in rows]
 
 
 def _support(row: List[int]) -> int:
@@ -113,72 +148,83 @@ def _support(row: List[int]) -> int:
     return int("".join(map("01".__getitem__, map(bool, reversed(row)))), 2)
 
 
+def _reversed_table(table, n: int) -> List[List[int]]:
+    """Per-symbol rows of the reversal of a DFA on n states given by its
+    transition table."""
+    rows = [[0] * n for _ in table]
+    for row, targets in zip(rows, table):
+        for p, q in enumerate(targets):
+            if q is not None:
+                row[q] |= 1 << p
+    return rows
+
+
 def _layers(mask: int, rows) -> List[int]:
-    """Breadth-first layers along the rows from the ranks of `mask`: layer d
-    masks the ranks first reached after d steps, so their OR is everything
-    reachable."""
+    """Breadth-first layers along the rows from the ranks of `mask`: layer
+    d masks the ranks first reached after d steps, so their OR is
+    everything reachable."""
     layers = []
     seen = 0
     while mask:
         layers.append(mask)
         seen |= mask
-        members = _members(mask)
-        mask = reduce(or_, (row[r] for row in rows for r in members), 0) & ~seen
+        after = 0
+        for row, cuts in rows:
+            reached = _union(mask, row)
+            after |= reduce(or_, (reached & cut for cut in cuts), 0)
+        mask = after & ~seen
     return layers
 
 
 def _determinize_raw(start: int, accepting: int, rows):
-    """Subset construction from the start mask over per-symbol rows.
+    """Subset construction from the start mask over rows with cuts.
 
-    Each subset is one int, the key of `ids`.  Its target under a symbol is
-    the OR of its members' entries in that symbol's row.  The row's support
-    picks out the members that have one, and only those are read, so a
-    position of a Glushkov NFA's reversal, which reads one symbol, is read
-    once per subset.  State ids follow discovery order, breadth-first with
-    symbols in row order, so the result is stable for a fixed symbol order
-    and does not depend on how the NFA's states are ranked.  Returns the
-    number of states, the ids of the subsets that meet `accepting` and the
-    transition table.
+    Each subset is one int, the key of `ids`.  Per row it forms the union of
+    its members' entries once, and each cut of the row masks out the target
+    under one symbol.  The row's support picks out the members that have an
+    entry, and only those are read, so a position of a Glushkov NFA's
+    reversal, which reads one symbol, is read once per subset.  State ids
+    follow discovery order, breadth-first with symbols in order, so the
+    result is stable for a fixed symbol order and does not depend on how
+    the NFA's states are ranked.  Returns the number of states, the ids of
+    the subsets that meet `accepting` and the transition table.
     """
     ids = {start: 0}
     subsets = [start]
-    table: List[List[Optional[int]]] = [[] for _ in rows]
-    steps = [(row, _support(row), targets) for row, targets in zip(rows, table)]
+    table: List[List[Optional[int]]] = []
+    steps = []
+    for row, cuts in rows:
+        lanes = [([], cut) for cut in cuts]
+        table += [targets for targets, _ in lanes]
+        steps.append((row, _support(row), lanes))
     find = ids.get
     # the list grows while it is walked: it is the breadth-first queue
     for subset in subsets:
-        for row, support, targets in steps:
+        for row, support, lanes in steps:
             hit = subset & support
             if not hit:
-                targets.append(None)
+                for targets, _ in lanes:
+                    targets.append(None)
                 continue
-            # bits are read inline: a helper call per subset and symbol costs
-            # more than the loop on the few members a hit usually has
-            target = 0
-            while hit:
-                r = hit.bit_length() - 1
-                target |= row[r]
-                hit ^= 1 << r
-            tid = find(target)
-            if tid is None:
-                tid = ids[target] = len(subsets)
-                subsets.append(target)
-            targets.append(tid)
+            after = _union(hit, row)
+            for targets, cut in lanes:
+                target = after & cut
+                if not target:
+                    targets.append(None)
+                    continue
+                tid = find(target)
+                if tid is None:
+                    tid = ids[target] = len(subsets)
+                    subsets.append(target)
+                targets.append(tid)
     det_accepting = [sid for sid, subset in enumerate(subsets) if subset & accepting]
     return len(subsets), det_accepting, table
 
 
 def _subset_machine(alphabet: Alphabet, start: int, accepting: int, rows) -> "LabeledAutomaton":
-    """The DFA of the subset construction over per-symbol rows, whose order
-    is the alphabet's."""
+    """The DFA of the subset construction over rows with cuts."""
     count, det_accepting, table = _determinize_raw(start, accepting, rows)
-    edges = {
-        (p, s, q)
-        for s, targets in zip(alphabet.symbols, table)
-        for p, q in enumerate(targets)
-        if q is not None
-    }
-    return LabeledAutomaton(alphabet, range(count), 0, det_accepting, edges)
+    return LabeledAutomaton._from_table(alphabet, count, det_accepting, table)
 
 
 def _minimal_raw(alphabet: Alphabet, start: int, accepting: int, rows) -> "LabeledAutomaton":
@@ -196,22 +242,18 @@ def _minimal_raw(alphabet: Alphabet, start: int, accepting: int, rows) -> "Label
     in order, as `trimmed` would.
     """
     count, back_accepting, table = _determinize_raw(start, accepting, rows)
-    back_rows = [[0] * count for _ in table]
-    for row, targets in zip(back_rows, table):
-        for p, q in enumerate(targets):
-            if q is not None:
-                row[q] |= 1 << p
     back_start = reduce(or_, (1 << sid for sid in back_accepting), 0)
-    machine = _subset_machine(alphabet, back_start, 1, back_rows)
+    back = _per_symbol(_reversed_table(table, count))
+    machine = _subset_machine(alphabet, back_start, 1, back)
     machine._is_minimal = True
     return machine
 
 
 # ---------------------------------------------------------------------------
 # JSON text.  `json.dumps(doc, indent=2)` runs the pure-Python encoder, one
-# generator step per item; `_json_text` writes the same bytes and joins each
-# flat list of scalars at once, which is where machines and word lists
-# spend their length.
+# generator step per item; `_json_text` writes the same bytes, joins each
+# flat list of scalars at once and writes a list of such lists a row at a
+# time, which is where word lists and machines spend their length.
 
 
 def _float_json(value: float) -> str:
@@ -252,12 +294,45 @@ def _key_json(key) -> str:
 # the text of a scalar by its exact type; subclasses take `_scalar_json`
 _EXACT_JSON = {
     str: _quote,
-    int: int.__repr__,
+    int: repr,
     float: _float_json,
     bool: _scalar_json,
     type(None): _scalar_json,
 }
 _EXACT_KINDS = frozenset(_EXACT_JSON)
+_ROW_KINDS = frozenset((list, tuple))
+_INT_KIND = frozenset((int,))
+
+
+def _scalar_texts(values) -> Optional[Iterable[str]]:
+    """The texts of a sequence of exact scalars, or None when it holds
+    anything else."""
+    kinds = set(map(type, values))
+    if not kinds <= _EXACT_KINDS:
+        return None
+    if len(kinds) == 1:
+        return map(_EXACT_JSON[kinds.pop()], values)
+    return [_EXACT_JSON[type(item)](item) for item in values]
+
+
+def _row_texts(rows, newline: str) -> Optional[Iterable[str]]:
+    """The texts of equally long, nonempty flat lists of exact scalars whose
+    lines start at `newline`, as a machine's edges are, or None for any
+    other lists.  Each column's scalars are converted at once and every row
+    is filled into one template."""
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    columns = []
+    for column in zip(*rows):
+        # "%s" writes an exact int as its repr, so ints go in as they are
+        texts = column if set(map(type, column)) == _INT_KIND else _scalar_texts(column)
+        if texts is None:
+            return None
+        columns.append(texts)
+    inner = newline + "  "
+    template = "[" + inner + ("," + inner).join(["%s"] * len(columns)) + newline + "]"
+    return map(template.__mod__, zip(*columns))
 
 
 def _write_json(value, newline: str, out: List[str]) -> None:
@@ -267,12 +342,10 @@ def _write_json(value, newline: str, out: List[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        kinds = set(map(type, value))
-        if kinds <= _EXACT_KINDS:
-            if len(kinds) == 1:
-                texts = map(_EXACT_JSON[kinds.pop()], value)
-            else:
-                texts = [_EXACT_JSON[type(item)](item) for item in value]
+        texts = _scalar_texts(value)
+        if texts is None and set(map(type, value)) <= _ROW_KINDS:
+            texts = _row_texts(value, inner)
+        if texts is not None:
             out.append("[" + inner + ("," + inner).join(texts) + newline + "]")
             return
         separator = "[" + inner
@@ -315,6 +388,14 @@ class LabeledAutomaton:
 
     States are ints.  The machine may be nondeterministic; operations that
     need determinism say so.  Instances are immutable by convention.
+
+    A deterministic machine keeps its edges as one transition table: per
+    symbol, in alphabet order, the rank of each state's target (its index
+    in `states`), None where it has no edge.  Counting, word extraction,
+    the transfer matrix, minimization and JSON read that table; the edge
+    set, the out-maps and every other view are derived from it on first
+    use.  Machines of the subset construction are born from their table;
+    the public constructor reads the table off the edges once.
     """
 
     def __init__(self, alphabet: Alphabet, states, start: int, accepting, edges):
@@ -325,25 +406,47 @@ class LabeledAutomaton:
             raise ValueError("start state missing from state set")
         if not accepting <= states:
             raise ValueError("accepting states missing from state set")
-        out: Dict[int, Dict[object, Set[int]]] = {q: {} for q in states}
-        symbols = frozenset(alphabet.symbols)
+        order = tuple(sorted(states))
+        rank = {q: r for r, q in enumerate(order)}
+        index = {s: i for i, s in enumerate(alphabet.symbols)}
+        ranked = []
         for p, s, q in edges:
-            if p not in out or q not in out:
+            if p not in rank or q not in rank:
                 raise ValueError(f"edge {(p, s, q)} leaves the state set")
-            if s not in symbols:
+            if s not in index:
                 raise ValueError(f"edge symbol {s!r} not in alphabet")
-            out[p].setdefault(s, set()).add(q)
+            ranked.append((rank[p], index[s], rank[q]))
+        ranked.sort()
+        table: Optional[List[List[Optional[int]]]] = [[None] * len(order) for _ in index]
+        for p, s, q in ranked:
+            # the edges are distinct, so a second target is nondeterminism
+            if table[s][p] is not None:
+                table = None
+                break
+            table[s][p] = q
+        self._set(alphabet, order, start, accepting, table)
+        self._edges = edges
+        self._ranked = ranked
+
+    @classmethod
+    def _from_table(cls, alphabet: Alphabet, count: int, accepting, table) -> "LabeledAutomaton":
+        """The DFA on states 0 .. count-1, started at 0, whose transition
+        table is given; nothing is checked."""
+        machine = cls.__new__(cls)
+        machine._set(alphabet, tuple(range(count)), 0, frozenset(accepting), table)
+        return machine
+
+    def _set(self, alphabet, states, start, accepting, table) -> None:
         self.alphabet = alphabet
-        self.states = tuple(sorted(states))
+        self.states = states
         self.start = start
         self.accepting = accepting
-        self.edges = edges
-        self._out = {
-            p: {s: frozenset(ts) for s, ts in m.items()} for p, m in out.items()
-        }
-        # the edges are distinct, so the machine is deterministic exactly
-        # when it has one edge per (state, symbol) pair that has any
-        self._deterministic = sum(map(len, out.values())) == len(edges)
+        # None for a nondeterministic machine
+        self._table = table
+        # views built on first use
+        self._edges: Optional[FrozenSet[tuple]] = None
+        self._ranked: Optional[List[Tuple[int, int, int]]] = None
+        self._out: Optional[Dict[int, Dict[object, FrozenSet[int]]]] = None
         # minimized() caches its result here; a minimal machine is flagged
         # instead of pointing at itself, so no machine is left to the cycle
         # collector
@@ -354,15 +457,41 @@ class LabeledAutomaton:
 
     @property
     def is_deterministic(self) -> bool:
-        return self._deterministic
+        return self._table is not None
+
+    def _ranked_edges(self) -> List[Tuple[int, int, int]]:
+        """Every edge as (source rank, symbol rank, target rank), sorted."""
+        if self._ranked is None:
+            self._ranked = [
+                (p, s, q)
+                for p, row in enumerate(zip(*self._table))
+                for s, q in enumerate(row)
+                if q is not None
+            ]
+        return self._ranked
+
+    @property
+    def edges(self) -> FrozenSet[tuple]:
+        if self._edges is None:
+            states, symbols = self.states, self.alphabet.symbols
+            self._edges = frozenset(
+                (states[p], symbols[s], states[q]) for p, s, q in self._ranked_edges()
+            )
+        return self._edges
 
     def out_map(self, state: int) -> Dict[object, FrozenSet[int]]:
+        if self._out is None:
+            states, symbols = self.states, self.alphabet.symbols
+            out: Dict[int, Dict[object, Set[int]]] = {q: {} for q in states}
+            for p, s, q in self._ranked_edges():
+                out[states[p]].setdefault(symbols[s], set()).add(states[q])
+            self._out = {p: {s: frozenset(ts) for s, ts in m.items()} for p, m in out.items()}
         return self._out[state]
 
     def step(self, states: Iterable[int], symbol) -> FrozenSet[int]:
         nxt = set()
         for p in states:
-            nxt |= self._out[p].get(symbol, frozenset())
+            nxt |= self.out_map(p).get(symbol, frozenset())
         return frozenset(nxt)
 
     def accepts(self, word: Word) -> bool:
@@ -379,7 +508,7 @@ class LabeledAutomaton:
             raise NondeterministicAutomatonError("state_after needs a deterministic machine")
         q = self.start
         for s in word:
-            targets = self._out[q].get(s)
+            targets = self.out_map(q).get(s)
             if not targets:
                 return None
             (q,) = targets
@@ -387,46 +516,49 @@ class LabeledAutomaton:
 
     # -- transformations
 
+    def _ends(self) -> Tuple[int, int]:
+        """Masks of the start state and of the accepting states, by rank."""
+        rank = {q: r for r, q in enumerate(self.states)}
+        return 1 << rank[self.start], reduce(or_, (1 << rank[q] for q in self.accepting), 0)
+
     def _rows(self, reverse: bool):
         """(start mask, accepting mask, per-symbol rows) of this machine, or
         of its reversal, each state ranked by its index in `states`."""
-        rank = {q: i for i, q in enumerate(self.states)}
-        index = {s: i for i, s in enumerate(self.alphabet.symbols)}
-        rows = [[0] * len(rank) for _ in index]
-        for p, s, q in self.edges:
+        n = len(self.states)
+        rows = [[0] * n for _ in self.alphabet.symbols]
+        for p, s, q in self._ranked_edges():
             if reverse:
                 p, q = q, p
-            rows[index[s]][rank[p]] |= 1 << rank[q]
-        start = 1 << rank[self.start]
-        accepting = reduce(or_, (1 << rank[q] for q in self.accepting), 0)
+            rows[s][p] |= 1 << q
+        start, accepting = self._ends()
         return (accepting, start, rows) if reverse else (start, accepting, rows)
 
     def determinized(self) -> "LabeledAutomaton":
-        return _subset_machine(self.alphabet, *self._rows(reverse=False))
+        start, accepting, rows = self._rows(reverse=False)
+        return _subset_machine(self.alphabet, start, accepting, _per_symbol(rows))
 
     def trimmed(self) -> "LabeledAutomaton":
         """Trim machine for the same language, with states numbered
         breadth-first from the start; a minimal machine returns itself.
 
-        The subset construction runs over rows that keep only the states
-        that can reach acceptance.  On a deterministic machine every subset
-        holds one state, so it discovers exactly the trim part, or, for an
-        empty language, the start state alone without edges.
+        The subset construction keeps only the targets that can reach
+        acceptance.  On a deterministic machine every subset holds one
+        state, so it discovers exactly the trim part, or, for an empty
+        language, the start state alone without edges.
         """
         if self._is_minimal:
             return self
         if not self.is_deterministic:
             raise NondeterministicAutomatonError("trim needs a deterministic machine")
         start, accepting, rows = self._rows(reverse=False)
-        _, _, back_rows = self._rows(reverse=True)
-        live = reduce(or_, _layers(accepting, back_rows), 0)
-        rows = [[entry & live for entry in row] for row in rows]
-        return _subset_machine(self.alphabet, start, accepting, rows)
+        _, _, back = self._rows(reverse=True)
+        live = reduce(or_, _layers(accepting, _per_symbol(back)), 0)
+        return _subset_machine(self.alphabet, start, accepting, _per_symbol(rows, live))
 
     def is_trim(self) -> bool:
         everything = (1 << len(self.states)) - 1
         return all(
-            reduce(or_, _layers(origin, rows), 0) == everything
+            reduce(or_, _layers(origin, _per_symbol(rows)), 0) == everything
             for origin, _, rows in (self._rows(reverse=False), self._rows(reverse=True))
         )
 
@@ -441,22 +573,21 @@ class LabeledAutomaton:
         if self._minimal is None:
             if not self.is_deterministic:
                 raise NondeterministicAutomatonError("minimize needs a deterministic machine")
-            self._minimal = _minimal_raw(self.alphabet, *self._rows(reverse=True))
+            start, accepting = self._ends()
+            back = _per_symbol(_reversed_table(self._table, len(self.states)))
+            self._minimal = _minimal_raw(self.alphabet, accepting, start, back)
         return self._minimal
 
     # -- serialization
 
     def to_json_dict(self) -> dict:
-        rank = self.alphabet.index
+        states, symbols = self.states, self.alphabet.symbols
         return {
             "alphabet": self.alphabet.to_text(),
-            "states": list(self.states),
+            "states": list(states),
             "start": self.start,
             "accepting": sorted(self.accepting),
-            "edges": [
-                [p, s, q]
-                for p, s, q in sorted(self.edges, key=lambda e: (e[0], rank(e[1]), e[2]))
-            ],
+            "edges": [[states[p], symbols[s], states[q]] for p, s, q in self._ranked_edges()],
         }
 
     def to_json(self) -> str:
@@ -475,9 +606,9 @@ class LabeledAutomaton:
         for q in self.states:
             shape = "doublecircle" if q in self.accepting else "circle"
             lines.append(f"  {q} [shape={shape}];")
-        rank = self.alphabet.index
-        for p, s, q in sorted(self.edges, key=lambda e: (e[0], rank(e[1]), e[2])):
-            lines.append(f'  {p} -> {q} [label="{s}"];')
+        states, symbols = self.states, self.alphabet.symbols
+        for p, s, q in self._ranked_edges():
+            lines.append(f'  {states[p]} -> {states[q]} [label="{symbols[s]}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -497,7 +628,7 @@ class LabeledAutomaton:
     def __repr__(self):
         kind = "DFA" if self.is_deterministic else "NFA"
         return (
-            f"<{kind} {len(self.states)} states, {len(self.edges)} edges, "
+            f"<{kind} {len(self.states)} states, {len(self._ranked_edges())} edges, "
             f"{len(self.accepting)} accepting>"
         )
 
@@ -612,32 +743,34 @@ def build_automaton(
             f"automaton construction needs kmax <= {REGULAR_KMAX}, got {system.kmax}"
         )
     symbols, first, last, follows = seed_regex(tuple(system.seed), system.kmax)
-    rows = _position_rows(symbols, first, follows, system.alphabet.symbols, reverse=minimize)
+    order = system.alphabet.symbols
     if minimize:
-        return _minimal_raw(system.alphabet, last, 1, rows)
-    # No trim pass: every Glushkov position of `seed_regex` can reach
-    # acceptance, so every subset can too, and discovery is breadth-first
-    # with symbols in order, the numbering `trimmed` would give.
-    return _subset_machine(system.alphabet, 1, last, rows)
+        back = _per_symbol(_reversed_positions(symbols, first, follows, order))
+        return _minimal_raw(system.alphabet, last, 1, back)
+    # One row, the followers, whose union is formed once per subset and cut
+    # per symbol.  No trim pass: every Glushkov position of `seed_regex` can
+    # reach acceptance, so every subset can too, and discovery is
+    # breadth-first with symbols in order, the numbering `trimmed` would give.
+    follow = _followers(first, follows, len(symbols) + 1)
+    return _subset_machine(system.alphabet, 1, last, [(follow, _carriers(symbols, order))])
 
 
 def position_walk(system: DuplicationSystem) -> Callable[[Word], bool]:
     """A membership test for the language of a kmax <= 3 system that walks
     the seed's position NFA; no automaton is built.
 
-    The live positions are one mask.  Every edge into a position reads that
-    position's symbol, so a step is the union of the live positions'
-    followers, cut down to the positions that carry the symbol, as in
-    `_position_rows`.  The union is computed once per mask and remembered
-    across the words the test is given, so the walks build lazily just the
-    part of the subset DFA that they visit.  A symbol outside the alphabet,
-    like one outside the seed, leaves no position live.
+    The live positions are one mask.  A step is the union of the live
+    positions' followers, cut down to the positions that carry the symbol,
+    as in the forward subset construction of `build_automaton`.  The union
+    is formed once per mask and remembered across the words the test is
+    given, so the walks build lazily just the part of the subset DFA that
+    they visit.  A symbol outside the alphabet, like one outside the seed,
+    leaves no position live.
     """
     symbols, first, last, follows = seed_regex(tuple(system.seed), system.kmax)
     follow = _followers(first, follows, len(symbols) + 1)
-    carriers = dict.fromkeys(system.alphabet.symbols, 0)
-    for q, s in enumerate(symbols, 1):
-        carriers[s] |= 1 << q
+    order = system.alphabet.symbols
+    carriers = dict(zip(order, _carriers(symbols, order)))
     reach: Dict[int, int] = {}
 
     def accepts(word: Word) -> bool:
@@ -648,13 +781,7 @@ def position_walk(system: DuplicationSystem) -> Callable[[Word], bool]:
                 return False
             after = reach.get(mask)
             if after is None:
-                after = 0
-                live = mask
-                while live:
-                    r = live.bit_length() - 1
-                    after |= follow[r]
-                    live ^= 1 << r
-                reach[mask] = after
+                after = reach[mask] = _union(mask, follow)
             mask = after & carrier
             if not mask:
                 return False
@@ -680,22 +807,20 @@ def accepted_counts(automaton: LabeledAutomaton, max_length: int) -> List[int]:
     if max_length < 0:
         raise ValueError("length must be nonnegative")
     machine = automaton.minimized()
-    # a minimal machine numbers its states 0 .. n-1, so states index lists
-    targets = [
-        [t for ts in machine.out_map(q).values() for t in ts] for q in machine.states
-    ]
+    # a minimal machine numbers its states 0 .. n-1, so its states are their
+    # own ranks and every edge of its table is one (source, target) move
+    moves = [(p, q) for targets in machine._table for p, q in enumerate(targets) if q is not None]
     accepting = sorted(machine.accepting)
-    vec = [0] * len(targets)
+    n = len(machine.states)
+    vec = [0] * n
     vec[machine.start] = 1
-    counts = [sum(vec[q] for q in accepting)]
+    counts = [sum([vec[q] for q in accepting])]
     for _ in range(max_length):
-        nxt = [0] * len(targets)
-        for q, c in enumerate(vec):
-            if c:
-                for t in targets[q]:
-                    nxt[t] += c
+        nxt = [0] * n
+        for p, q in moves:
+            nxt[q] += vec[p]
         vec = nxt
-        counts.append(sum(vec[q] for q in accepting))
+        counts.append(sum([vec[q] for q in accepting]))
     return counts
 
 
@@ -722,22 +847,25 @@ def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set
     if max_length < 0:
         return {}
     alphabet = automaton.alphabet
-    rank = {q: r for r, q in enumerate(automaton.states)}
-    sink = len(rank)
-    edges = [(rank[p], alphabet.index(s), rank[q]) for p, s, q in automaton.edges]
-    # the transition table by rank, straight from the edges; a missing edge
-    # leads to an extra sink row that leads to itself and accepts nothing
-    table = np.full((sink + 1, len(alphabet)), sink, dtype=np.intp)
-    sources, symbols, targets = np.array(edges, dtype=np.intp).reshape(-1, 3).T
-    table[sources, symbols] = targets
-    layer = [rank[q] for q in automaton.accepting]
+    sink = len(automaton.states)
+    # the machine's table by rank, one row per state; a missing edge leads
+    # to an extra sink row that leads to itself and accepts nothing
+    table = np.array(
+        [[sink if q is None else q for q in targets] + [sink] for targets in automaton._table],
+        dtype=np.intp,
+    ).T
+    start, accepting_mask = automaton._ends()
+    start = start.bit_length() - 1
+    layer = _members(accepting_mask)
     accepting = np.zeros(sink + 1, dtype=bool)
     accepting[layer] = True
     # fewest symbols from each state to acceptance, by breadth-first search
     # backwards, as far as a prefix of at least one symbol can use it
     back: List[List[int]] = [[] for _ in range(sink)]
-    for p, _, q in edges:
-        back[q].append(p)
+    for targets in automaton._table:
+        for p, q in enumerate(targets):
+            if q is not None:
+                back[q].append(p)
     far = max_length + 1
     distance = [far] * (sink + 1)
     for d in range(max_length):
@@ -749,11 +877,11 @@ def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set
     distance = np.array(distance)
 
     out: Dict[int, Set[Word]] = {n: set() for n in range(max_length + 1)}
-    if accepting[rank[automaton.start]]:
+    if accepting[start]:
         out[0].add("" if alphabet.single_char else ())
     packing = _Packing(alphabet, max_length)
     shift = packing.shift(1)
-    states = np.array([rank[automaton.start]], dtype=np.intp)
+    states = np.array([start], dtype=np.intp)
     codes = packing.array([0])
     for n in range(1, max_length + 1):
         # (prefix, symbol) pairs whose target can still reach acceptance
@@ -784,11 +912,11 @@ def transfer_matrix(automaton: LabeledAutomaton) -> TransferMatrix:
             "transfer counts need a deterministic machine"
         )
     trim = automaton.trimmed()
-    index = {q: i for i, q in enumerate(trim.states)}
-    m = np.zeros((len(trim.states), len(trim.states)), dtype=np.int64)
-    for p, _, q in trim.edges:
-        m[index[p], index[q]] += 1
-    return TransferMatrix(trim.states, m)
+    # entry p * n + q of the flat matrix, once for every edge of the table
+    n = len(trim.states)
+    cells = [p * n + q for targets in trim._table for p, q in enumerate(targets) if q is not None]
+    m = np.bincount(np.array(cells, dtype=np.intp), minlength=n * n).astype(np.int64, copy=False)
+    return TransferMatrix(trim.states, m.reshape(n, n))
 
 
 # ---------------------------------------------------------------------------

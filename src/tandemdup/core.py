@@ -90,9 +90,12 @@ class Alphabet:
         return all(s in self._rank for s in word)
 
     def words_of_length(self, n: int) -> Iterator[Word]:
-        """All length-n words over this alphabet, in symbol-rank order."""
-        for combo in itertools.product(self.symbols, repeat=n):
-            yield self.join(combo)
+        """All length-n words over this alphabet, in symbol-rank order.
+
+        The symbols are the alphabet's own, so the products are joined
+        without `join`'s check."""
+        combos = itertools.product(self.symbols, repeat=n)
+        return map("".join, combos) if self.single_char else combos
 
     def __len__(self):
         return len(self.symbols)

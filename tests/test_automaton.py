@@ -722,12 +722,120 @@ class TestLanguageUpto:
             assert language_upto(machine, top) == prefix_language_upto(machine, top)
 
 
+def _rebuilt(machine):
+    """The same machine through the public constructor, which reads its
+    table off the edges."""
+    return LabeledAutomaton(
+        machine.alphabet, machine.states, machine.start, machine.accepting, machine.edges
+    )
+
+
+def _edge_json(machine):
+    """The JSON of a machine with its edges sorted from the edge set, as
+    `to_json` wrote it before machines kept a table."""
+    rank = machine.alphabet.index
+    return json.dumps(
+        {
+            "alphabet": machine.alphabet.to_text(),
+            "states": list(machine.states),
+            "start": machine.start,
+            "accepting": sorted(machine.accepting),
+            "edges": [
+                [p, s, q] for p, s, q in sorted(machine.edges, key=lambda e: (e[0], rank(e[1]), e[2]))
+            ],
+        },
+        indent=2,
+    )
+
+
+class TestTransitionTable:
+    """A DFA keeps one transition table; a machine born from the subset
+    construction must behave exactly as the same machine built from its
+    edges, and every reader of the table must agree with the edge set."""
+
+    @staticmethod
+    def assert_same(born, rebuilt, top):
+        assert born == rebuilt and rebuilt == born
+        assert hash(born) == hash(rebuilt)
+        assert born.is_deterministic and rebuilt.is_deterministic
+        assert born.to_json() == rebuilt.to_json() == _edge_json(rebuilt)
+        assert LabeledAutomaton.from_json(born.to_json()) == born
+        assert born.to_dot() == rebuilt.to_dot()
+        assert repr(born) == repr(rebuilt)
+        for q in born.states:
+            assert born.out_map(q) == rebuilt.out_map(q)
+        words = [w for n in range(5) for w in born.alphabet.words_of_length(n)]
+        assert [born.accepts(w) for w in words] == [rebuilt.accepts(w) for w in words]
+        assert born.minimized() == rebuilt.minimized()
+        assert born.trimmed() == rebuilt.trimmed()
+        assert born.is_trim() == rebuilt.is_trim()
+        got, want = transfer_matrix(born), transfer_matrix(rebuilt)
+        assert got.states == want.states
+        assert np.array_equal(got.matrix, want.matrix)
+        assert accepted_counts(born, top) == accepted_counts(rebuilt, top)
+        assert language_upto(born, top) == language_upto(rebuilt, top)
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_canonical_seed_sweep(self, kmax):
+        for pattern in canonical_patterns(5):
+            system = DuplicationSystem.parse("0123", pattern, kmax)
+            for minimize in (False, True):
+                machine = build_automaton(system, minimize=minimize)
+                self.assert_same(machine, _rebuilt(machine), len(pattern) + 2)
+
+    def test_random_dfas_with_sparse_and_negative_ids(self):
+        rng = random.Random(14)
+        ab = Alphabet("abc")
+        for _ in range(300):
+            ids = rng.sample(range(-50, 400), rng.randint(1, 8))
+            edges = {
+                (p, s, rng.choice(ids)) for p in ids for s in ab.symbols if rng.random() < 0.6
+            }
+            accepting = set(rng.sample(ids, rng.randint(0, min(3, len(ids)))))
+            machine = LabeledAutomaton(ab, ids, rng.choice(ids), accepting, edges)
+            # the public machine's table against references read off its edges
+            assert machine.to_json() == _edge_json(machine)
+            assert LabeledAutomaton.from_json(machine.to_json()) == machine
+            for p in machine.states:
+                want = {}
+                for source, s, q in edges:
+                    if source == p:
+                        want.setdefault(s, set()).add(q)
+                assert machine.out_map(p) == {s: frozenset(qs) for s, qs in want.items()}
+            assert machine.minimized() == moore_minimized(machine)
+            assert transfer_matrix(machine).matrix.tolist() == edge_count_matrix(machine.trimmed())
+            counts = accepted_counts(machine, 5)
+            assert counts == [len(accepted_by_scan(machine, "abc", n)) for n in range(6)]
+            assert language_upto(machine, 5) == prefix_language_upto(machine, 5)
+            # and every machine the subset construction gives it
+            for born in (machine.determinized(), machine.trimmed(), machine.minimized()):
+                self.assert_same(born, _rebuilt(born), 5)
+
+    def test_nondeterministic_machines_keep_their_edges(self):
+        ab = Alphabet("ab")
+        edges = {(5, "a", -1), (5, "a", 5), (-1, "b", 5), (5, "b", 9)}
+        nfa = LabeledAutomaton(ab, {-1, 5, 9}, 5, {9}, edges)
+        assert not nfa.is_deterministic
+        assert nfa.edges == edges
+        assert nfa.out_map(5) == {"a": frozenset({-1, 5}), "b": frozenset({9})}
+        assert nfa.to_json() == _edge_json(nfa)
+        assert LabeledAutomaton.from_json(nfa.to_json()) == nfa
+        assert nfa.accepts("ab") and nfa.accepts("aab") and not nfa.accepts("a")
+        assert _language_set(nfa.determinized(), 4) == {
+            n: accepted_by_scan(nfa, "ab", n) for n in range(5) if accepted_by_scan(nfa, "ab", n)
+        }
+
+
 class _Level(enum.IntEnum):
     LOW = 1
     HIGH = 7
 
 
 class _Name(str):
+    pass
+
+
+class _Row(list):
     pass
 
 
@@ -765,6 +873,20 @@ class TestJsonText:
             {1: "int", 2.5: "float", True: "true", False: "false", None: "null", _Level.HIGH: "enum"},
             {np.float64(1.5): 1, -0.0: 2, float("nan"): 3},
             [[0, "a", 1], [1, "b", 0]],
+            # lists of flat rows, which are written a row at a time
+            [(0, "a", 1), [1, "b", 0], (2, "c", 2)],
+            [[1.5, float("nan"), None], [-0.0, 1e16, True], [2**70, -1, False]],
+            [[0, "a"], [1, 2.5], [None, "b"]],
+            [[0, "a", 1], []],
+            [[], []],
+            [[0, "a", 1], [1, "b"]],
+            [[0, [1]], [2, 3]],
+            [[0, "a"], {"k": 1}],
+            [[0, "a"], "b"],
+            [[_Level.LOW, 1], [2, _Level.HIGH]],
+            [[_Name("x"), "y"], ["z", _Name("w")]],
+            [_Row([1, 2]), [3, 4]],
+            {"edges": [[0, "a", 1], [1, "b", 0]], "states": [0, 1]},
             [1, "mixed", 2.0, None, True, [3], {"k": ()}],
             {"outer": {"inner": {"deep": [1, [2, [3, []]]]}}},
         ],
@@ -774,7 +896,15 @@ class TestJsonText:
         assert _json_text(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize(
-        "doc", [object(), [np.int64(3)], {"set": {1, 2}}, {(1, 2): "tuple key"}, [b"bytes"]],
+        "doc",
+        [
+            object(),
+            [np.int64(3)],
+            {"set": {1, 2}},
+            {(1, 2): "tuple key"},
+            [b"bytes"],
+            [[1, 2], [np.int64(3), 4]],
+        ],
         # a bare object's repr carries its address, which would change the
         # test's name from run to run
         ids=lambda doc: "object()" if type(doc) is object else repr(doc),

@@ -1,10 +1,18 @@
 """The benchmark under `bench/` imports names from the package; each of
 them must keep resolving, so that trimming the package's exports cannot
-break the benchmark without a test failing."""
+break the benchmark without a test failing.  Its traced run replays
+`build_automaton` through public calls, which must keep giving the same
+machine."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+import pytest
+
+from tandemdup import DuplicationSystem, build_automaton
+from helpers import canonical_patterns
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -72,3 +80,24 @@ def test_every_name_the_traced_run_patches_exists():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, missing
+
+
+def _tracing_module():
+    """bench/tracing.py, imported by path: bench/ is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 3])
+def test_the_traced_build_replays_build_automaton(kmax):
+    # the traced run answers every build through `replay_build` and then
+    # checks it against `build_automaton`; both must keep giving one machine
+    replay_build = _tracing_module().replay_build
+    for pattern in canonical_patterns(5):
+        system = DuplicationSystem.parse("0123", pattern, kmax)
+        for minimize in (False, True):
+            replayed = replay_build(system, minimize)
+            assert replayed == build_automaton(system, minimize=minimize), (pattern, minimize)
+            assert replayed.to_json() == build_automaton(system, minimize=minimize).to_json()
