@@ -27,10 +27,12 @@ JSON read it, and the edge set and out-maps are derived from it when
 asked for.  The first pass of double reversal turns its table around into
 the rows of the second.
 
-The module also carries the machinery to certify that an automaton's
-language is closed under bounded duplication: every short path label into
-a state must be replayable from that state to a "superstate", a state
-whose right language contains the original one.
+The module also builds the minimal machine of the words that avoid a set
+of forbidden factors from their pattern trie, and it carries the machinery
+to certify that an automaton's language is closed under bounded
+duplication: every short path label into a state must be replayable from
+that state to a "superstate", a state whose right language contains the
+original one.
 """
 
 from __future__ import annotations
@@ -753,6 +755,37 @@ def build_automaton(
     # breadth-first with symbols in order, the numbering `trimmed` would give.
     follow = _followers(first, follows, len(symbols) + 1)
     return _subset_machine(system.alphabet, 1, last, [(follow, _carriers(symbols, order))])
+
+
+def avoidance_automaton(alphabet: Alphabet, forbidden: Iterable[Word]) -> LabeledAutomaton:
+    """Minimal DFA of the words over `alphabet` with no factor in `forbidden`.
+
+    It is built as a pattern trie (Aho and Corasick), breadth-first from the
+    empty prefix.  A state is the longest suffix of the text read that is a
+    proper prefix of a forbidden word, and every state accepts.  An edge that
+    would end a forbidden word is left out.  So the states grow with the total
+    length of the forbidden words, not exponentially in the longest one.
+    """
+    patterns = [tuple(w) for w in forbidden]
+    foreign = [s for p in patterns for s in p if s not in alphabet]
+    if foreign:
+        raise ValueError(f"forbidden symbol {foreign[0]!r} outside alphabet")
+    banned = set(patterns)
+    prefixes = sorted(
+        {p[:n] for p in patterns for n in range(len(p))} | {()},
+        key=lambda w: (len(w), [alphabet.index(s) for s in w]),
+    )
+    index = {w: i for i, w in enumerate(prefixes)}
+    table = [[None] * len(prefixes) for _ in alphabet.symbols]
+    for i, w in enumerate(prefixes):
+        for targets, s in zip(table, alphabet.symbols):
+            # every forbidden word the symbol ends is a tail, as is the next state
+            tails = [(w + (s,))[j:] for j in range(len(w) + 2)]
+            if banned.isdisjoint(tails):
+                targets[i] = next(index[t] for t in tails if t in index)
+    # the empty word is a factor of every word
+    accepting = () if () in banned else range(len(prefixes))
+    return LabeledAutomaton._from_table(alphabet, len(prefixes), accepting, table).minimized()
 
 
 def position_walk(system: DuplicationSystem) -> Callable[[Word], bool]:

@@ -9,14 +9,13 @@ radius also has a closed form depending only on gross features of the seed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from .automaton import REGULAR_KMAX, build_automaton, transfer_matrix
+from .automaton import REGULAR_KMAX, avoidance_automaton, build_automaton, transfer_matrix
 from .core import Alphabet, DuplicationSystem, Word
 from .enumeration import CountTable
 from .errors import (
@@ -238,56 +237,24 @@ def empirical_capacity(table: CountTable, base: int, window: int = 5) -> GrowthE
     return GrowthEstimate(base, ratios, window, sum(tail) / len(tail))
 
 
-_AVOIDANCE_STATE_CAP = 4096
-
-
 def avoidance_capacity(
     alphabet: Alphabet, forbidden: Iterable[Word], tol: float = 1e-6
 ) -> float:
     """Capacity of the words avoiding every forbidden factor.
 
-    Builds the sliding-window automaton whose states are the clean
-    (L-1)-windows, L the longest forbidden length, with a transition
-    deleted whenever it would complete a forbidden word.
+    The log of the spectral radius of the transfer matrix of
+    `avoidance_automaton`, the minimal pattern-trie machine of those words,
+    as `spectral_capacity` measures the duplication machine.
     """
+    if not tol >= 0:  # before the empty list's answer, as for every other list
+        raise ValueError("tolerance must be nonnegative")
     patterns = [tuple(w) for w in forbidden]
     if not patterns:
+        # the free monoid; over one symbol the log ratio would be 0 / 0
         return 1.0
     if any(len(p) < 2 for p in patterns):
         raise ValueError("forbidden words need length at least 2")
-    for p in patterns:
-        for s in p:
-            if s not in alphabet:
-                raise ValueError(f"forbidden symbol {s!r} outside alphabet")
-    window = max(len(p) for p in patterns) - 1
-    if len(alphabet) ** window > _AVOIDANCE_STATE_CAP:
-        raise ValueError(
-            f"window automaton too large: {len(alphabet)}^{window} states"
-        )
-    banned: Set[tuple] = set(patterns)
-
-    def contains_banned(t: tuple) -> bool:
-        return any(
-            t[i : i + len(p)] == p for p in banned for i in range(len(t) - len(p) + 1)
-        )
-
-    states = [
-        w
-        for w in itertools.product(alphabet.symbols, repeat=window)
-        if not contains_banned(w)
-    ]
-    index = {w: i for i, w in enumerate(states)}
-    m = np.zeros((len(states), len(states)), dtype=float)
-    for w in states:
-        for s in alphabet.symbols:
-            grown = w + (s,)
-            # w is clean, so a violation must use the fresh symbol
-            if any(grown[-len(p) :] == p for p in banned):
-                continue
-            target = grown[1:]
-            if target in index:
-                m[index[w], index[target]] += 1.0
-    rho = spectral_radius(m, tol)
+    rho = spectral_radius(transfer_matrix(avoidance_automaton(alphabet, patterns)).matrix, tol)
     if rho == 0.0:
         raise EmptyLanguageError("every long enough word hits a forbidden factor")
     return math.log(rho) / math.log(len(alphabet))

@@ -415,6 +415,36 @@ def edge_count_matrix(machine):
     return rows
 
 
+def window_graph(alphabet_text, forbidden):
+    """Transfer matrix of the sliding-window graph of the words over
+    `alphabet_text` with no factor in `forbidden`, the reference for the
+    pattern-trie machine.  With L the longest forbidden length, the states
+    are the windows of L - 1 symbols that hold no forbidden word, and a
+    window w steps to w[1:] + s unless w + s ends in a forbidden word."""
+    width = max(len(f) for f in forbidden) - 1
+    windows = []
+    for tup in itertools.product(alphabet_text, repeat=width):
+        w = "".join(tup)
+        clean = True
+        for f in forbidden:
+            if f in w:
+                clean = False
+        if clean:
+            windows.append(w)
+    index = {w: i for i, w in enumerate(windows)}
+    rows = [[0] * len(windows) for _ in windows]
+    for w in windows:
+        for s in alphabet_text:
+            grown = w + s
+            ends_forbidden = False
+            for f in forbidden:
+                if grown.endswith(f):
+                    ends_forbidden = True
+            if not ends_forbidden:
+                rows[index[w]][index[grown[1:]]] += 1
+    return rows
+
+
 def prefix_language_upto(machine, max_length):
     """Accepted words of a DFA grouped by length, one prefix at a time: the
     reference for the packed `language_upto`.  A prefix is extended only

@@ -27,8 +27,9 @@ from tandemdup import (
     verify_duplication_closure,
 )
 from tandemdup import automaton as automaton_module
-from tandemdup.automaton import _json_text, accepted_counts, position_walk
+from tandemdup.automaton import _json_text, accepted_counts, avoidance_automaton, position_walk
 from tandemdup.core import tandem_duplicate
+from tandemdup.expressiveness import witness
 from helpers import (
     accepted_by_scan,
     canonical_patterns,
@@ -402,6 +403,73 @@ class TestClosureCertificates:
             sys = DuplicationSystem.parse("012", pattern, kmax)
             machine = build_automaton(sys)
             assert verify_duplication_closure(machine, kmax).passed, (pattern, kmax)
+
+
+class TestAvoidanceAutomaton:
+    @pytest.mark.parametrize("forbidden, states", [("0123130", 7), ("01231320", 8)])
+    def test_one_state_per_proper_prefix_of_the_witness(self, forbidden, states):
+        # the sigma-4 witnesses; a window automaton would need 4^6 and 4^7 states
+        assert len(avoidance_automaton(Alphabet("0123"), [forbidden]).states) == states
+
+    def test_accepts_exactly_the_avoiding_words(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            alphabet = rng.choice(["01", "012"])
+            forbidden = [
+                "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            machine = avoidance_automaton(Alphabet(alphabet), forbidden)
+            assert machine.is_trim()
+            assert machine == moore_minimized(machine), forbidden
+            for n in range(7):
+                want = {
+                    "".join(t)
+                    for t in itertools.product(alphabet, repeat=n)
+                    if not any(f in "".join(t) for f in forbidden)
+                }
+                assert accepted_by_scan(machine, alphabet, n) == want, (forbidden, n)
+
+    def test_no_word_avoids_the_empty_word(self):
+        machine = avoidance_automaton(Alphabet("01"), ["", "11"])
+        assert not machine.accepting
+        assert not any(accepted_by_scan(machine, "01", n) for n in range(4))
+
+    def test_foreign_symbol_rejected(self):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            avoidance_automaton(Alphabet("01"), ["012"])
+
+    def test_witness_avoidance_machines_certify_closure(self):
+        # every "no" of the ladder on these seeds: the machine avoiding the
+        # witness holds the seed and is closed under duplication, so it
+        # holds the whole language
+        systems = 0
+        for alphabet in ("01", "012", "0123"):
+            for pattern in canonical_patterns(4):
+                if not set(pattern) <= set(alphabet):
+                    continue
+                for kmax in range(1, 6):
+                    system = DuplicationSystem.parse(alphabet, pattern, kmax)
+                    found = witness(system)
+                    if found is None:
+                        continue
+                    systems += 1
+                    machine = avoidance_automaton(system.alphabet, [found.word])
+                    assert machine.accepts(system.seed), (alphabet, pattern, kmax)
+                    assert verify_duplication_closure(machine, kmax).passed, (
+                        alphabet,
+                        pattern,
+                        kmax,
+                    )
+        assert systems == 242
+
+    def test_unclosed_avoidance_machine_fails_the_certificate(self):
+        # the seed avoids 02, but the words avoiding 02 are not closed under
+        # duplication: 20 doubles to 2020, which holds 02
+        system = DuplicationSystem.parse("012", "011112", 4)
+        machine = avoidance_automaton(system.alphabet, ["02"])
+        assert machine.accepts(system.seed)
+        assert not verify_duplication_closure(machine, 4).passed
 
 
 @pytest.mark.parametrize("kmax", [1, 2, 3])

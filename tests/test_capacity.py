@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from tandemdup import (
     exact_capacity,
     spectral_capacity,
     spectral_radius,
+    transfer_matrix,
 )
-from helpers import canonical_patterns
+from tandemdup.automaton import avoidance_automaton
+from helpers import canonical_patterns, window_graph
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -153,6 +156,9 @@ class TestAvoidance:
     def test_nothing_forbidden(self):
         assert avoidance_capacity(Alphabet("01"), []) == 1.0
 
+    def test_nothing_forbidden_over_one_symbol(self):
+        assert avoidance_capacity(Alphabet("0"), []) == 1.0
+
     def test_forbidding_everything(self):
         with pytest.raises(EmptyLanguageError):
             avoidance_capacity(Alphabet("01"), ["00", "01", "10", "11"])
@@ -174,6 +180,38 @@ class TestAvoidance:
     def test_foreign_symbols_rejected(self):
         with pytest.raises(ValueError):
             avoidance_capacity(Alphabet("01"), ["12"])
+
+
+def _eigen_radius(matrix):
+    m = np.asarray(matrix, dtype=float)
+    return float(max(abs(np.linalg.eigvals(m)))) if m.size else 0.0
+
+
+def test_trie_machine_has_the_window_graph_radius():
+    # a nonnegative integer matrix has radius 0 or at least 1, so 0.5
+    # separates the empty languages without trusting eigvals near 0
+    rng = random.Random(15)
+    empty = 0
+    for _ in range(200):
+        alphabet = rng.choice(["01", "012", "0123"])
+        forbidden = [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(2, 5)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        case = (alphabet, forbidden)
+        window = _eigen_radius(window_graph(alphabet, forbidden))
+        machine = avoidance_automaton(Alphabet(alphabet), forbidden)
+        trie = _eigen_radius(transfer_matrix(machine).matrix)
+        if window < 0.5:
+            empty += 1
+            assert trie < 0.5, case
+            with pytest.raises(EmptyLanguageError):
+                avoidance_capacity(Alphabet(alphabet), forbidden)
+        else:
+            assert abs(trie - window) < 1e-9, case
+            avoidance_capacity(Alphabet(alphabet), forbidden)
+    # the sweep reaches both sides
+    assert 0 < empty < 200
 
 
 class TestEmpirical:

@@ -230,6 +230,13 @@ class TestAvoid:
         )
         assert abs(doc["value"] - 0.914838) < 1e-4
 
+    def test_long_sigma4_witness_is_answered(self, capsys):
+        # the pattern-trie machine has 8 states; numpy's eigenvalues give
+        # 0.999989
+        doc = run_json(capsys, "avoid", "--alphabet", "0123", "--forbid", "01231320")
+        assert doc["forbidden"] == ["01231320"]
+        assert abs(doc["value"] - 0.999989) < 1e-4
+
 
 class TestRegularEnginesMatchTheSearches:
     """At kmax <= 3 the automaton and first-square deletion answer `count`,
@@ -362,8 +369,9 @@ class TestExitCodes:
         [
             ["avoid", "--alphabet", "012", "--forbid", "210", "--tolerance", "-1e-6"],
             ["capacity", *SYS3, "--numeric", "--tolerance", "-1e-6"],
+            ["avoid", "--alphabet", "012", "--tolerance", "-1e-6"],
         ],
-        ids=["avoid", "capacity-numeric"],
+        ids=["avoid", "capacity-numeric", "avoid-nothing-forbidden"],
     )
     def test_negative_exponent_tolerance_reaches_its_check(self, capsys, argv):
         assert main(argv) == 2
