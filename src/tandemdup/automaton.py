@@ -12,20 +12,20 @@ the forward subset construction.
 Both steps run on Python-int bitmasks.  The position construction keeps
 first and last positions as masks and records each follow link once, as a
 pair of masks.  One subset construction serves the forward DFA, the two
-passes of double reversal and `LabeledAutomaton.determinized` and
-`trimmed`: NFA states are ranked by their index in sorted order, a subset
-is one int keyed as such, and the edges come as rows with cuts.  The
-forward DFA reads one row, the followers of each position, so a subset's
-union of followers is formed once and cut per symbol by the positions that
-read it; `position_walk` forms the same union lazily, one mask at a time.
+passes of double reversal and `LabeledAutomaton.determinized`: NFA states
+are ranked by their index in sorted order, a subset is one int keyed as
+such, and the edges come as rows with cuts.  The forward DFA reads one
+row, the followers of each position, so a subset's union of followers is
+formed once and cut per symbol by the positions that read it;
+`position_walk` forms the same union lazily, one mask at a time.
 Reversals read one row per symbol.
 
 The subset construction hands its transition table (per symbol, the target
 of each state) straight to the machine it builds, and that table is the
-machine: minimization, counting, word extraction, the transfer matrix and
-JSON read it, and the edge set and out-maps are derived from it when
-asked for.  The first pass of double reversal turns its table around into
-the rows of the second.
+machine: trimming, minimization, counting, word extraction, the transfer
+matrix, the closure certificate and JSON read it, and the edge set and
+out-maps are derived from it when asked for.  The first pass of double
+reversal turns its table around into the rows of the second.
 
 The module also builds the minimal machine of the words that avoid a set
 of forbidden factors from their pattern trie, and it carries the machinery
@@ -37,9 +37,9 @@ original one.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -130,18 +130,18 @@ def _reversed_positions(symbols, first: int, follows, symbol_order) -> List[List
 # mask of its successors, and each cut of a row masks out the successors
 # under one symbol; read in order, the cuts follow the alphabet.  A position
 # NFA has one row, its followers, cut by each symbol's carrier.  Any other
-# NFA has one row per symbol, cut by `_ALL` or by the ranks that are kept.
-# A DFA comes out as a transition table: per symbol, the target id of each
-# state, None where it has no edge.  Elsewhere states are ints and edges
-# are (source, symbol, target) triples.
+# NFA has one row per symbol, cut by `_ALL`.  A DFA comes out as a
+# transition table: per symbol, the target id of each state, None where it
+# has no edge.  Elsewhere states are ints and edges are (source, symbol,
+# target) triples.
 
 # the cut that keeps every successor
 _ALL = -1
 
 
-def _per_symbol(rows: List[List[int]], cut: int = _ALL):
-    """Per-symbol rows, each with its one cut."""
-    return [(row, [cut]) for row in rows]
+def _per_symbol(rows: List[List[int]]):
+    """Per-symbol rows, each with the one cut that keeps everything."""
+    return [(row, [_ALL]) for row in rows]
 
 
 def _support(row: List[int]) -> int:
@@ -161,21 +161,27 @@ def _reversed_table(table, n: int) -> List[List[int]]:
     return rows
 
 
-def _layers(mask: int, rows) -> List[int]:
-    """Breadth-first layers along the rows from the ranks of `mask`: layer
-    d masks the ranks first reached after d steps, so their OR is
-    everything reachable."""
-    layers = []
-    seen = 0
-    while mask:
-        layers.append(mask)
-        seen |= mask
-        after = 0
-        for row, cuts in rows:
-            reached = _union(mask, row)
-            after |= reduce(or_, (reached & cut for cut in cuts), 0)
-        mask = after & ~seen
-    return layers
+def _distances(table, accepting: List[int]) -> List[Optional[int]]:
+    """Per rank of a DFA's transition table, the fewest symbols that lead
+    from it to one of the `accepting` ranks, None where none does: one
+    breadth-first search backwards from them."""
+    n = len(table[0])
+    back: List[List[int]] = [[] for _ in range(n)]
+    for targets in table:
+        for p, q in enumerate(targets):
+            if q is not None:
+                back[q].append(p)
+    distance: List[Optional[int]] = [None] * n
+    for q in accepting:
+        distance[q] = 0
+    queue = list(accepting)  # the breadth-first queue, walked while it grows
+    for q in queue:
+        d = distance[q] + 1
+        for p in back[q]:
+            if distance[p] is None:
+                distance[p] = d
+                queue.append(p)
+    return distance
 
 
 def _determinize_raw(start: int, accepting: int, rows):
@@ -508,65 +514,76 @@ class LabeledAutomaton:
         """Deterministic walk; None once a symbol has no edge."""
         if not self.is_deterministic:
             raise NondeterministicAutomatonError("state_after needs a deterministic machine")
-        q = self.start
+        end = self._walk(bisect_left(self.states, self.start), word)
+        return None if end is None else self.states[end]
+
+    def _walk(self, rank: int, word: Word) -> Optional[int]:
+        """The rank that `word` leads to from `rank` along the table; None
+        once a symbol has no edge or lies outside the alphabet."""
+        rows = dict(zip(self.alphabet.symbols, self._table))
         for s in word:
-            targets = self.out_map(q).get(s)
-            if not targets:
+            rank = rows[s][rank] if s in rows else None
+            if rank is None:
                 return None
-            (q,) = targets
-        return q
+        return rank
 
     # -- transformations
 
-    def _ends(self) -> Tuple[int, int]:
-        """Masks of the start state and of the accepting states, by rank."""
-        rank = {q: r for r, q in enumerate(self.states)}
-        return 1 << rank[self.start], reduce(or_, (1 << rank[q] for q in self.accepting), 0)
+    def _ends(self) -> Tuple[int, List[int]]:
+        """Rank of the start state and ranks of the accepting states."""
+        rank = partial(bisect_left, self.states)
+        return rank(self.start), list(map(rank, self.accepting))
 
-    def _rows(self, reverse: bool):
-        """(start mask, accepting mask, per-symbol rows) of this machine, or
-        of its reversal, each state ranked by its index in `states`."""
+    def determinized(self) -> "LabeledAutomaton":
         n = len(self.states)
         rows = [[0] * n for _ in self.alphabet.symbols]
         for p, s, q in self._ranked_edges():
-            if reverse:
-                p, q = q, p
             rows[s][p] |= 1 << q
         start, accepting = self._ends()
-        return (accepting, start, rows) if reverse else (start, accepting, rows)
-
-    def determinized(self) -> "LabeledAutomaton":
-        start, accepting, rows = self._rows(reverse=False)
-        return _subset_machine(self.alphabet, start, accepting, _per_symbol(rows))
+        accepting_mask = reduce(or_, (1 << r for r in accepting), 0)
+        return _subset_machine(self.alphabet, 1 << start, accepting_mask, _per_symbol(rows))
 
     def trimmed(self) -> "LabeledAutomaton":
         """Trim machine for the same language, with states numbered
-        breadth-first from the start; a minimal machine returns itself.
-
-        The subset construction keeps only the targets that can reach
-        acceptance.  On a deterministic machine every subset holds one
-        state, so it discovers exactly the trim part, or, for an empty
-        language, the start state alone without edges.
-        """
+        breadth-first from the start, symbols in order; a minimal machine
+        returns itself.  For an empty language it is the start alone,
+        without edges: the minimal machine, which is trim."""
         if self._is_minimal:
             return self
         if not self.is_deterministic:
             raise NondeterministicAutomatonError("trim needs a deterministic machine")
-        start, accepting, rows = self._rows(reverse=False)
-        _, _, back = self._rows(reverse=True)
-        live = reduce(or_, _layers(accepting, _per_symbol(back)), 0)
-        return _subset_machine(self.alphabet, start, accepting, _per_symbol(rows, live))
+        start, accepting = self._ends()
+        live = _distances(self._table, accepting)
+        # the new id of each rank, None until it is reached and for every
+        # rank that cannot reach acceptance, a dead start among them
+        number: List[Optional[int]] = [None] * len(self.states)
+        if live[start] is not None:
+            number[start] = 0
+        order = [start]  # the breadth-first queue, walked while it grows
+        for p in order:
+            for targets in self._table:
+                q = targets[p]
+                if q is not None and number[q] is None and live[q] is not None:
+                    number[q] = len(order)
+                    order.append(q)
+        table = [
+            [None if q is None else number[q] for q in map(targets.__getitem__, order)]
+            for targets in self._table
+        ]
+        kept = [number[q] for q in accepting if number[q] is not None]
+        return LabeledAutomaton._from_table(self.alphabet, len(order), kept, table)
 
     def is_trim(self) -> bool:
-        everything = (1 << len(self.states)) - 1
-        return all(
-            reduce(or_, _layers(origin, _per_symbol(rows)), 0) == everything
-            for origin, _, rows in (self._rows(reverse=False), self._rows(reverse=True))
-        )
+        """Does trimming keep every state and every edge?"""
+        trim = self.trimmed()
+        missing = [sum(targets.count(None) for targets in m._table) for m in (self, trim)]
+        return len(trim.states) == len(self.states) and missing[0] == missing[1]
 
     def minimized(self) -> "LabeledAutomaton":
         """Minimal trim machine for the same language, by double reversal,
-        with states numbered breadth-first from the start.
+        with states numbered breadth-first from the start.  For an empty
+        language that is the start state alone, without edges, as `trimmed`
+        gives it.
 
         Computed once per machine; a minimal machine returns itself.
         """
@@ -576,8 +593,9 @@ class LabeledAutomaton:
             if not self.is_deterministic:
                 raise NondeterministicAutomatonError("minimize needs a deterministic machine")
             start, accepting = self._ends()
+            back_start = reduce(or_, (1 << r for r in accepting), 0)
             back = _per_symbol(_reversed_table(self._table, len(self.states)))
-            self._minimal = _minimal_raw(self.alphabet, accepting, start, back)
+            self._minimal = _minimal_raw(self.alphabet, back_start, 1 << start, back)
         return self._minimal
 
     # -- serialization
@@ -863,6 +881,17 @@ def count_accepted(automaton: LabeledAutomaton, n: int) -> int:
     return accepted_counts(automaton, n)[n]
 
 
+def _completed(automaton: LabeledAutomaton) -> Tuple[np.ndarray, np.ndarray]:
+    """A DFA's table by rank as an array, one row of targets per state, and
+    the acceptance of each state, with one more state for a sink: a missing
+    edge leads to the sink, which leads to itself and accepts nothing."""
+    sink = len(automaton.states)
+    rows = [[sink if q is None else q for q in targets] + [sink] for targets in automaton._table]
+    accepting = np.zeros(sink + 1, dtype=bool)
+    accepting[automaton._ends()[1]] = True
+    return np.array(rows, dtype=np.intp).T, accepting
+
+
 def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set[Word]]:
     """Accepted words grouped by length, read off level by level.
 
@@ -880,34 +909,13 @@ def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set
     if max_length < 0:
         return {}
     alphabet = automaton.alphabet
-    sink = len(automaton.states)
-    # the machine's table by rank, one row per state; a missing edge leads
-    # to an extra sink row that leads to itself and accepts nothing
-    table = np.array(
-        [[sink if q is None else q for q in targets] + [sink] for targets in automaton._table],
-        dtype=np.intp,
-    ).T
-    start, accepting_mask = automaton._ends()
-    start = start.bit_length() - 1
-    layer = _members(accepting_mask)
-    accepting = np.zeros(sink + 1, dtype=bool)
-    accepting[layer] = True
-    # fewest symbols from each state to acceptance, by breadth-first search
-    # backwards, as far as a prefix of at least one symbol can use it
-    back: List[List[int]] = [[] for _ in range(sink)]
-    for targets in automaton._table:
-        for p, q in enumerate(targets):
-            if q is not None:
-                back[q].append(p)
+    table, accepting = _completed(automaton)
+    start, ranks = automaton._ends()
+    # fewest symbols from each state to acceptance; the sink, like a state
+    # that cannot reach acceptance, lies beyond every length
     far = max_length + 1
-    distance = [far] * (sink + 1)
-    for d in range(max_length):
-        if not layer:
-            break
-        for q in layer:
-            distance[q] = d
-        layer = {p for q in layer for p in back[q] if distance[p] == far}
-    distance = np.array(distance)
+    distance = [far if d is None else d for d in _distances(automaton._table, ranks)]
+    distance = np.array(distance + [far])
 
     out: Dict[int, Set[Word]] = {n: set() for n in range(max_length + 1)}
     if accepting[start]:
@@ -956,30 +964,21 @@ def transfer_matrix(automaton: LabeledAutomaton) -> TransferMatrix:
 # closure certification
 
 
-def right_language_subset(automaton: LabeledAutomaton, lower: int, upper: int) -> bool:
-    """Is everything accepted from `lower` also accepted from `upper`?
-
-    Exact inclusion through a pairwise subset walk, so it works for
-    nondeterministic machines as well.
-    """
-    accepting = automaton.accepting
-    start = (frozenset({lower}), frozenset({upper}))
-    seen = {start}
-    stack = [start]
-    while stack:
-        left, right = stack.pop()
-        if (left & accepting) and not (right & accepting):
-            return False
-        for s in automaton.alphabet.symbols:
-            left2 = automaton.step(left, s)
-            if not left2:
-                continue
-            right2 = automaton.step(right, s)
-            pair = (left2, right2)
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-    return True
+def _inclusion(automaton: LabeledAutomaton) -> np.ndarray:
+    """included[p, q]: is everything accepted from rank p also accepted
+    from rank q?  Over the ranks of a DFA and the sink of its completed
+    table.  It is the greatest fixpoint of two demands: an accepting p
+    needs an accepting q, and every symbol must lead p and q into an
+    included pair.  Each round drops the pairs some symbol leads out."""
+    table, accepting = _completed(automaton)
+    included = ~accepting[:, None] | accepting[None, :]
+    while True:
+        kept = included.copy()
+        for targets in table.T:
+            kept &= included[np.ix_(targets, targets)]
+        if np.array_equal(kept, included):
+            return included
+        included = kept
 
 
 VERDICT_LABEL_SETS = "label-sets"
@@ -1060,50 +1059,47 @@ def verify_duplication_closure(
     u, land in a superstate, and finish r from there.  Labels that cycle
     straight back to u satisfy this with u itself; the rest need an
     explicit superstate target.
+
+    The machine must be a trim DFA: `is_trim` refuses an NFA.
     """
     if not automaton.is_trim():
         raise ValueError("closure certification expects a trim automaton")
+    states, symbols = automaton.states, automaton.alphabet.symbols
 
-    # arriving[j][q]: labels of the length-j paths ending in q
-    arriving: Dict[int, Dict[int, Set[tuple]]] = {1: defaultdict(set)}
-    for p, s, q in automaton.edges:
-        arriving[1][q].add((s,))
-    for j in range(2, kmax + 1):
-        arriving[j] = defaultdict(set)
-        for q, labels in arriving[j - 1].items():
-            for s, targets in automaton.out_map(q).items():
-                for r in targets:
-                    arriving[j][r].update(label + (s,) for label in labels)
+    # arriving[j][q]: labels of the length-j paths ending in rank q
+    arriving = [[{()} for _ in states]]
+    for j in range(kmax):
+        after: List[Set[tuple]] = [set() for _ in states]
+        for p, s, q in automaton._ranked_edges():
+            symbol = (symbols[s],)
+            after[q].update(label + symbol for label in arriving[j][p])
+        arriving.append(after)
 
-    inclusion_cache: Dict[Tuple[int, int], bool] = {}
-
-    def is_superstate(lower: int, upper: int) -> bool:
-        key = (lower, upper)
-        if key not in inclusion_cache:
-            inclusion_cache[key] = right_language_subset(automaton, lower, upper)
-        return inclusion_cache[key]
-
+    # computed once, when some label does not cycle
+    included: Optional[np.ndarray] = None
     join = automaton.alphabet.join
     checks: List[ClosureCheck] = []
-    for u in automaton.states:
+    for u, state in enumerate(states):
         for j in range(1, kmax + 1):
-            # labels that do not cycle at u, with the states they reach from u
+            # labels that do not cycle at u, with the ranks they reach from u
             offending = []
             for label in sorted(arriving[j][u]):
-                ends = reduce(automaton.step, label, frozenset({u}))
-                if u not in ends:
-                    offending.append((label, ends))
+                end = automaton._walk(u, label)
+                if end != u:
+                    offending.append((label, end))
             if not offending:
-                checks.append(ClosureCheck(u, j, VERDICT_LABEL_SETS))
+                checks.append(ClosureCheck(state, j, VERDICT_LABEL_SETS))
                 continue
+            if included is None:
+                included = _inclusion(automaton)
             fallback = []
             counterexample = None
-            for label, ends in offending:
-                if any(is_superstate(u, q) for q in ends):
+            for label, end in offending:
+                if end is not None and included[u, end]:
                     fallback.append(join(label))
                 else:
                     counterexample = join(label)
                     break
             verdict = VERDICT_SUPERSTATE if counterexample is None else VERDICT_FAIL
-            checks.append(ClosureCheck(u, j, verdict, tuple(fallback), counterexample))
+            checks.append(ClosureCheck(state, j, verdict, tuple(fallback), counterexample))
     return ClosureCertificate(kmax, tuple(checks))

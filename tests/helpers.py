@@ -15,7 +15,6 @@ from tandemdup import (
     ClosureCertificate,
     ClosureCheck,
     LabeledAutomaton,
-    right_language_subset,
 )
 
 
@@ -517,6 +516,33 @@ def moore_minimized(machine):
         {block[q] for q in a.accepting},
         {(block[p], s, block[q]) for p, s, q in a.edges},
     )
+
+
+def right_language_subset(automaton, lower, upper):
+    """Is everything accepted from `lower` also accepted from `upper`?
+
+    Exact inclusion through a pairwise subset walk, one pair of state sets
+    at a time, for cross-checking the library's inclusion relation; it
+    works for nondeterministic machines as well.
+    """
+    accepting = automaton.accepting
+    start = (frozenset({lower}), frozenset({upper}))
+    seen = {start}
+    stack = [start]
+    while stack:
+        left, right = stack.pop()
+        if (left & accepting) and not (right & accepting):
+            return False
+        for s in automaton.alphabet.symbols:
+            left2 = automaton.step(left, s)
+            if not left2:
+                continue
+            right2 = automaton.step(right, s)
+            pair = (left2, right2)
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return True
 
 
 def path_table_certificate(automaton, kmax):

@@ -21,7 +21,6 @@ from tandemdup import (
     count_words,
     language_upto,
     regex_to_nfa,
-    right_language_subset,
     seed_regex,
     transfer_matrix,
     verify_duplication_closure,
@@ -38,6 +37,7 @@ from helpers import (
     naive_closure,
     path_table_certificate,
     prefix_language_upto,
+    right_language_subset,
     seed_expression,
     set_determinize,
     set_glushkov,
@@ -295,28 +295,77 @@ def test_transfer_matrix_counts_edges(ternary_automaton):
     assert tm.matrix.sum(axis=1).max() <= 3
 
 
+def _assert_inclusion_matches_the_walk(machine):
+    included = automaton_module._inclusion(machine)
+    n = len(machine.states)
+    assert included.shape == (n + 1, n + 1)
+    # the sink's right language is empty: below everything, above only the
+    # states that accept nothing
+    assert included[n].all()
+    for (u, p), (v, q) in itertools.product(enumerate(machine.states), repeat=2):
+        assert included[u, v] == right_language_subset(machine, p, q), (machine, p, q)
+
+
+def _random_trim_dfa(rng, alphabet):
+    """A random trim DFA whose state ids, drawn from -50..400, are not in
+    the order of its breadth-first numbering."""
+    size = rng.randint(1, 6)
+    edges = {
+        (p, s, rng.randrange(size))
+        for p in range(size)
+        for s in alphabet.symbols
+        if rng.random() < 0.6
+    }
+    accepting = rng.sample(range(size), rng.randint(1, size))
+    trim = LabeledAutomaton(alphabet, range(size), 0, accepting, edges).trimmed()
+    ids = dict(zip(trim.states, rng.sample(range(-50, 401), len(trim.states))))
+    return LabeledAutomaton(
+        alphabet,
+        ids.values(),
+        ids[trim.start],
+        {ids[q] for q in trim.accepting},
+        {(ids[p], s, ids[q]) for p, s, q in trim.edges},
+    )
+
+
 class TestRightLanguageOrder:
+    """`_inclusion` is the greatest fixpoint on the table; the pairwise
+    subset walk `right_language_subset` is its reference."""
+
     def test_reflexive(self, ternary_automaton):
-        for q in ternary_automaton.states:
-            assert right_language_subset(ternary_automaton, q, q)
+        included = automaton_module._inclusion(ternary_automaton)
+        assert included.diagonal().all()
 
     def test_claimed_inclusions_hold_on_bounded_languages(self, ternary_automaton):
         a = ternary_automaton
+        included = automaton_module._inclusion(a)
         suffixes = {}
         for q in a.states:
             from_q = LabeledAutomaton(a.alphabet, a.states, q, a.accepting, a.edges)
             lang = language_upto(from_q, 8)
             suffixes[q] = set().union(*lang.values()) if lang else set()
-        for u in a.states:
-            for v in a.states:
-                if right_language_subset(a, u, v):
-                    assert suffixes[u] <= suffixes[v], (u, v)
+        for u, v in itertools.product(range(len(a.states)), repeat=2):
+            if included[u, v]:
+                assert suffixes[a.states[u]] <= suffixes[a.states[v]], (u, v)
 
     def test_accepting_not_below_start(self, ternary_automaton):
         # the accepting side holds the empty word, the start does not
         a = ternary_automaton
+        included = automaton_module._inclusion(a)
         q = a.state_after("012")
-        assert not right_language_subset(a, q, a.start)
+        assert not included[a.states.index(q), a.states.index(a.start)]
+
+    def test_minimal_canonical_machines_match_the_walk(self):
+        for kmax in (1, 2, 3):
+            for pattern in canonical_patterns(4):
+                alphabet = "0123"[: int(max(pattern)) + 1]
+                system = DuplicationSystem.parse(alphabet, pattern, kmax)
+                _assert_inclusion_matches_the_walk(build_automaton(system, minimize=True))
+
+    def test_random_trim_dfas_match_the_walk(self):
+        rng = random.Random(16)
+        for _ in range(200):
+            _assert_inclusion_matches_the_walk(_random_trim_dfa(rng, Alphabet("cab")))
 
 
 class TestClosureCertificates:
@@ -392,9 +441,44 @@ class TestClosureCertificates:
         verdicts = set()
         for machine in machines:
             for kmax in (1, 2, 3):
+                if not machine.is_deterministic:
+                    with pytest.raises(NondeterministicAutomatonError):
+                        verify_duplication_closure(machine, kmax)
+                    with pytest.raises(NondeterministicAutomatonError):
+                        machine.is_trim()
+                    continue
                 cert = verify_duplication_closure(machine, kmax)
                 assert cert.to_json_dict() == path_table_certificate(machine, kmax).to_json_dict()
                 verdicts |= {c.verdict for c in cert.checks}
+        assert verdicts == {VERDICT_LABEL_SETS, VERDICT_SUPERSTATE, VERDICT_FAIL}
+
+    @pytest.mark.parametrize("text", ["ba", "cab", "2,10,1"])
+    def test_sparse_ids_and_unsorted_symbols_match_the_path_table(self, text):
+        # neither the state ids nor the symbols are in rank order: the
+        # certificate walks ranks, but reports ids and sorts labels by text
+        rng = random.Random(16)
+        alphabet = Alphabet.parse(text)
+        letters = alphabet.symbols + ("z",)
+        verdicts = set()
+        for _ in range(69):
+            machine = _random_trim_dfa(rng, alphabet)
+            assert machine.is_trim()
+            for kmax in (1, 2, 3):
+                cert = verify_duplication_closure(machine, kmax)
+                assert cert.to_json_dict() == path_table_certificate(machine, kmax).to_json_dict()
+                for check in cert.checks:
+                    assert list(check.fallback_labels) == sorted(check.fallback_labels)
+                verdicts |= {c.verdict for c in cert.checks}
+            for n in range(4):
+                for letters_read in itertools.product(letters, repeat=n):
+                    word = "".join(letters_read) if alphabet.single_char else letters_read
+                    q = machine.start
+                    for s in word:
+                        targets = machine.out_map(q).get(s) if q is not None else None
+                        q = next(iter(targets)) if targets else None
+                    assert machine.state_after(word) == q, (machine, word)
+                    if "z" in letters_read:
+                        assert machine.state_after(word) is None
         assert verdicts == {VERDICT_LABEL_SETS, VERDICT_SUPERSTATE, VERDICT_FAIL}
 
     @pytest.mark.parametrize("kmax", [1, 2, 3])
@@ -434,6 +518,12 @@ class TestAvoidanceAutomaton:
         machine = avoidance_automaton(Alphabet("01"), ["", "11"])
         assert not machine.accepting
         assert not any(accepted_by_scan(machine, "01", n) for n in range(4))
+        # the empty language is closed under duplication
+        assert machine.is_trim()
+        for kmax in (1, 2, 3):
+            cert = verify_duplication_closure(machine, kmax)
+            assert cert.passed
+            assert cert.to_json_dict() == path_table_certificate(machine, kmax).to_json_dict()
 
     def test_foreign_symbol_rejected(self):
         with pytest.raises(ValueError, match="outside alphabet"):
@@ -455,6 +545,7 @@ class TestAvoidanceAutomaton:
                         continue
                     systems += 1
                     machine = avoidance_automaton(system.alphabet, [found.word])
+                    _assert_inclusion_matches_the_walk(machine)
                     assert machine.accepts(system.seed), (alphabet, pattern, kmax)
                     assert verify_duplication_closure(machine, kmax).passed, (
                         alphabet,
@@ -670,9 +761,8 @@ class TestBitmaskSubsetConstruction:
 
 
 class TestTrim:
-    """`trimmed` is the subset construction over rows cut down to the
-    states that can reach acceptance; `set_trim` is the plain-loop
-    reference."""
+    """`trimmed` is a backward search from acceptance and a forward
+    numbering on the table; `set_trim` is the plain-loop reference."""
 
     def test_empty_language_trims_to_the_minimal_machine(self):
         m = LabeledAutomaton(Alphabet("ab"), {0}, 0, set(), {(0, "a", 0)})
@@ -706,7 +796,7 @@ class TestTrim:
             else:
                 empty += 1
                 assert trim == machine.minimized() == LabeledAutomaton(ab, {0}, 0, set(), set())
-                assert not machine.is_trim()
+                assert machine.is_trim() == (len(machine.states) == 1 and not machine.edges)
             if i % 5 == 0:
                 words = language_upto(machine, 4)
                 assert words == {n: accepted_by_scan(machine, "abc", n) for n in range(5)}
