@@ -7,18 +7,27 @@ determinizes that.  Repeated seed symbols need no special care: Glushkov
 states are expression positions, so two occurrences of one symbol stay
 apart as states while sharing their edge label.  The minimal machine comes
 straight from the NFA by double reversal (Brzozowski), which never builds
-the forward subset construction.
+the forward subset construction.  A forward machine of `build_automaton`
+keeps the reversal of the NFA it came from, so its `minimized()` takes the
+same route instead of reversing its own, much larger, table.
 
-Both steps run on Python-int bitmasks.  The position construction keeps
-first and last positions as masks and records each follow link once, as a
-pair of masks.  One subset construction serves the forward DFA, the two
-passes of double reversal and `LabeledAutomaton.determinized`: NFA states
-are ranked by their index in sorted order, a subset is one int keyed as
-such, and the edges come as rows with cuts.  The forward DFA reads one
-row, the followers of each position, so a subset's union of followers is
-formed once and cut per symbol by the positions that read it;
-`position_walk` forms the same union lazily, one mask at a time.
-Reversals read one row per symbol.
+Both steps run on Python-int bitmasks.  The position construction is
+compiled: the parts of the expression, a head and the stage each further
+seed symbol adds, made of runs, interleaved pairs and three-symbol blocks,
+are turned once, at import, into masks of each position's followers and
+predecessors relative to the part, and a seed's rows are these masks
+shifted into place (`_layout`).  One subset construction serves the
+forward DFA, the two passes of double reversal and
+`LabeledAutomaton.determinized`: NFA states are ranked by their index in
+sorted order, a subset is one int keyed as such, and the edges come as
+rows with cuts.  The forward DFA reads one row, the followers of each
+position, so a subset's union of followers is formed once and cut per
+symbol by the positions that read it; `position_walk` forms the same union
+lazily, one mask at a time.  Reversals read one row per symbol, and many
+subsets meet such a row in the same members, so each per-symbol row
+remembers the target of every such hit.  The followers row keeps no such
+memo: every position has followers, so there the hit is the whole subset,
+which never comes twice.
 
 The subset construction hands its transition table (per symbol, the target
 of each state) straight to the machine it builds, and that table is the
@@ -102,22 +111,14 @@ def _carriers(symbols, symbol_order) -> List[int]:
     return carriers
 
 
-def _reversed_positions(symbols, first: int, follows, symbol_order) -> List[List[int]]:
-    """Per-symbol rows of the position NFA's reversal.  Every edge into a
-    position reads that position's symbol, so the row of symbol s sends
-    each position that carries s back to its predecessors, the start state
-    among them for the first positions."""
-    n = len(symbols) + 1
+def _predecessor_rows(symbols, pred: List[int], symbol_order) -> List[List[int]]:
+    """Per-symbol rows of the position NFA's reversal, from the mask of the
+    predecessors of each state.  Every edge into a position reads that
+    position's symbol, so the row of symbol s sends each position that
+    carries s back to its predecessors, the start state among them for the
+    first positions."""
     index = {s: i for i, s in enumerate(symbol_order)}
-    pred = [0] * n
-    for q in _members(first):
-        pred[q] = 1
-    for last, firsts in follows:
-        while firsts:
-            q = firsts.bit_length() - 1
-            pred[q] |= last
-            firsts ^= 1 << q
-    rows = [[0] * n for _ in symbol_order]
+    rows = [[0] * len(pred) for _ in symbol_order]
     for q, s in enumerate(symbols, 1):
         rows[index[s]][q] = pred[q]
     return rows
@@ -196,6 +197,12 @@ def _determinize_raw(start: int, accepting: int, rows):
     result is stable for a fixed symbol order and does not depend on how
     the NFA's states are ranked.  Returns the number of states, the ids of
     the subsets that meet `accepting` and the transition table.
+
+    On a per-symbol row (the one cut `_ALL`) many subsets share their
+    support part, the hit, so such a row remembers the target id of each
+    hit and forms its union once.  A row with several cuts keeps no such
+    memo: the followers row of a position NFA has every position in its
+    support, so there the hit is the subset itself and never comes twice.
     """
     ids = {start: 0}
     subsets = [start]
@@ -204,15 +211,28 @@ def _determinize_raw(start: int, accepting: int, rows):
     for row, cuts in rows:
         lanes = [([], cut) for cut in cuts]
         table += [targets for targets, _ in lanes]
-        steps.append((row, _support(row), lanes))
+        known: Optional[Dict[int, int]] = {} if cuts == [_ALL] else None
+        steps.append((row, _support(row), lanes, known))
     find = ids.get
     # the list grows while it is walked: it is the breadth-first queue
     for subset in subsets:
-        for row, support, lanes in steps:
+        for row, support, lanes, known in steps:
             hit = subset & support
             if not hit:
                 for targets, _ in lanes:
                     targets.append(None)
+                continue
+            if known is not None:
+                # the hit alone decides the target, which is never empty
+                tid = known.get(hit)
+                if tid is None:
+                    target = _union(hit, row)
+                    tid = find(target)
+                    if tid is None:
+                        tid = ids[target] = len(subsets)
+                        subsets.append(target)
+                    known[hit] = tid
+                lanes[0][0].append(tid)
                 continue
             after = _union(hit, row)
             for targets, cut in lanes:
@@ -460,6 +480,11 @@ class LabeledAutomaton:
         # collector
         self._minimal: Optional[LabeledAutomaton] = None
         self._is_minimal = False
+        # the reversal of an NFA for the same language, as `_minimal_raw`
+        # takes it: (its start mask, its accepting mask, its rows).  A
+        # forward machine of `build_automaton` keeps its position NFA's here
+        # until minimized() has read them
+        self._reversal: Optional[Tuple[int, int, list]] = None
 
     # -- basic structure
 
@@ -503,6 +528,9 @@ class LabeledAutomaton:
         return frozenset(nxt)
 
     def accepts(self, word: Word) -> bool:
+        if self.is_deterministic:
+            end = self._walk(bisect_left(self.states, self.start), word)
+            return end is not None and self.states[end] in self.accepting
         current = frozenset({self.start})
         for s in word:
             current = self.step(current, s)
@@ -585,17 +613,25 @@ class LabeledAutomaton:
         language that is the start state alone, without edges, as `trimmed`
         gives it.
 
-        Computed once per machine; a minimal machine returns itself.
+        A forward machine of `build_automaton` reverses the position NFA it
+        was determinized from, which is far smaller than its own table;
+        every other machine reverses its table.  Both give the one minimal
+        machine.  Computed once per machine; a minimal machine returns
+        itself.
         """
         if self._is_minimal:
             return self
         if self._minimal is None:
             if not self.is_deterministic:
                 raise NondeterministicAutomatonError("minimize needs a deterministic machine")
-            start, accepting = self._ends()
-            back_start = reduce(or_, (1 << r for r in accepting), 0)
-            back = _per_symbol(_reversed_table(self._table, len(self.states)))
-            self._minimal = _minimal_raw(self.alphabet, back_start, 1 << start, back)
+            if self._reversal is None:
+                start, accepting = self._ends()
+                back_start = reduce(or_, (1 << r for r in accepting), 0)
+                back = _per_symbol(_reversed_table(self._table, len(self.states)))
+                self._reversal = back_start, 1 << start, back
+            back_start, start_mask, back = self._reversal
+            self._reversal = None
+            self._minimal = _minimal_raw(self.alphabet, back_start, start_mask, back)
         return self._minimal
 
     # -- serialization
@@ -661,6 +697,142 @@ class LabeledAutomaton:
 REGULAR_KMAX = 3
 
 
+class _Pieces:
+    """The closure mini-language of `seed_regex`'s expression.  Each call
+    numbers the positions of one piece 1, 2, .. in reading order, records
+    its follow links and returns its (nullable, first mask, last mask); a
+    letter is the index of the piece argument that a position reads.  Each
+    pair (last mask, first mask) in `follows` is one follow link: every
+    position of the first mask may follow every position of the last."""
+
+    def __init__(self):
+        self.letters: List[int] = []
+        self.follows: List[Tuple[int, int]] = []
+
+    def symbol(self, a):
+        self.letters.append(a)
+        bit = 1 << len(self.letters)
+        return False, bit, bit
+
+    def loop(self, piece, optional=False):
+        # piece+, or piece* when optional: its last positions lead back to its first
+        nullable, first, last = piece
+        self.follows.append((last, first))
+        return nullable or optional, first, last
+
+    def concatenation(self, *pieces):
+        nullable, first, last = True, 0, 0
+        for pn, pf, pl in pieces:
+            if last:
+                self.follows.append((last, pf))
+            if nullable:
+                first |= pf
+            last = (last | pl) if pn else pl
+            nullable = nullable and pn
+        return nullable, first, last
+
+    # arguments are evaluated left to right, so positions come in reading order
+    def run(self, a):
+        return self.loop(self.symbol(a))
+
+    def pair(self, a, b):
+        return self.loop(self.concatenation(self.run(a), self.run(b)), optional=True)
+
+    def block(self, a, b, c):
+        # T(a, b, c)*
+        parts = [self.run(a), self.pair(c, a), self.run(b), self.pair(a, b)]
+        parts += [self.run(c), self.pair(b, c)]
+        return self.loop(self.concatenation(*parts), optional=True)
+
+
+@dataclass(frozen=True)
+class _Template:
+    """A run-led part of the expression on its own positions 1 .. w: the
+    part's argument each position reads, and per position the masks of
+    its followers and predecessors inside the part.  Shifted left by the
+    number of positions before it, each mask is the part's share of a
+    seed's rows.  A run cannot be skipped, so the part has one first
+    position, and the positions after it follow its last ones alone."""
+
+    letters: Tuple[int, ...]
+    first: int
+    last: int
+    ends: Tuple[int, ...]
+    follow: Tuple[int, ...]
+    pred: Tuple[int, ...]
+
+
+def _template(arity: int, part: Callable[[_Pieces], tuple]) -> _Template:
+    """Compile a part of the expression, written in the closure language
+    over the argument indices 0 .. arity-1."""
+    pieces = _Pieces()
+    _, first, last = part(pieces)
+    n = len(pieces.letters) + 1
+    follow, pred = [0] * n, [0] * n
+    for last_mask, first_mask in pieces.follows:
+        for p in _members(last_mask):
+            follow[p] |= first_mask
+        for q in _members(first_mask):
+            pred[q] |= last_mask
+    return _Template(
+        tuple(pieces.letters), first.bit_length() - 1, last, tuple(_members(last)),
+        tuple(follow[1:]), tuple(pred[1:]),
+    )
+
+
+# the head s1+ s2+ P(s1, s2) and, per block bound, the stage that each
+# further seed symbol si adds, over the window si-k+1 .. si; each compiled once
+_HEAD = _template(2, lambda e: e.concatenation(e.run(0), e.run(1), e.pair(0, 1)))
+_STAGES = {
+    1: _template(1, lambda e: e.run(0)),
+    2: _template(2, lambda e: e.concatenation(e.run(1), e.pair(0, 1))),
+    3: _template(3, lambda e: e.concatenation(e.run(2), e.pair(1, 2), e.block(0, 1, 2))),
+}
+
+
+def _layout(seed: Tuple, kmax: int) -> Tuple[tuple, int, List[int], List[int]]:
+    """The position NFA of `seed_regex`'s expression, laid out part by part
+    from the compiled templates.  Returns (symbols, last, follow, pred):
+    symbols[p - 1] is the symbol at position p, `last` masks the accepting
+    positions, and follow[p] and pred[p] mask the successors and the
+    predecessors of state p, the start state 0 included.
+
+    The parts are concatenated in order: the first position of each
+    follows the start state or the last positions of the part before it.
+    """
+    if kmax > REGULAR_KMAX:
+        raise UnsupportedDuplicationLength(
+            f"regular construction needs kmax <= {REGULAR_KMAX}, got {kmax}"
+        )
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    if not seed:
+        raise ValueError("seed must be nonempty")
+    if kmax == 1 or len(seed) == 1:
+        parts = [(_STAGES[1], seed[i : i + 1]) for i in range(len(seed))]
+    else:
+        stage = _STAGES[kmax]
+        parts = [(_HEAD, seed[:2])]
+        parts += [(stage, seed[i + 1 - kmax : i + 1]) for i in range(2, len(seed))]
+    symbols: List[object] = []
+    follow, pred = [0], [0]
+    # the mask and the list of the states the next first position follows
+    tail, ends = 1, [0]
+    for part, window in parts:
+        at = len(symbols)
+        symbols += map(window.__getitem__, part.letters)
+        follow += [mask << at for mask in part.follow]
+        pred += [mask << at for mask in part.pred]
+        first = at + part.first
+        bit = 1 << first
+        for p in ends:
+            follow[p] |= bit
+        pred[first] |= tail
+        tail = part.last << at
+        ends = [at + r for r in part.ends]
+    return tuple(symbols), tail, follow, pred
+
+
 def seed_regex(symbols: Tuple, kmax: int):
     """Positions of the expression for the language of the duplication
     system with this seed and block bound.
@@ -681,65 +853,29 @@ def seed_regex(symbols: Tuple, kmax: int):
     position renamed apart it describes the duplication language of the
     renamed seed, and renaming positions back commutes with duplication.
 
-    The expression is never built: each piece goes straight to its
-    (nullable, first mask, last mask) and its follow links, in reading
-    order, which numbers the positions 1..n.  Returns (symbols, first,
-    last, follows): symbols[p - 1] is the symbol at position p, `first` the
-    positions that can read the first symbol, `last` the accepting ones,
-    and each pair (last mask, first mask) in `follows` is one follow link:
-    every position of the first mask may follow every position of the last.
+    The expression is never built, and nothing in it is analysed per seed.
+    It is a head s1+ s2+ P(s1, s2) and then one stage per further symbol
+    si: si+ P(si-1, si), with T(si-2, si-1, si)* after it when kmax = 3
+    (for kmax = 1, and for a one-symbol seed, each part is a run si+).  The
+    head and each bound's stage are written once in the closure language
+    of the three pieces a+, P and T* (`_Pieces`) and compiled at import
+    into masks of the followers and predecessors of their positions,
+    relative to the part (`_template`).  A seed's positions are these
+    templates shifted into place in reading order, which numbers them
+    1..n (`_layout`).  Every part starts with a run, which cannot be
+    skipped, so its first position follows just the start state or the
+    last positions of the part before it.
+
+    Returns (symbols, first, last, follows): symbols[p - 1] is the symbol
+    at position p, `first` the positions that can read the first symbol,
+    `last` the accepting ones, and each pair (last mask, first mask) in
+    `follows` is one follow link: every position of the first mask may
+    follow every position of the last.  Here each link is one position
+    with all its followers.
     """
-    if kmax > REGULAR_KMAX:
-        raise UnsupportedDuplicationLength(
-            f"regular construction needs kmax <= {REGULAR_KMAX}, got {kmax}"
-        )
-    if not symbols:
-        raise ValueError("seed must be nonempty")
-    letters: List[object] = []
-    follows: List[Tuple[int, int]] = []
-
-    def symbol(s):
-        letters.append(s)
-        bit = 1 << len(letters)
-        return False, bit, bit
-
-    def loop(piece, optional=False):
-        # piece+, or piece* when optional: its last positions lead back to its first
-        nullable, first, last = piece
-        follows.append((last, first))
-        return nullable or optional, first, last
-
-    def concatenation(*pieces):
-        nullable, first, last = True, 0, 0
-        for pn, pf, pl in pieces:
-            if last:
-                follows.append((last, pf))
-            if nullable:
-                first |= pf
-            last = (last | pl) if pn else pl
-            nullable = nullable and pn
-        return nullable, first, last
-
-    # arguments are evaluated left to right, so positions come in reading order
-    def run(a):
-        return loop(symbol(a))
-
-    def pair(a, b):
-        return loop(concatenation(run(a), run(b)), optional=True)
-
-    s = symbols
-    if kmax == 1 or len(s) == 1:
-        pieces = [run(a) for a in s]
-    else:
-        pieces = [run(s[0]), run(s[1]), pair(s[0], s[1])]
-        for i in range(2, len(s)):
-            pieces += [run(s[i]), pair(s[i - 1], s[i])]
-            if kmax == 3:
-                a, b, c = s[i - 2 : i + 1]
-                block = concatenation(run(a), pair(c, a), run(b), pair(a, b), run(c), pair(b, c))
-                pieces.append(loop(block, optional=True))
-    _, first, last = concatenation(*pieces)
-    return tuple(letters), first, last, follows
+    symbols, last, follow, _ = _layout(tuple(symbols), kmax)
+    follows = [(1 << p, mask) for p, mask in enumerate(follow) if p and mask]
+    return symbols, follow[0], last, follows
 
 
 def regex_to_nfa(positions, alphabet: Alphabet) -> LabeledAutomaton:
@@ -757,22 +893,28 @@ def build_automaton(
     system: DuplicationSystem, minimize: bool = False
 ) -> LabeledAutomaton:
     """Deterministic trim automaton for the language of a kmax <= 3 system,
-    the minimal one when `minimize` is set."""
+    the minimal one when `minimize` is set.
+
+    The minimal machine comes from the position NFA by double reversal.  A
+    forward machine keeps the rows of that reversal, so its `minimized()`
+    starts from them too and never reverses the forward table, which is
+    often ten times the minimal machine and more."""
     if system.kmax > REGULAR_KMAX:
         raise UnsupportedDuplicationLength(
             f"automaton construction needs kmax <= {REGULAR_KMAX}, got {system.kmax}"
         )
-    symbols, first, last, follows = seed_regex(tuple(system.seed), system.kmax)
+    symbols, last, follow, pred = _layout(tuple(system.seed), system.kmax)
     order = system.alphabet.symbols
+    back = _per_symbol(_predecessor_rows(symbols, pred, order))
     if minimize:
-        back = _per_symbol(_reversed_positions(symbols, first, follows, order))
         return _minimal_raw(system.alphabet, last, 1, back)
     # One row, the followers, whose union is formed once per subset and cut
     # per symbol.  No trim pass: every Glushkov position of `seed_regex` can
     # reach acceptance, so every subset can too, and discovery is
     # breadth-first with symbols in order, the numbering `trimmed` would give.
-    follow = _followers(first, follows, len(symbols) + 1)
-    return _subset_machine(system.alphabet, 1, last, [(follow, _carriers(symbols, order))])
+    machine = _subset_machine(system.alphabet, 1, last, [(follow, _carriers(symbols, order))])
+    machine._reversal = last, 1, back
+    return machine
 
 
 def avoidance_automaton(alphabet: Alphabet, forbidden: Iterable[Word]) -> LabeledAutomaton:
@@ -818,8 +960,7 @@ def position_walk(system: DuplicationSystem) -> Callable[[Word], bool]:
     they visit.  A symbol outside the alphabet, like one outside the seed,
     leaves no position live.
     """
-    symbols, first, last, follows = seed_regex(tuple(system.seed), system.kmax)
-    follow = _followers(first, follows, len(symbols) + 1)
+    symbols, last, follow, _ = _layout(tuple(system.seed), system.kmax)
     order = system.alphabet.symbols
     carriers = dict(zip(order, _carriers(symbols, order)))
     reach: Dict[int, int] = {}

@@ -664,7 +664,12 @@ class TestMinimalMachine:
         nfa, dfa, minimal = set_pipeline(small)
         assert len(nfa.states) == 557
         assert build_automaton(small) == dfa
-        assert build_automaton(small, minimize=True) == minimal == dfa.minimized()
+        assert (
+            build_automaton(small, minimize=True)
+            == minimal
+            == dfa.minimized()
+            == build_automaton(small).minimized()
+        )
         _, start, accepting, edges = set_glushkov(seed_expression(seeds[1], 3))
         assert machine == LabeledAutomaton(
             sys.alphabet, *set_minimal(start, accepting, edges, sys.alphabet.symbols)
@@ -691,7 +696,12 @@ class TestBitmaskSubsetConstruction:
             built = build_automaton(sys, minimize=True)
             assert regex_to_nfa(seed_regex(tuple(pattern), kmax), sys.alphabet) == nfa
             assert full == nfa.determinized() == dfa, (pattern, kmax)
-            assert built == full.minimized() == moore_minimized(full) == minimal, (pattern, kmax)
+            # full.minimized() reverses full's positions; the NFA's own DFA has
+            # no positions, so its minimized() reverses its table
+            by_table = nfa.determinized().minimized()
+            assert built == full.minimized() == by_table == moore_minimized(full) == minimal, (
+                pattern, kmax
+            )
             # a minimal machine is its own trim, and the transfer matrix reads it as is
             assert built.trimmed() is built
             for machine in (full, built):
@@ -708,6 +718,24 @@ class TestBitmaskSubsetConstruction:
             assert (set(nfa.states), nfa.start, set(nfa.accepting), set(nfa.edges)) == (
                 states, start, accepting, edges
             ), (pattern, kmax)
+            # the layout's rows against the set construction over the seed's own symbols
+            order = "0123"[: int(max(pattern)) + 1]
+            _, _, accepting, edges = set_glushkov(seed_expression(tuple(pattern), kmax))
+            symbols, last, follow, pred = automaton_module._layout(tuple(pattern), kmax)
+            n = len(follow)
+            want_follow, want_back = [0] * n, [[0] * n for _ in order]
+            for p, s, q in edges:
+                want_follow[p] |= 1 << q
+                want_back[order.index(s)][q] |= 1 << p
+            assert len(symbols) == n - 1
+            assert all(symbols[q - 1] == s for _, s, q in edges)
+            assert last == sum(1 << q for q in accepting)
+            assert follow == want_follow, (pattern, kmax)
+            back = automaton_module._predecessor_rows(symbols, pred, order)
+            assert back == want_back, (pattern, kmax)
+        for bad, k in [(("0", "1"), 4), ((), kmax), (("0",), 0)]:
+            with pytest.raises((UnsupportedDuplicationLength, ValueError)):
+                seed_regex(bad, k)
 
     @pytest.mark.parametrize(
         "states,start,accepting,edges",
@@ -968,6 +996,29 @@ class TestTransitionTable:
             # and every machine the subset construction gives it
             for born in (machine.determinized(), machine.trimmed(), machine.minimized()):
                 self.assert_same(born, _rebuilt(born), 5)
+
+    @pytest.mark.parametrize("text,foreign", [("abc", "z"), ("2,10,1", "3")])
+    def test_accepts_walks_the_table(self, text, foreign):
+        """A DFA's `accepts` walks its table; the reference walks the
+        out-maps, as an NFA's does, over the alphabet and one symbol
+        outside it."""
+        rng = random.Random(17)
+        ab = Alphabet.parse(text)
+        symbols = list(ab.symbols) + [foreign]
+        words = [w for n in range(5) for w in itertools.product(symbols, repeat=n)]
+        for _ in range(100):
+            ids = rng.sample(range(-50, 400), rng.randint(1, 6))
+            edges = {
+                (p, s, rng.choice(ids)) for p in ids for s in ab.symbols if rng.random() < 0.7
+            }
+            accepting = set(rng.sample(ids, rng.randint(0, len(ids))))
+            machine = LabeledAutomaton(ab, ids, rng.choice(ids), accepting, edges)
+            assert machine.is_deterministic
+            for word in words:
+                current = {machine.start}
+                for s in word:
+                    current = {q for p in current for q in machine.out_map(p).get(s, ())}
+                assert machine.accepts(word) == bool(current & machine.accepting), word
 
     def test_nondeterministic_machines_keep_their_edges(self):
         ab = Alphabet("ab")
