@@ -15,8 +15,8 @@ Both steps run on Python-int bitmasks.  The position construction is
 compiled: the parts of the expression, a head and the stage each further
 seed symbol adds, made of runs, interleaved pairs and three-symbol blocks,
 are turned once, at import, into masks of each position's followers and
-predecessors relative to the part, and a seed's rows are these masks
-shifted into place (`_layout`).  One subset construction serves the
+predecessors relative to the part, and `seed_regex` returns a seed's rows
+as these masks shifted into place.  One subset construction serves the
 forward DFA, the two passes of double reversal and
 `LabeledAutomaton.determinized`: NFA states are ranked by their index in
 sorted order, a subset is one int keyed as such, and the edges come as
@@ -90,16 +90,6 @@ def _union(mask: int, row: List[int]) -> int:
     return after
 
 
-def _followers(first: int, follows, n: int) -> List[int]:
-    """Mask of the positions that may follow each of the n Glushkov states."""
-    follow = [0] * n
-    follow[0] = first
-    for last, firsts in follows:
-        for p in _members(last):
-            follow[p] |= firsts
-    return follow
-
-
 def _carriers(symbols, symbol_order) -> List[int]:
     """Per symbol, the mask of the positions that read it.  Every edge into
     a position reads that position's symbol, so a state's successors under
@@ -151,15 +141,18 @@ def _support(row: List[int]) -> int:
     return int("".join(map("01".__getitem__, map(bool, reversed(row)))), 2)
 
 
-def _reversed_table(table, n: int) -> List[List[int]]:
-    """Per-symbol rows of the reversal of a DFA on n states given by its
-    transition table."""
-    rows = [[0] * n for _ in table]
+def _table_reversal(table, start: int, accepting: Iterable[int]) -> Tuple[int, int, list]:
+    """The reversal of a DFA given by its transition table, its start rank
+    and its accepting ranks, as `_minimal_raw` takes it: (start mask,
+    accepting mask, per-symbol rows).  The reversal starts at the accepting
+    ranks and accepts at the start."""
+    rows = [[0] * len(targets) for targets in table]
     for row, targets in zip(rows, table):
         for p, q in enumerate(targets):
             if q is not None:
                 row[q] |= 1 << p
-    return rows
+    back_start = reduce(or_, (1 << r for r in accepting), 0)
+    return back_start, 1 << start, _per_symbol(rows)
 
 
 def _distances(table, accepting: List[int]) -> List[Optional[int]]:
@@ -269,10 +262,8 @@ def _minimal_raw(alphabet: Alphabet, start: int, accepting: int, rows) -> "Label
     trim.  Discovery order numbers it breadth-first from the start, symbols
     in order, as `trimmed` would.
     """
-    count, back_accepting, table = _determinize_raw(start, accepting, rows)
-    back_start = reduce(or_, (1 << sid for sid in back_accepting), 0)
-    back = _per_symbol(_reversed_table(table, count))
-    machine = _subset_machine(alphabet, back_start, 1, back)
+    _, back_accepting, table = _determinize_raw(start, accepting, rows)
+    machine = _subset_machine(alphabet, *_table_reversal(table, 0, back_accepting))
     machine._is_minimal = True
     return machine
 
@@ -624,14 +615,9 @@ class LabeledAutomaton:
         if self._minimal is None:
             if not self.is_deterministic:
                 raise NondeterministicAutomatonError("minimize needs a deterministic machine")
-            if self._reversal is None:
-                start, accepting = self._ends()
-                back_start = reduce(or_, (1 << r for r in accepting), 0)
-                back = _per_symbol(_reversed_table(self._table, len(self.states)))
-                self._reversal = back_start, 1 << start, back
-            back_start, start_mask, back = self._reversal
+            reversal = self._reversal or _table_reversal(self._table, *self._ends())
             self._reversal = None
-            self._minimal = _minimal_raw(self.alphabet, back_start, start_mask, back)
+            self._minimal = _minimal_raw(self.alphabet, *reversal)
         return self._minimal
 
     # -- serialization
@@ -699,32 +685,42 @@ REGULAR_KMAX = 3
 
 class _Pieces:
     """The closure mini-language of `seed_regex`'s expression.  Each call
-    numbers the positions of one piece 1, 2, .. in reading order, records
-    its follow links and returns its (nullable, first mask, last mask); a
-    letter is the index of the piece argument that a position reads.  Each
-    pair (last mask, first mask) in `follows` is one follow link: every
-    position of the first mask may follow every position of the last."""
+    numbers the positions of one piece 1, 2, .. in reading order, links
+    them and returns its (nullable, first mask, last mask); a letter is the
+    index of the piece argument that a position reads.  follow[p] and
+    pred[p] mask the followers and the predecessors of position p inside
+    the part; entry 0 stands for the start state, which no piece links."""
 
     def __init__(self):
         self.letters: List[int] = []
-        self.follows: List[Tuple[int, int]] = []
+        self.follow: List[int] = [0]
+        self.pred: List[int] = [0]
+
+    def _link(self, last, first):
+        # every position of `first` may follow every position of `last`
+        for p in _members(last):
+            self.follow[p] |= first
+        for q in _members(first):
+            self.pred[q] |= last
 
     def symbol(self, a):
         self.letters.append(a)
+        self.follow.append(0)
+        self.pred.append(0)
         bit = 1 << len(self.letters)
         return False, bit, bit
 
     def loop(self, piece, optional=False):
         # piece+, or piece* when optional: its last positions lead back to its first
         nullable, first, last = piece
-        self.follows.append((last, first))
+        self._link(last, first)
         return nullable or optional, first, last
 
     def concatenation(self, *pieces):
         nullable, first, last = True, 0, 0
         for pn, pf, pl in pieces:
             if last:
-                self.follows.append((last, pf))
+                self._link(last, pf)
             if nullable:
                 first |= pf
             last = (last | pl) if pn else pl
@@ -762,80 +758,30 @@ class _Template:
     pred: Tuple[int, ...]
 
 
-def _template(arity: int, part: Callable[[_Pieces], tuple]) -> _Template:
+def _template(part: Callable[[_Pieces], tuple]) -> _Template:
     """Compile a part of the expression, written in the closure language
-    over the argument indices 0 .. arity-1."""
+    over the indices of its arguments."""
     pieces = _Pieces()
     _, first, last = part(pieces)
-    n = len(pieces.letters) + 1
-    follow, pred = [0] * n, [0] * n
-    for last_mask, first_mask in pieces.follows:
-        for p in _members(last_mask):
-            follow[p] |= first_mask
-        for q in _members(first_mask):
-            pred[q] |= last_mask
     return _Template(
         tuple(pieces.letters), first.bit_length() - 1, last, tuple(_members(last)),
-        tuple(follow[1:]), tuple(pred[1:]),
+        tuple(pieces.follow[1:]), tuple(pieces.pred[1:]),
     )
 
 
 # the head s1+ s2+ P(s1, s2) and, per block bound, the stage that each
 # further seed symbol si adds, over the window si-k+1 .. si; each compiled once
-_HEAD = _template(2, lambda e: e.concatenation(e.run(0), e.run(1), e.pair(0, 1)))
+_HEAD = _template(lambda e: e.concatenation(e.run(0), e.run(1), e.pair(0, 1)))
 _STAGES = {
-    1: _template(1, lambda e: e.run(0)),
-    2: _template(2, lambda e: e.concatenation(e.run(1), e.pair(0, 1))),
-    3: _template(3, lambda e: e.concatenation(e.run(2), e.pair(1, 2), e.block(0, 1, 2))),
+    1: _template(lambda e: e.run(0)),
+    2: _template(lambda e: e.concatenation(e.run(1), e.pair(0, 1))),
+    3: _template(lambda e: e.concatenation(e.run(2), e.pair(1, 2), e.block(0, 1, 2))),
 }
 
 
-def _layout(seed: Tuple, kmax: int) -> Tuple[tuple, int, List[int], List[int]]:
-    """The position NFA of `seed_regex`'s expression, laid out part by part
-    from the compiled templates.  Returns (symbols, last, follow, pred):
-    symbols[p - 1] is the symbol at position p, `last` masks the accepting
-    positions, and follow[p] and pred[p] mask the successors and the
-    predecessors of state p, the start state 0 included.
-
-    The parts are concatenated in order: the first position of each
-    follows the start state or the last positions of the part before it.
-    """
-    if kmax > REGULAR_KMAX:
-        raise UnsupportedDuplicationLength(
-            f"regular construction needs kmax <= {REGULAR_KMAX}, got {kmax}"
-        )
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    if not seed:
-        raise ValueError("seed must be nonempty")
-    if kmax == 1 or len(seed) == 1:
-        parts = [(_STAGES[1], seed[i : i + 1]) for i in range(len(seed))]
-    else:
-        stage = _STAGES[kmax]
-        parts = [(_HEAD, seed[:2])]
-        parts += [(stage, seed[i + 1 - kmax : i + 1]) for i in range(2, len(seed))]
-    symbols: List[object] = []
-    follow, pred = [0], [0]
-    # the mask and the list of the states the next first position follows
-    tail, ends = 1, [0]
-    for part, window in parts:
-        at = len(symbols)
-        symbols += map(window.__getitem__, part.letters)
-        follow += [mask << at for mask in part.follow]
-        pred += [mask << at for mask in part.pred]
-        first = at + part.first
-        bit = 1 << first
-        for p in ends:
-            follow[p] |= bit
-        pred[first] |= tail
-        tail = part.last << at
-        ends = [at + r for r in part.ends]
-    return tuple(symbols), tail, follow, pred
-
-
-def seed_regex(symbols: Tuple, kmax: int):
-    """Positions of the expression for the language of the duplication
-    system with this seed and block bound.
+def seed_regex(symbols: Iterable, kmax: int) -> Tuple[tuple, int, List[int], List[int]]:
+    """The position (Glushkov) automaton of the expression for the language
+    of the duplication system with this seed and block bound.
 
     Write a+ for a run of a, P(a, b) = (a+ b+)* for interleaved runs and
     T(a, b, c) = a+ P(c, a) b+ P(a, b) c+ P(b, c) for a three-symbol block.
@@ -862,27 +808,54 @@ def seed_regex(symbols: Tuple, kmax: int):
     into masks of the followers and predecessors of their positions,
     relative to the part (`_template`).  A seed's positions are these
     templates shifted into place in reading order, which numbers them
-    1..n (`_layout`).  Every part starts with a run, which cannot be
-    skipped, so its first position follows just the start state or the
-    last positions of the part before it.
+    1..n.  Every part starts with a run, which cannot be skipped, so its
+    first position follows just the start state or the last positions of
+    the part before it.
 
-    Returns (symbols, first, last, follows): symbols[p - 1] is the symbol
-    at position p, `first` the positions that can read the first symbol,
-    `last` the accepting ones, and each pair (last mask, first mask) in
-    `follows` is one follow link: every position of the first mask may
-    follow every position of the last.  Here each link is one position
-    with all its followers.
+    Returns (symbols, last, follow, pred): symbols[p - 1] is the symbol at
+    position p, `last` masks the accepting positions, and follow[p] and
+    pred[p] mask the successors and the predecessors of state p, the start
+    state 0 included.
     """
-    symbols, last, follow, _ = _layout(tuple(symbols), kmax)
-    follows = [(1 << p, mask) for p, mask in enumerate(follow) if p and mask]
-    return symbols, follow[0], last, follows
+    if kmax > REGULAR_KMAX:
+        raise UnsupportedDuplicationLength(
+            f"automaton construction needs kmax <= {REGULAR_KMAX}, got {kmax}"
+        )
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    seed = tuple(symbols)
+    if not seed:
+        raise ValueError("seed must be nonempty")
+    if kmax == 1 or len(seed) == 1:
+        parts = [(_STAGES[1], seed[i : i + 1]) for i in range(len(seed))]
+    else:
+        stage = _STAGES[kmax]
+        parts = [(_HEAD, seed[:2])]
+        parts += [(stage, seed[i + 1 - kmax : i + 1]) for i in range(2, len(seed))]
+    symbols = []
+    follow, pred = [0], [0]
+    # the mask and the list of the states the next first position follows
+    tail, ends = 1, [0]
+    for part, window in parts:
+        at = len(symbols)
+        symbols += map(window.__getitem__, part.letters)
+        follow += [mask << at for mask in part.follow]
+        pred += [mask << at for mask in part.pred]
+        first = at + part.first
+        bit = 1 << first
+        for p in ends:
+            follow[p] |= bit
+        pred[first] |= tail
+        tail = part.last << at
+        ends = [at + r for r in part.ends]
+    return tuple(symbols), tail, follow, pred
 
 
 def regex_to_nfa(positions, alphabet: Alphabet) -> LabeledAutomaton:
-    """The position NFA of `seed_regex`'s positions: state 0 is the start
-    and state p reads the symbol at position p."""
-    symbols, first, last, follows = positions
-    follow = _followers(first, follows, len(symbols) + 1)
+    """The position NFA of `seed_regex`'s (symbols, last, follow, pred):
+    state 0 is the start, state p reads the symbol at position p, and an
+    edge leads from each state to each of its followers."""
+    symbols, last, follow, _ = positions
     edges = {
         (p, symbols[q - 1], q) for p, mask in enumerate(follow) for q in _members(mask)
     }
@@ -899,11 +872,7 @@ def build_automaton(
     forward machine keeps the rows of that reversal, so its `minimized()`
     starts from them too and never reverses the forward table, which is
     often ten times the minimal machine and more."""
-    if system.kmax > REGULAR_KMAX:
-        raise UnsupportedDuplicationLength(
-            f"automaton construction needs kmax <= {REGULAR_KMAX}, got {system.kmax}"
-        )
-    symbols, last, follow, pred = _layout(tuple(system.seed), system.kmax)
+    symbols, last, follow, pred = seed_regex(system.seed, system.kmax)
     order = system.alphabet.symbols
     back = _per_symbol(_predecessor_rows(symbols, pred, order))
     if minimize:
@@ -960,7 +929,7 @@ def position_walk(system: DuplicationSystem) -> Callable[[Word], bool]:
     they visit.  A symbol outside the alphabet, like one outside the seed,
     leaves no position live.
     """
-    symbols, last, follow, _ = _layout(tuple(system.seed), system.kmax)
+    symbols, last, follow, _ = seed_regex(system.seed, system.kmax)
     order = system.alphabet.symbols
     carriers = dict(zip(order, _carriers(symbols, order)))
     reach: Dict[int, int] = {}

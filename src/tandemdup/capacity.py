@@ -119,6 +119,8 @@ def spectral_radius(matrix, tol: float = 1e-10) -> float:
         raise ValueError("tolerance must be nonnegative")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     if m.size and m.min() < 0:
         raise ValueError("matrix must be nonnegative")
     n = m.shape[0]

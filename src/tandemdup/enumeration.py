@@ -445,8 +445,7 @@ def substrings_of_length(
             break
         if n < length:
             continue
-        for factor in packing.factors(codes, n, length):
-            found = _distinct(np.concatenate([found, factor]))
+        found = _distinct(np.concatenate([found, *packing.factors(codes, n, length)]))
         if len(found) == full:
             break
     words = frozenset(packing.decode(found, length))

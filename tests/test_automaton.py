@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ class TestRegexPieces:
     def test_seed_regex_rejects_large_blocks(self):
         with pytest.raises(UnsupportedDuplicationLength):
             seed_regex(("0", "1"), 4)
+
+    def test_large_blocks_name_the_automaton_bound(self):
+        system = DuplicationSystem.parse("01", "01", 4)
+        message = "^automaton construction needs kmax <= 3, got 4$"
+        for call in (
+            partial(seed_regex, ("0", "1"), 4),
+            partial(build_automaton, system),
+            partial(position_walk, system),
+        ):
+            with pytest.raises(UnsupportedDuplicationLength, match=message):
+                call()
 
     def test_seed_regex_over_repeated_symbols(self):
         m = regex_to_nfa(seed_regex(("0", "1", "0"), 2), Alphabet("01")).determinized()
@@ -721,7 +733,7 @@ class TestBitmaskSubsetConstruction:
             # the layout's rows against the set construction over the seed's own symbols
             order = "0123"[: int(max(pattern)) + 1]
             _, _, accepting, edges = set_glushkov(seed_expression(tuple(pattern), kmax))
-            symbols, last, follow, pred = automaton_module._layout(tuple(pattern), kmax)
+            symbols, last, follow, pred = seed_regex(tuple(pattern), kmax)
             n = len(follow)
             want_follow, want_back = [0] * n, [[0] * n for _ in order]
             for p, s, q in edges:

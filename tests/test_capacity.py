@@ -72,6 +72,10 @@ class TestSpectralRadius:
             spectral_radius(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             spectral_radius(np.array([[1.0, -1.0], [0.0, 1.0]]))
+        nan, inf = float("nan"), float("inf")
+        for matrix in ([[nan]], [[0, nan], [0, 0]], [[1, inf], [1, 1]]):
+            with pytest.raises(ValueError, match="finite"):
+                spectral_radius(matrix)
 
     @pytest.mark.parametrize("tol", [-1e-10, float("nan")])
     def test_rejects_a_tolerance_no_estimate_can_meet(self, tol):
