@@ -269,133 +269,94 @@ def _minimal_raw(alphabet: Alphabet, start: int, accepting: int, rows) -> "Label
 
 
 # ---------------------------------------------------------------------------
-# JSON text.  `json.dumps(doc, indent=2)` runs the pure-Python encoder, one
-# generator step per item; `_json_text` writes the same bytes, joins each
-# flat list of scalars at once and writes a list of such lists a row at a
-# time, which is where word lists and machines spend their length.
+# JSON text.  The program's documents are dicts with str keys, lists and
+# tuples, and scalars of exactly the types str, int, float, bool and None.
+# `json.dumps(doc, indent=2)` runs the pure-Python encoder, one generator
+# step per item; `_json_text` writes the same bytes, joins each flat list of
+# scalars at once and fills a list of equally long flat lists into one
+# template, which is where word lists and machines spend their length.
+# Every other type is refused, as json refuses it, and so is every
+# non-finite float, as `json.dumps(..., allow_nan=False)` refuses it.
 
 
-def _float_json(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
+def _finite_text(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     return float.__repr__(value)
 
 
-def _scalar_json(value) -> Optional[str]:
-    """The JSON text of a scalar, tested in the order `json` tests them, or
-    None for anything else."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_json(value)
-    return None
-
-
-def _key_json(key) -> str:
-    text = key if isinstance(key, str) else _scalar_json(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return _quote(text)
-
-
-# the text of a scalar by its exact type; subclasses take `_scalar_json`
-_EXACT_JSON = {
+# the text of a scalar by its exact type
+_SCALAR_TEXT = {
     str: _quote,
-    int: repr,
-    float: _float_json,
-    bool: _scalar_json,
-    type(None): _scalar_json,
+    int: int.__repr__,
+    float: _finite_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
 }
-_EXACT_KINDS = frozenset(_EXACT_JSON)
-_ROW_KINDS = frozenset((list, tuple))
-_INT_KIND = frozenset((int,))
 
 
 def _scalar_texts(values) -> Optional[Iterable[str]]:
-    """The texts of a sequence of exact scalars, or None when it holds
-    anything else."""
+    """The texts of a sequence of scalars, or None when it holds anything
+    else."""
     kinds = set(map(type, values))
-    if not kinds <= _EXACT_KINDS:
+    if not kinds <= _SCALAR_TEXT.keys():
         return None
     if len(kinds) == 1:
-        return map(_EXACT_JSON[kinds.pop()], values)
-    return [_EXACT_JSON[type(item)](item) for item in values]
+        return map(_SCALAR_TEXT[kinds.pop()], values)
+    return [_SCALAR_TEXT[type(item)](item) for item in values]
 
 
 def _row_texts(rows, newline: str) -> Optional[Iterable[str]]:
-    """The texts of equally long, nonempty flat lists of exact scalars whose
-    lines start at `newline`, as a machine's edges are, or None for any
-    other lists.  Each column's scalars are converted at once and every row
-    is filled into one template."""
-    widths = set(map(len, rows))
-    if len(widths) != 1 or 0 in widths:
+    """The texts of equally long, nonempty flat lists of scalars whose lines
+    start at `newline`, as a machine's edges are, or None for any other
+    sequence.  Each column's scalars are converted at once and every row is
+    filled into one template."""
+    if not set(map(type, rows)) <= {list, tuple} or len(set(map(len, rows))) != 1:
         return None
     columns = []
     for column in zip(*rows):
-        # "%s" writes an exact int as its repr, so ints go in as they are
-        texts = column if set(map(type, column)) == _INT_KIND else _scalar_texts(column)
+        # "%s" writes an int as its repr, so int columns go in as they are
+        texts = column if set(map(type, column)) == {int} else _scalar_texts(column)
         if texts is None:
             return None
         columns.append(texts)
     inner = newline + "  "
     template = "[" + inner + ("," + inner).join(["%s"] * len(columns)) + newline + "]"
-    return map(template.__mod__, zip(*columns))
+    return map(template.__mod__, zip(*columns)) if columns else None
 
 
-def _write_json(value, newline: str, out: List[str]) -> None:
-    """Append the JSON text of a value whose line starts at `newline`."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        texts = _scalar_texts(value)
-        if texts is None and set(map(type, value)) <= _ROW_KINDS:
-            texts = _row_texts(value, inner)
-        if texts is not None:
-            out.append("[" + inner + ("," + inner).join(texts) + newline + "]")
-            return
-        separator = "[" + inner
-        for item in value:
-            out.append(separator)
-            _write_json(item, inner, out)
-            separator = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in value.items():
-            out.append(separator + _key_json(key) + ": ")
-            _write_json(item, inner, out)
-            separator = "," + inner
-        out.append(newline + "}")
+def _json(value, newline: str) -> str:
+    """The JSON text of a value whose line starts at `newline`."""
+    kind = type(value)
+    if kind in _SCALAR_TEXT:
+        return _SCALAR_TEXT[kind](value)
+    inner = newline + "  "
+    if kind is dict:
+        for key in value:
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        texts = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
+        brackets = "{}"
+    elif kind is list or kind is tuple:
+        texts = (
+            _scalar_texts(value)
+            or _row_texts(value, inner)
+            or [_json(item, inner) for item in value]
+        )
+        brackets = "[]"
     else:
-        text = _scalar_json(value)
-        if text is None:
-            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-        out.append(text)
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(texts)}{newline}{brackets[1]}"
 
 
 def _json_text(doc) -> str:
-    """`json.dumps(doc, indent=2)`, byte for byte."""
-    out: List[str] = []
-    _write_json(doc, "\n", out)
-    return "".join(out)
+    """`json.dumps(doc, indent=2)`, byte for byte, for a document of dicts
+    with str keys, lists, tuples and scalars of exactly the types str, int,
+    float, bool and None.  Any other type raises json's TypeError, a
+    non-str key a TypeError and a non-finite float a ValueError."""
+    return _json(doc, "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -961,10 +922,6 @@ def accepted_counts(automaton: LabeledAutomaton, max_length: int) -> List[int]:
 
     The sweep runs on the minimal machine, which accepts the same words.
     """
-    if not automaton.is_deterministic:
-        raise NondeterministicAutomatonError(
-            "counting walks each word once, so the machine must be deterministic"
-        )
     if max_length < 0:
         raise ValueError("length must be nonnegative")
     machine = automaton.minimized()
@@ -1058,10 +1015,6 @@ class TransferMatrix:
 
 
 def transfer_matrix(automaton: LabeledAutomaton) -> TransferMatrix:
-    if not automaton.is_deterministic:
-        raise NondeterministicAutomatonError(
-            "transfer counts need a deterministic machine"
-        )
     trim = automaton.trimmed()
     # entry p * n + q of the flat matrix, once for every edge of the table
     n = len(trim.states)

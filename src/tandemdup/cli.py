@@ -376,20 +376,30 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # exact counts outgrow the interpreter's limit on writing an int as text
+    # (4 300 digits by default), so it is lifted while the answer is computed
+    # and written; the arguments above were read under it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        doc, lines = args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _emit(args, doc, lines)
-    except OSError as exc:
-        print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        try:
+            doc, lines = args.func(args)
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except ValueError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        try:
+            _emit(args, doc, lines)
+        except OSError as exc:
+            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
+        return 0
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

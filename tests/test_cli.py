@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -72,6 +73,19 @@ class TestCount:
         text_counts = dict(line.split("\t") for line in out.splitlines())
         assert {k: str(v) for k, v in doc["counts"].items()} == text_counts
         assert doc["counts"]["8"] == 138
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_counts_past_the_int_digit_limit(self, capsys, monkeypatch, fmt):
+        # exact counts of long words run past the 4 300 digits to which
+        # Python limits writing an int as text
+        monkeypatch.setattr(cli, "accepted_counts", lambda machine, n: [10**5000] * (n + 1))
+        limit = sys.get_int_max_str_digits()
+        code, out = run(capsys, "count", *SYS2, "--max-len", "3", "--format", fmt)
+        assert code == 0
+        assert out.count("1" + "0" * 5000) == 2
+        assert sys.get_int_max_str_digits() == limit
+        # the command line is still read under the limit
+        assert run(capsys, "count", *SYS2, "--max-len", "9" * 5000)[0] == 2
 
 
 class TestMember:
