@@ -609,9 +609,11 @@ class LabeledAutomaton:
         for q in self.states:
             shape = "doublecircle" if q in self.accepting else "circle"
             lines.append(f"  {q} [shape={shape}];")
-        states, symbols = self.states, self.alphabet.symbols
+        # a DOT string escapes its backslashes first, then its quotes
+        labels = [s.replace("\\", "\\\\").replace('"', '\\"') for s in self.alphabet.symbols]
+        states = self.states
         for p, s, q in self._ranked_edges():
-            lines.append(f'  {states[p]} -> {states[q]} [label="{symbols[s]}"];')
+            lines.append(f'  {states[p]} -> {states[q]} [label="{labels[s]}"];')
         lines.append("}")
         return "\n".join(lines)
 

@@ -52,29 +52,15 @@ class ExpressivenessVerdict:
         }
 
 
-def _classify(system: DuplicationSystem):
-    seed_symbols = set(system.seed)
-    if any(s not in seed_symbols for s in system.alphabet):
-        return ANSWER_NO, REASON_MISSING_SYMBOL
-    size = len(system.alphabet)
-    if size == 1:
-        return ANSWER_YES, RULE_UNARY
-    if size == 2:
-        if system.kmax == 1:
-            return ANSWER_NO, REASON_BINARY_K1
-        return ANSWER_YES, RULE_BINARY_K2
-    if size == 3:
-        if system.kmax <= 3:
-            return ANSWER_NO, REASON_TERNARY_K3
-        if len(system.seed) == 3 and len(seed_symbols) == 3:
-            return ANSWER_YES, RULE_TERNARY_K4
-        return ANSWER_UNKNOWN, RULE_UNCHARACTERIZED
-    return ANSWER_NO, REASON_SIGMA4
+def _no(alphabet: Alphabet, symbols, reason: str) -> ExpressivenessVerdict:
+    """A "no" whose witness is the word over `symbols`, named by `reason`."""
+    return ExpressivenessVerdict(ANSWER_NO, reason, Witness(alphabet.join(symbols), reason))
 
 
-def witness(system: DuplicationSystem) -> Optional[Witness]:
-    """A never-occurring factor for systems that are not fully expressive.
+def is_fully_expressive(system: DuplicationSystem) -> ExpressivenessVerdict:
+    """Decide full expressiveness; every "no" carries a witness.
 
+    The witness is built in the branch that decides the "no":
     missing-symbol: duplication introduces no new symbols, so the absent
     symbol itself is a witness.  binary-k1: (ab)^m longer than the seed
     cannot appear, since single-symbol copies only stretch runs.
@@ -84,37 +70,32 @@ def witness(system: DuplicationSystem) -> Optional[Witness]:
     in the first symbol; it is too long for the seed and too square-free
     to ever be assembled.
     """
-    answer, rule = _classify(system)
-    if answer != ANSWER_NO:
-        return None
-    alphabet = system.alphabet
-    join = alphabet.join
+    alphabet, seed, kmax = system.alphabet, system.seed, system.kmax
     symbols = alphabet.symbols
-    if rule == REASON_MISSING_SYMBOL:
-        missing = next(s for s in symbols if s not in set(system.seed))
-        return Witness(join([missing]), REASON_MISSING_SYMBOL)
-    if rule == REASON_BINARY_K1:
-        m = len(system.seed) // 2 + 1
-        return Witness(join((symbols[0], symbols[1]) * m), REASON_BINARY_K1)
-    if rule == REASON_TERNARY_K3:
-        reps = len(system.seed) + 1
-        a, b, c = symbols[0], symbols[1], symbols[2]
-        return Witness(join((a, b, c, b) * reps + (a,)), REASON_TERNARY_K3)
-    # four or more symbols
-    inner_alphabet = Alphabet(symbols[1:4])
-    length = max(len(system.seed), system.kmax) + 1
-    inner = thue_square_free(length, inner_alphabet)
-    first = symbols[0]
-    word = join([first] + list(inner) + [first])
-    return Witness(word, REASON_SIGMA4)
+    missing = [s for s in symbols if s not in seed]
+    if missing:
+        return _no(alphabet, missing[:1], REASON_MISSING_SYMBOL)
+    if len(symbols) == 1:
+        return ExpressivenessVerdict(ANSWER_YES, RULE_UNARY)
+    if len(symbols) == 2:
+        if kmax == 1:
+            return _no(alphabet, symbols * (len(seed) // 2 + 1), REASON_BINARY_K1)
+        return ExpressivenessVerdict(ANSWER_YES, RULE_BINARY_K2)
+    if len(symbols) == 3:
+        a, b, c = symbols
+        if kmax <= 3:
+            return _no(alphabet, (a, b, c, b) * (len(seed) + 1) + (a,), REASON_TERNARY_K3)
+        # every symbol occurs in the seed, so a seed of length 3 is abc permuted
+        if len(seed) == 3:
+            return ExpressivenessVerdict(ANSWER_YES, RULE_TERNARY_K4)
+        return ExpressivenessVerdict(ANSWER_UNKNOWN, RULE_UNCHARACTERIZED)
+    inner = thue_square_free(max(len(seed), kmax) + 1, Alphabet(symbols[1:4]))
+    return _no(alphabet, (symbols[0], *inner, symbols[0]), REASON_SIGMA4)
 
 
-def is_fully_expressive(system: DuplicationSystem) -> ExpressivenessVerdict:
-    """Decide full expressiveness; every "no" carries a witness."""
-    answer, rule = _classify(system)
-    if answer == ANSWER_NO:
-        return ExpressivenessVerdict(answer, rule, witness(system))
-    return ExpressivenessVerdict(answer, rule)
+def witness(system: DuplicationSystem) -> Optional[Witness]:
+    """A never-occurring factor for systems that are not fully expressive."""
+    return is_fully_expressive(system).witness
 
 
 def check_coverage(

@@ -444,6 +444,14 @@ def window_graph(alphabet_text, forbidden):
     return rows
 
 
+def successors(edges):
+    """Successor map {state: {symbol: set of targets}} read off an edge set."""
+    succ = defaultdict(lambda: defaultdict(set))
+    for p, s, q in edges:
+        succ[p][s].add(q)
+    return succ
+
+
 def prefix_language_upto(machine, max_length):
     """Accepted words of a DFA grouped by length, one prefix at a time: the
     reference for the packed `language_upto`.  A prefix is extended only
@@ -460,6 +468,7 @@ def prefix_language_upto(machine, max_length):
             if p not in distance:
                 distance[p] = distance[q] + 1
                 queue.append(p)
+    succ = successors(machine.edges)
     single = machine.alphabet.single_char
     out = {n: set() for n in range(max_length + 1)}
     level = [(machine.start, "" if single else ())]
@@ -469,7 +478,7 @@ def prefix_language_upto(machine, max_length):
         for q, prefix in level:
             if q in machine.accepting:
                 out[n].add(prefix)
-            for s, (t,) in machine.out_map(q).items():
+            for s, (t,) in succ[q].items():
                 if distance.get(t, room + 1) <= room:
                     nxt.append((t, prefix + (s if single else (s,))))
         level = nxt
@@ -480,19 +489,21 @@ def moore_minimized(machine):
     """Minimal machine by Moore partition refinement, for cross-checking
     the library's double reversal.
 
-    Works on the trimmed machine completed with one dead state.  Block ids
-    follow the first state of each block in the trimmed machine's
-    breadth-first numbering, so the result uses the same state numbers as
-    the library's minimal machine, not just an isomorphic copy.
+    Works on the machine trimmed by `set_trim`, completed with one dead
+    state.  Block ids follow the first state of each block in the trimmed
+    machine's breadth-first numbering, so the result uses the same state
+    numbers as the library's minimal machine, not just an isomorphic copy.
     """
-    a = machine.trimmed()
-    symbols = a.alphabet.symbols
-    dead = max(a.states) + 1
-    succ = {q: {} for q in a.states}
-    for p, s, q in a.edges:
+    symbols = machine.alphabet.symbols
+    trim_states, start, accepting, edges = set_trim(
+        machine.start, machine.accepting, machine.edges, symbols
+    )
+    dead = max(trim_states) + 1
+    succ = {q: {} for q in trim_states}
+    for p, s, q in edges:
         succ[p][s] = q
-    states = list(a.states) + [dead]
-    block = {q: (1 if q in a.accepting else 0) for q in states}
+    states = sorted(trim_states) + [dead]
+    block = {q: (1 if q in accepting else 0) for q in states}
     while True:
         signature_ids = {}
         refined = {}
@@ -508,13 +519,14 @@ def moore_minimized(machine):
         if stable:
             break
     # trim states have nonempty right languages, so unless the language is
-    # empty the dead state sits in a block of its own and drops out here
+    # empty the dead state sits in a block of its own and drops out here;
+    # when it is empty every state shares the dead block, whose edges go too
     return LabeledAutomaton(
-        a.alphabet,
-        {block[q] for q in a.states},
-        block[a.start],
-        {block[q] for q in a.accepting},
-        {(block[p], s, block[q]) for p, s, q in a.edges},
+        machine.alphabet,
+        {block[q] for q in trim_states},
+        block[start],
+        {block[q] for q in accepting},
+        {(block[p], s, block[q]) for p, s, q in edges if block[q] != block[dead]},
     )
 
 
@@ -526,6 +538,11 @@ def right_language_subset(automaton, lower, upper):
     works for nondeterministic machines as well.
     """
     accepting = automaton.accepting
+    succ = successors(automaton.edges)
+
+    def step(states, s):
+        return frozenset(q for p in states for q in succ[p].get(s, ()))
+
     start = (frozenset({lower}), frozenset({upper}))
     seen = {start}
     stack = [start]
@@ -534,10 +551,10 @@ def right_language_subset(automaton, lower, upper):
         if (left & accepting) and not (right & accepting):
             return False
         for s in automaton.alphabet.symbols:
-            left2 = automaton.step(left, s)
+            left2 = step(left, s)
             if not left2:
                 continue
-            right2 = automaton.step(right, s)
+            right2 = step(right, s)
             pair = (left2, right2)
             if pair not in seen:
                 seen.add(pair)
@@ -554,13 +571,14 @@ def path_table_certificate(automaton, kmax):
     ones off the entry (u, u), and the states a label reaches from u off
     the row of u.
     """
+    succ = successors(automaton.edges)
     paths = {1: defaultdict(set)}
     for p, s, q in automaton.edges:
         paths[1][(p, q)].add((s,))
     for j in range(2, kmax + 1):
         paths[j] = defaultdict(set)
         for (p, q), labels in paths[j - 1].items():
-            for s, targets in automaton.out_map(q).items():
+            for s, targets in succ[q].items():
                 for r in targets:
                     paths[j][(p, r)].update(label + (s,) for label in labels)
 

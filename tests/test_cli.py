@@ -122,6 +122,25 @@ class TestAutomaton:
         assert out.startswith("digraph")
         assert "->" in out
 
+    def test_dot_labels_escape_quotes_and_backslashes(self, capsys):
+        quoted = 'x",y\\'
+        code, out = run(
+            capsys, "automaton", "--alphabet", quoted, "--seed", quoted, "--max-dup", "1",
+            "--format", "dot",
+        )
+        assert code == 0
+        edges = [line for line in out.splitlines() if "label=" in line]
+        assert edges == [
+            '  0 -> 1 [label="x\\""];',
+            '  1 -> 1 [label="x\\""];',
+            '  1 -> 2 [label="y\\\\"];',
+            '  2 -> 2 [label="y\\\\"];',
+        ]
+        # each label is one DOT string that reads back to its symbol
+        string = re.compile(r'\[label="((?:[^"\\]|\\.)*)"\];$')
+        labels = [re.sub(r"\\(.)", r"\1", string.search(line).group(1)) for line in edges]
+        assert labels == ['x"', 'x"', "y\\", "y\\"]
+
 
 class TestCapacity:
     def test_exact_json(self, capsys):

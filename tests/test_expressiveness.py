@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -6,6 +8,7 @@ from tandemdup import (
     ANSWER_NO,
     ANSWER_UNKNOWN,
     ANSWER_YES,
+    Alphabet,
     DuplicationSystem,
     check_coverage,
     derives_from,
@@ -186,3 +189,33 @@ def test_verdict_json_round_trip(ternary_system):
     assert doc["answer"] == "no"
     assert doc["rule"] == "ternary-k3"
     assert doc["witness"] == "01210121012101210"
+
+
+# sha256 of the verdict lines of `test_the_whole_ladder_is_pinned`, joined by
+# newlines; any change to an answer, rule or witness word changes it
+LADDER_DIGEST = "46d5f9b57f93cb55b050700cda1c36bdc0adf3ef0cbec3ea4822410d8d31ca55"
+
+
+def test_the_whole_ladder_is_pinned():
+    """Every seed of length 1-5 (1-4 past three symbols) at k = 1-6, over
+    alphabets of one to five symbols and one of multi-character symbols:
+    11 478 systems, each verdict written as one JSON line."""
+    lines = []
+    for text in ["0", "01", "012", "0123", "01234", "a,bb,c"]:
+        alphabet = Alphabet.parse(text)
+        top = 5 if len(alphabet) <= 3 else 4
+        for n in range(1, top + 1):
+            for seed in alphabet.words_of_length(n):
+                for k in range(1, 7):
+                    system = DuplicationSystem(alphabet, seed, k)
+                    verdict = is_fully_expressive(system)
+                    assert witness(system) == verdict.witness
+                    if verdict.answer == ANSWER_NO:
+                        assert verdict.witness.reason == verdict.rule
+                    else:
+                        assert verdict.witness is None
+                    doc = verdict.to_json_dict(alphabet)
+                    lines.append(json.dumps([text, alphabet.text(seed), k, doc]))
+    assert len(lines) == 11478
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LADDER_DIGEST
