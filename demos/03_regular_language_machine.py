@@ -10,6 +10,7 @@ enumeration cannot reach.
 """
 
 from tandemdup import (
+    Alphabet,
     DuplicationSystem,
     build_automaton,
     count_accepted,
@@ -18,6 +19,7 @@ from tandemdup import (
     transfer_matrix,
     verify_duplication_closure,
 )
+from tandemdup.automaton import avoidance_automaton
 
 system = DuplicationSystem.parse("012", "012", 3)
 machine = build_automaton(system)
@@ -40,11 +42,17 @@ tm = transfer_matrix(machine)
 print("transfer matrix shape:", tm.matrix.shape)
 
 # a certificate that the language really is closed under duplication:
-# every short path label can be replayed from the state it reaches
+# every short label arriving at a state replays from that state
 certificate = verify_duplication_closure(machine, 3)
 print("closure certified:", certificate.passed)
-print("states that need a superstate for some length-3 label:",
-      sorted({c.state for c in certificate.fallbacks(path_length=3)}))
+
+# the words avoiding 02 are not closed under duplication, and the failed
+# certificate names a word they hold whose duplicate they do not
+avoiding = avoidance_automaton(Alphabet("012"), ["02"])
+failed = verify_duplication_closure(avoiding, 4)
+prefix, label, suffix = next(c.counterexample for c in failed.checks if c.counterexample)
+print("words avoiding 02 closed:", failed.passed)
+print(f"they hold {prefix + label + suffix!r} but not {prefix + label + label + suffix!r}")
 
 # smaller equivalent machine, and a DOT drawing for graphviz
 print("minimized:", machine.minimized())

@@ -37,18 +37,18 @@ out-maps are derived from it when asked for.  The first pass of double
 reversal turns its table around into the rows of the second.
 
 The module also builds the minimal machine of the words that avoid a set
-of forbidden factors from their pattern trie, and it carries the machinery
-to certify that an automaton's language is closed under bounded
-duplication: every short path label into a state must be replayable from
-that state to a "superstate", a state whose right language contains the
-original one.
+of forbidden factors from their pattern trie, and it certifies that an
+automaton's language is closed under bounded duplication by a walk on
+pairs of states: where a short label ends, and where the same label leads
+from there.  A state that fails gets a counterexample that replays, a word
+the machine accepts whose duplicate it rejects.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from operator import or_
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -1046,125 +1046,122 @@ def _inclusion(automaton: LabeledAutomaton) -> np.ndarray:
         included = kept
 
 
-VERDICT_LABEL_SETS = "label-sets"
-VERDICT_SUPERSTATE = "superstate"
-VERDICT_FAIL = "fail"
-
-
 @dataclass(frozen=True)
 class ClosureCheck:
-    """Outcome for one (state, path length) pair.
-
-    `label-sets`: every length-j label arriving at the state also labels a
-    cycle at the state.  `superstate`: some labels do not cycle but can be
-    replayed from the state into a superstate; those are listed.  `fail`:
-    a label admits neither, recorded as the counterexample.
-    """
+    """Outcome for one state u: no counterexample when every label of
+    length 1 .. kmax that arrives at u leads from u into a state whose right
+    language holds u's.  Otherwise (prefix w, label q, suffix r): w leads
+    from the start to where q starts and q on to u, from where r reaches
+    acceptance, so wqr is accepted; the second q leads from u to a state
+    that rejects r, so wqqr is not."""
 
     state: int
-    path_length: int
-    verdict: str
-    fallback_labels: tuple = ()
-    counterexample: Optional[Word] = None
+    counterexample: Optional[Tuple[Word, Word, Word]] = None
 
 
 @dataclass(frozen=True)
 class ClosureCertificate:
-    """Per-state evidence that the language is closed under duplications
-    of blocks up to kmax.
-
-    Together with seed acceptance this pins the automaton's language to a
-    superset of the duplication language; equality at small lengths is
-    checked against enumeration separately.
-    """
+    """Per-state evidence that the language is closed under duplications of
+    blocks up to kmax.  With seed acceptance it pins the machine's language
+    to a superset of the duplication language."""
 
     kmax: int
     checks: Tuple[ClosureCheck, ...]
 
     @property
     def passed(self) -> bool:
-        return all(c.verdict != VERDICT_FAIL for c in self.checks)
-
-    def fallbacks(self, path_length: Optional[int] = None) -> List[ClosureCheck]:
-        return [
-            c
-            for c in self.checks
-            if c.verdict == VERDICT_SUPERSTATE
-            and (path_length is None or c.path_length == path_length)
-        ]
-
-    def counterexamples(self) -> List[ClosureCheck]:
-        return [c for c in self.checks if c.verdict == VERDICT_FAIL]
+        return all(c.counterexample is None for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kmax": self.kmax,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "state": c.state,
-                    "pathLength": c.path_length,
-                    "verdict": c.verdict,
-                    "fallbackLabels": list(c.fallback_labels),
-                    "counterexample": c.counterexample,
-                }
-                for c in self.checks
-            ],
-        }
+        checks = []
+        for c in self.checks:
+            # a counterexample is None or a nonempty triple of words
+            words = c.counterexample and dict(zip(("prefix", "label", "suffix"), c.counterexample))
+            checks.append({"state": c.state, "counterexample": words})
+        return {"kmax": self.kmax, "passed": self.passed, "checks": checks}
 
 
-def verify_duplication_closure(
-    automaton: LabeledAutomaton, kmax: int
-) -> ClosureCertificate:
+def _shortest(table: List[List[int]], sources, goal) -> Tuple[tuple, List[int]]:
+    """Breadth-first over tuples of ranks of a completed table, per symbol
+    the target of each rank, every rank of a tuple stepped on its own: a
+    source and the symbol ranks of a shortest word that leads from it to a
+    tuple `goal` holds for.  The caller knows that one does."""
+    parent = dict.fromkeys(sources)
+    queue = list(parent)  # the breadth-first queue, walked while it grows
+    for node in queue:
+        if goal(*node):
+            word = []
+            while parent[node] is not None:
+                node, s = parent[node]
+                word.append(s)
+            return node, word[::-1]
+        for s, targets in enumerate(table):
+            after = tuple(map(targets.__getitem__, node))
+            if after not in parent:
+                parent[after] = node, s
+                queue.append(after)
+
+
+def verify_duplication_closure(automaton: LabeledAutomaton, kmax: int) -> ClosureCertificate:
     """Certify closure under duplication of blocks up to kmax.
 
-    For every state u and every j <= kmax, each label of a length-j path
-    ending in u must label some path from u to a superstate of u.  A word
-    pqr read through u after q can then be re-read as pqqr: replay q from
-    u, land in a superstate, and finish r from there.  Labels that cycle
-    straight back to u satisfy this with u itself; the rest need an
-    explicit superstate target.
+    Every label q of length 1 .. kmax that leads from some state to u must
+    lead from u into a state y whose right language holds u's: then a word
+    wqr read through u after q re-reads as wqqr, replaying q from u to y.
+    On a DFA this depends only on pairs of states, where a label ends and
+    where it leads from u.  So for each u the walk steps the pairs (p, u),
+    p any rank, by each symbol on the completed table, breadth first, at
+    most kmax steps, keeping per second component one mask of the label
+    ends reached.  u fails exactly when a pair (u, y) turns up with y the
+    sink or not above u in `_inclusion`, computed once a y other than u
+    turns up.  A failing u gets a counterexample, each part a shortest
+    word: the label of a pair (p, u) that leads to (u, y), an access word
+    of p, and a word that u accepts and y rejects.
 
     The machine must be a trim DFA: `is_trim` refuses an NFA.
     """
     if not automaton.is_trim():
         raise ValueError("closure certification expects a trim automaton")
-    states, symbols = automaton.states, automaton.alphabet.symbols
-
-    # arriving[j][q]: labels of the length-j paths ending in rank q
-    arriving = [[{()} for _ in states]]
-    for j in range(kmax):
-        after: List[Set[tuple]] = [set() for _ in states]
-        for p, s, q in automaton._ranked_edges():
-            symbol = (symbols[s],)
-            after[q].update(label + symbol for label in arriving[j][p])
-        arriving.append(after)
-
-    # computed once, when some label does not cycle
-    included: Optional[np.ndarray] = None
-    join = automaton.alphabet.join
-    checks: List[ClosureCheck] = []
-    for u, state in enumerate(states):
-        for j in range(1, kmax + 1):
-            # labels that do not cycle at u, with the ranks they reach from u
-            offending = []
-            for label in sorted(arriving[j][u]):
-                end = automaton._walk(u, label)
-                if end != u:
-                    offending.append((label, end))
-            if not offending:
-                checks.append(ClosureCheck(state, j, VERDICT_LABEL_SETS))
-                continue
-            if included is None:
-                included = _inclusion(automaton)
-            fallback = []
-            counterexample = None
-            for label, end in offending:
-                if end is not None and included[u, end]:
-                    fallback.append(join(label))
-                else:
-                    counterexample = join(label)
-                    break
-            verdict = VERDICT_SUPERSTATE if counterexample is None else VERDICT_FAIL
-            checks.append(ClosureCheck(state, j, verdict, tuple(fallback), counterexample))
+    completed, final = _completed(automaton)
+    table = completed.T.tolist()
+    n = sink = len(automaton.states)
+    # per symbol: the target of each rank, the bit of that target (none for
+    # the sink, which ends no label) and the image of each mask of label
+    # ends met so far, as the same masks recur across u
+    steps = [(targets, [0 if q == sink else 1 << q for q in targets], {}) for targets in table]
+    # computed once a label leads from u to another state
+    included = cache(partial(_inclusion, automaton))
+    symbols, join = automaton.alphabet.symbols, automaton.alphabet.join
+    checks = []
+    for u in range(n):
+        # per second component, the label ends seen and those new at the last step
+        seen = [0] * (n + 1)
+        seen[u] = (1 << n) - 1
+        fresh, bad = {u: seen[u]}, None
+        for _ in range(kmax):
+            after: Dict[int, int] = {}
+            for b, ends in fresh.items():
+                for targets, row, image in steps:
+                    ahead = image.get(ends)
+                    if ahead is None:
+                        ahead = image[ends] = _union(ends, row)
+                    y = targets[b]
+                    new = ahead & ~seen[y]
+                    if new:
+                        after[y] = after.get(y, 0) | new
+            for y, new in after.items():
+                seen[y] |= new
+            moved = (y for y, new in after.items() if y != u and new >> u & 1)
+            bad = next((y for y in moved if not included()[u, y]), None)
+            if bad is not None or not after:
+                break
+            fresh = after
+        counterexample = None
+        if bad is not None:
+            pairs = [(p, u) for p in range(n)]
+            (p, _), label = _shortest(table, pairs, lambda a, b: (a, b) == (u, bad))
+            _, prefix = _shortest(table, [(automaton._ends()[0],)], lambda a: a == p)
+            _, suffix = _shortest(table, [(u, bad)], lambda a, b: final[a] and not final[b])
+            counterexample = tuple(join(symbols[s] for s in w) for w in (prefix, label, suffix))
+        checks.append(ClosureCheck(automaton.states[u], counterexample))
     return ClosureCertificate(kmax, tuple(checks))

@@ -233,7 +233,6 @@ def cmd_verify(args):
     lines = [
         f"seed accepted\t{str(doc['seedAccepted']).lower()}",
         f"closure passed\t{str(certificate.passed).lower()}",
-        f"superstate fallbacks\t{len(certificate.fallbacks())}",
     ]
     if "oracleAgrees" in doc:
         lines.append(f"oracle agrees\t{str(doc['oracleAgrees']).lower()}")

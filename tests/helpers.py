@@ -7,15 +7,7 @@ the package cannot hide behind the same bug in the tests.
 import itertools
 from collections import defaultdict, deque
 
-from tandemdup import (
-    BudgetExceededError,
-    VERDICT_FAIL,
-    VERDICT_LABEL_SETS,
-    VERDICT_SUPERSTATE,
-    ClosureCertificate,
-    ClosureCheck,
-    LabeledAutomaton,
-)
+from tandemdup import BudgetExceededError, LabeledAutomaton
 
 
 def brute_duplicate(word, i, k):
@@ -562,14 +554,24 @@ def right_language_subset(automaton, lower, upper):
     return True
 
 
+# the verdicts of `path_table_certificate` for one (state, length) pair:
+# every arriving label cycles, some only replay into a superstate, or one
+# replays into neither
+LABEL_SETS = "label-sets"
+SUPERSTATE = "superstate"
+FAIL = "fail"
+
+
 def path_table_certificate(automaton, kmax):
     """Closure certificate from a table of path labels for every state pair,
-    for cross-checking the library's per-state arrival sets.
+    the reference for the pair walk of `verify_duplication_closure`.
 
-    Same checks, verdicts and order as `verify_duplication_closure`: the
-    labels arriving at u are read off the table column of u, the cycling
-    ones off the entry (u, u), and the states a label reaches from u off
-    the row of u.
+    Returns {(state, j): (verdict, fallbacks, counterexample)} for every
+    state and every j = 1 .. kmax.  The labels arriving at u are read off
+    the table column of u, the cycling ones off the entry (u, u), and the
+    states a label reaches from u off the row of u.  A label that does not
+    cycle is a fallback when some state it reaches from u is a superstate
+    of u; the first, in sorted order, that is not is the counterexample.
     """
     succ = successors(automaton.edges)
     paths = {1: defaultdict(set)}
@@ -583,7 +585,7 @@ def path_table_certificate(automaton, kmax):
                     paths[j][(p, r)].update(label + (s,) for label in labels)
 
     join = automaton.alphabet.join
-    checks = []
+    verdicts = {}
     for u in automaton.states:
         for j in range(1, kmax + 1):
             arriving = set()
@@ -591,9 +593,6 @@ def path_table_certificate(automaton, kmax):
                 if q == u:
                     arriving |= labels
             offending = sorted(arriving - paths[j].get((u, u), set()))
-            if not offending:
-                checks.append(ClosureCheck(u, j, VERDICT_LABEL_SETS))
-                continue
             fallback = []
             counterexample = None
             for label in offending:
@@ -603,6 +602,9 @@ def path_table_certificate(automaton, kmax):
                 else:
                     counterexample = join(label)
                     break
-            verdict = VERDICT_SUPERSTATE if counterexample is None else VERDICT_FAIL
-            checks.append(ClosureCheck(u, j, verdict, tuple(fallback), counterexample))
-    return ClosureCertificate(kmax, tuple(checks))
+            if counterexample is not None:
+                verdict = FAIL
+            else:
+                verdict = SUPERSTATE if fallback else LABEL_SETS
+            verdicts[(u, j)] = (verdict, tuple(fallback), counterexample)
+    return verdicts

@@ -14,9 +14,6 @@ from tandemdup import (
     LabeledAutomaton,
     NondeterministicAutomatonError,
     UnsupportedDuplicationLength,
-    VERDICT_FAIL,
-    VERDICT_LABEL_SETS,
-    VERDICT_SUPERSTATE,
     build_automaton,
     count_accepted,
     count_words,
@@ -31,6 +28,9 @@ from tandemdup.automaton import _json_text, accepted_counts, avoidance_automaton
 from tandemdup.core import tandem_duplicate
 from tandemdup.expressiveness import witness
 from helpers import (
+    FAIL,
+    LABEL_SETS,
+    SUPERSTATE,
     accepted_by_scan,
     canonical_patterns,
     edge_count_matrix,
@@ -380,6 +380,37 @@ class TestRightLanguageOrder:
             _assert_inclusion_matches_the_walk(_random_trim_dfa(rng, Alphabet("cab")))
 
 
+def _assert_counterexamples_replay(machine, certificate):
+    """Every counterexample (w, q, r) of a certificate, read back from its
+    JSON texts through `alphabet.word`, has 1 <= |q| <= kmax, and the
+    machine accepts wqr and rejects wqqr."""
+    alphabet = machine.alphabet
+    doc = json.loads(_json_text(certificate.to_json_dict()))
+    found = [c["counterexample"] for c in doc["checks"] if c["counterexample"] is not None]
+    for texts in found:
+        parts = (texts[part] for part in ("prefix", "label", "suffix"))
+        w, q, r = (alphabet.word(alphabet.text(part)) for part in parts)
+        assert 1 <= len(q) <= certificate.kmax, (machine, texts)
+        assert machine.accepts(w + q + r), (machine, texts)
+        assert not machine.accepts(w + q + q + r), (machine, texts)
+    return len(found)
+
+
+def _assert_matches_the_path_table(machine, kmax):
+    """The pair walk fails at exactly the states where the label walk of
+    `path_table_certificate` has a `fail` verdict, and its counterexamples
+    replay.  Returns the set of the oracle's verdicts."""
+    certificate = verify_duplication_closure(machine, kmax)
+    oracle = path_table_certificate(machine, kmax)
+    failing = {u for (u, _), (verdict, _, _) in oracle.items() if verdict == FAIL}
+    assert [c.state for c in certificate.checks] == list(machine.states)
+    got = {c.state for c in certificate.checks if c.counterexample is not None}
+    assert got == failing, (machine, kmax)
+    assert certificate.passed == (not failing)
+    assert _assert_counterexamples_replay(machine, certificate) == len(failing)
+    return {verdict for verdict, _, _ in oracle.values()}
+
+
 class TestClosureCertificates:
     def test_core_machines_certify(
         self,
@@ -396,21 +427,37 @@ class TestClosureCertificates:
         ]:
             cert = verify_duplication_closure(machine, k)
             assert cert.passed
-            assert not cert.counterexamples()
+            assert len(cert.checks) == len(machine.states)
+            assert all(c.counterexample is None for c in cert.checks)
 
-    def test_ternary_certificate_needs_superstate_fallbacks(self, ternary_automaton):
-        cert = verify_duplication_closure(ternary_automaton, 3)
-        falls = cert.fallbacks(path_length=3)
-        assert falls
-        assert all(c.verdict == VERDICT_SUPERSTATE for c in falls)
-        labels = {lbl for c in falls for lbl in c.fallback_labels}
-        assert "012" in labels
+    def test_ternary_certificate_needs_superstate_fallbacks(self, ternary_automaton, monkeypatch):
+        # "012" arrives at some state as a length-3 label that does not
+        # cycle there, so that state is closed only through a superstate
+        oracle = path_table_certificate(ternary_automaton, 3)
+        falls = [v for (_, j), v in oracle.items() if j == 3 and v[0] == SUPERSTATE]
+        assert any("012" in fallbacks for _, fallbacks, _ in falls)
+        assert all(verdict != FAIL for verdict, _, _ in oracle.values())
+        # the pair walk passes the machine through the inclusion relation
+        calls = []
+        inclusion = automaton_module._inclusion
+        monkeypatch.setattr(
+            automaton_module, "_inclusion", lambda m: calls.append(m) or inclusion(m)
+        )
+        assert verify_duplication_closure(ternary_automaton, 3).passed
+        assert calls == [ternary_automaton]
 
     def test_certificate_json_shape(self, binary_automaton):
         doc = verify_duplication_closure(binary_automaton, 2).to_json_dict()
         assert doc["passed"] is True
         assert doc["kmax"] == 2
-        assert all({"state", "pathLength", "verdict"} <= set(c) for c in doc["checks"])
+        assert [c["state"] for c in doc["checks"]] == list(binary_automaton.states)
+        assert all(c == {"state": c["state"], "counterexample": None} for c in doc["checks"])
+        system = DuplicationSystem.parse("012", "011112", 4)
+        machine = avoidance_automaton(system.alphabet, ["02"])
+        doc = verify_duplication_closure(machine, 4).to_json_dict()
+        assert doc["passed"] is False
+        found = [c["counterexample"] for c in doc["checks"] if c["counterexample"]]
+        assert found and all(set(c) == {"prefix", "label", "suffix"} for c in found)
 
     def test_requires_trim_input(self):
         m = LabeledAutomaton(
@@ -421,16 +468,26 @@ class TestClosureCertificates:
 
     @pytest.mark.parametrize("kmax", [1, 2, 3])
     def test_arrival_sets_match_the_path_table(self, kmax):
+        verdicts = set()
         for pattern in canonical_patterns(5):
             alphabet = "0123"[: int(max(pattern)) + 1]
             sys = DuplicationSystem.parse(alphabet, pattern, kmax)
             for machine in (build_automaton(sys), build_automaton(sys, minimize=True)):
-                got = verify_duplication_closure(machine, kmax).to_json_dict()
-                assert got == path_table_certificate(machine, kmax).to_json_dict(), (
-                    pattern,
-                    kmax,
-                    len(machine.states),
-                )
+                verdicts |= _assert_matches_the_path_table(machine, kmax)
+        # every machine is closed, some only through a superstate
+        assert verdicts == {LABEL_SETS, SUPERSTATE}
+
+    @pytest.mark.parametrize("kmax", [4, 5])
+    def test_minimal_machines_beyond_their_bound_match_the_path_table(self, kmax):
+        # the k = 3 machines checked at a larger bound: many are not closed
+        verdicts = []
+        for pattern in canonical_patterns(5):
+            alphabet = "0123"[: int(max(pattern)) + 1]
+            machine = build_automaton(DuplicationSystem.parse(alphabet, pattern, 3), minimize=True)
+            verdicts.append(_assert_matches_the_path_table(machine, kmax))
+        assert sum(FAIL in v for v in verdicts) == {4: 42, 5: 43}[kmax]
+        # closed, some only through a superstate
+        assert sum(v == {LABEL_SETS, SUPERSTATE} for v in verdicts) == {4: 29, 5: 28}[kmax]
 
     def test_failing_and_nondeterministic_machines_match_the_path_table(self):
         ab = Alphabet("ab")
@@ -459,10 +516,8 @@ class TestClosureCertificates:
                     with pytest.raises(NondeterministicAutomatonError):
                         machine.is_trim()
                     continue
-                cert = verify_duplication_closure(machine, kmax)
-                assert cert.to_json_dict() == path_table_certificate(machine, kmax).to_json_dict()
-                verdicts |= {c.verdict for c in cert.checks}
-        assert verdicts == {VERDICT_LABEL_SETS, VERDICT_SUPERSTATE, VERDICT_FAIL}
+                verdicts |= _assert_matches_the_path_table(machine, kmax)
+        assert verdicts == {LABEL_SETS, SUPERSTATE, FAIL}
 
     @pytest.mark.parametrize("text", ["ba", "cab", "2,10,1"])
     def test_sparse_ids_and_unsorted_symbols_match_the_path_table(self, text):
@@ -472,15 +527,14 @@ class TestClosureCertificates:
         alphabet = Alphabet.parse(text)
         letters = alphabet.symbols + ("z",)
         verdicts = set()
+        through_inclusion = 0
         for _ in range(69):
             machine = _random_trim_dfa(rng, alphabet)
             assert machine.is_trim()
-            for kmax in (1, 2, 3):
-                cert = verify_duplication_closure(machine, kmax)
-                assert cert.to_json_dict() == path_table_certificate(machine, kmax).to_json_dict()
-                for check in cert.checks:
-                    assert list(check.fallback_labels) == sorted(check.fallback_labels)
-                verdicts |= {c.verdict for c in cert.checks}
+            for kmax in (1, 2, 3, 4):
+                found = _assert_matches_the_path_table(machine, kmax)
+                verdicts |= found
+                through_inclusion += found == {LABEL_SETS, SUPERSTATE}
             for n in range(4):
                 for letters_read in itertools.product(letters, repeat=n):
                     word = "".join(letters_read) if alphabet.single_char else letters_read
@@ -491,7 +545,8 @@ class TestClosureCertificates:
                     assert machine.state_after(word) == q, (machine, word)
                     if "z" in letters_read:
                         assert machine.state_after(word) is None
-        assert verdicts == {VERDICT_LABEL_SETS, VERDICT_SUPERSTATE, VERDICT_FAIL}
+        assert verdicts == {LABEL_SETS, SUPERSTATE, FAIL}
+        assert through_inclusion
 
     @pytest.mark.parametrize("kmax", [1, 2, 3])
     def test_canonical_seed_sweep(self, kmax):
@@ -507,15 +562,21 @@ class TestAvoidanceAutomaton:
         # the sigma-4 witnesses; a window automaton would need 4^6 and 4^7 states
         assert len(avoidance_automaton(Alphabet("0123"), [forbidden]).states) == states
 
+    @staticmethod
+    def _random_avoidance(rng):
+        """A random alphabet of two or three symbols, a few short forbidden
+        words over it and the machine of the words avoiding them."""
+        alphabet = rng.choice(["01", "012"])
+        forbidden = [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        return alphabet, forbidden, avoidance_automaton(Alphabet(alphabet), forbidden)
+
     def test_accepts_exactly_the_avoiding_words(self):
         rng = random.Random(7)
         for _ in range(40):
-            alphabet = rng.choice(["01", "012"])
-            forbidden = [
-                "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
-                for _ in range(rng.randint(1, 3))
-            ]
-            machine = avoidance_automaton(Alphabet(alphabet), forbidden)
+            alphabet, forbidden, machine = self._random_avoidance(rng)
             assert machine.is_trim()
             assert machine == moore_minimized(machine), forbidden
             for n in range(7):
@@ -526,6 +587,15 @@ class TestAvoidanceAutomaton:
                 }
                 assert accepted_by_scan(machine, alphabet, n) == want, (forbidden, n)
 
+    def test_random_avoidance_machines_match_the_path_table(self):
+        rng = random.Random(7)
+        verdicts = set()
+        for _ in range(40):
+            _, _, machine = self._random_avoidance(rng)
+            for kmax in (1, 2, 3, 4):
+                verdicts |= _assert_matches_the_path_table(machine, kmax)
+        assert verdicts == {LABEL_SETS, SUPERSTATE, FAIL}
+
     def test_no_word_avoids_the_empty_word(self):
         machine = avoidance_automaton(Alphabet("01"), ["", "11"])
         assert not machine.accepting
@@ -533,9 +603,8 @@ class TestAvoidanceAutomaton:
         # the empty language is closed under duplication
         assert machine.is_trim()
         for kmax in (1, 2, 3):
-            cert = verify_duplication_closure(machine, kmax)
-            assert cert.passed
-            assert cert.to_json_dict() == path_table_certificate(machine, kmax).to_json_dict()
+            assert verify_duplication_closure(machine, kmax).passed
+            assert _assert_matches_the_path_table(machine, kmax) == {LABEL_SETS}
 
     def test_foreign_symbol_rejected(self):
         with pytest.raises(ValueError, match="outside alphabet"):
@@ -572,7 +641,21 @@ class TestAvoidanceAutomaton:
         system = DuplicationSystem.parse("012", "011112", 4)
         machine = avoidance_automaton(system.alphabet, ["02"])
         assert machine.accepts(system.seed)
-        assert not verify_duplication_closure(machine, 4).passed
+        certificate = verify_duplication_closure(machine, 4)
+        assert not certificate.passed
+        assert _assert_counterexamples_replay(machine, certificate)
+        _assert_matches_the_path_table(machine, 4)
+
+    @pytest.mark.parametrize("alphabet", ["0123", "01234"])
+    def test_witness_machines_certify_far_beyond_the_label_walk(self, alphabet):
+        # the label walk lists up to |alphabet|^k labels per state and takes
+        # seconds from k = 8 or 9 on; the pair walk holds n(n + 1) pairs
+        system = DuplicationSystem.parse(alphabet, alphabet, 12)
+        machine = avoidance_automaton(system.alphabet, [witness(system).word])
+        assert machine.accepts(system.seed)
+        certificate = verify_duplication_closure(machine, 12)
+        assert certificate.passed
+        assert len(certificate.checks) == len(machine.states)
 
 
 @pytest.mark.parametrize("kmax", [1, 2, 3])

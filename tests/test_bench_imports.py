@@ -82,6 +82,17 @@ def test_every_name_the_traced_run_patches_exists():
     assert not missing, missing
 
 
+def test_the_traced_closure_hook_reads_a_sized_certificate():
+    # the traced run wraps `cli.verify_duplication_closure` and counts
+    # `len(result.checks)` as `automaton.closure_checks`
+    from tandemdup import cli
+
+    system = DuplicationSystem.parse("012", "012", 3)
+    machine = build_automaton(system, minimize=True)
+    checks = cli.verify_duplication_closure(machine, system.kmax).checks
+    assert len(checks) == len(machine.states)
+
+
 def _tracing_module():
     """bench/tracing.py, imported by path: bench/ is not a package."""
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")

@@ -240,6 +240,10 @@ class TestVerify:
         machine = run_json(capsys, "automaton", *system, "--minimize")
         assert doc["states"] == len(machine["states"])
         assert doc["closure"]["passed"] is True
+        # one check per state of that machine, none with a counterexample
+        checks = doc["closure"]["checks"]
+        assert [c["state"] for c in checks] == machine["states"]
+        assert all(c["counterexample"] is None for c in checks)
 
 
 class TestSquarefree:
