@@ -31,10 +31,13 @@ which never comes twice.
 
 The subset construction hands its transition table (per symbol, the target
 of each state) straight to the machine it builds, and that table is the
-machine: trimming, minimization, counting, word extraction, the transfer
-matrix, the closure certificate and JSON read it, and the edge set and
-out-maps are derived from it when asked for.  The first pass of double
-reversal turns its table around into the rows of the second.
+machine: walks, trimming, minimization, counting, word extraction, the
+transfer matrix, the closure certificate and JSON read it, and the edge set
+is derived from it when asked for.  The first pass of double reversal turns
+its table around into the rows of the second.  A nondeterministic machine
+is input only: it has its states, start, accepting states and edges, JSON,
+DOT, equality, hash and repr, and `determinized()`; every operation that
+reads the table refuses it.
 
 The module also builds the minimal machine of the words that avoid a set
 of forbidden factors from their pattern trie, and it certifies that an
@@ -366,16 +369,21 @@ def _json_text(doc) -> str:
 class LabeledAutomaton:
     """Finite automaton with symbol-labeled edges over a fixed alphabet.
 
-    States are ints.  The machine may be nondeterministic; operations that
-    need determinism say so.  Instances are immutable by convention.
+    States are ints.  Instances are immutable by convention.
 
     A deterministic machine keeps its edges as one transition table: per
     symbol, in alphabet order, the rank of each state's target (its index
-    in `states`), None where it has no edge.  Counting, word extraction,
-    the transfer matrix, minimization and JSON read that table; the edge
-    set, the out-maps and every other view are derived from it on first
-    use.  Machines of the subset construction are born from their table;
-    the public constructor reads the table off the edges once.
+    in `states`), None where it has no edge.  Walks, trimming, counting,
+    word extraction, the transfer matrix, minimization and JSON read that
+    table; the edge set is derived from it on first use.  Machines of the
+    subset construction are born from their table; the public constructor
+    reads the table off the edges once.
+
+    The public constructor also takes edges that give a state two targets
+    under one symbol.  Such a nondeterministic machine has no table: it
+    offers `states`, `start`, `accepting`, `edges`, `is_deterministic`,
+    JSON, DOT, equality, hash and repr, and `determinized()`, and every
+    other operation raises NondeterministicAutomatonError.
     """
 
     def __init__(self, alphabet: Alphabet, states, start: int, accepting, edges):
@@ -421,12 +429,11 @@ class LabeledAutomaton:
         self.states = states
         self.start = start
         self.accepting = accepting
-        # None for a nondeterministic machine
-        self._table = table
+        # None for a nondeterministic machine; read through `_table`
+        self._transitions = table
         # views built on first use
         self._edges: Optional[FrozenSet[tuple]] = None
         self._ranked: Optional[List[Tuple[int, int, int]]] = None
-        self._out: Optional[Dict[int, Dict[object, FrozenSet[int]]]] = None
         # minimized() caches its result here; a minimal machine is flagged
         # instead of pointing at itself, so no machine is left to the cycle
         # collector
@@ -442,7 +449,17 @@ class LabeledAutomaton:
 
     @property
     def is_deterministic(self) -> bool:
-        return self._table is not None
+        return self._transitions is not None
+
+    @property
+    def _table(self) -> List[List[Optional[int]]]:
+        """The transition table, the one way in for every operation that
+        reads it; a nondeterministic machine has none and is refused."""
+        if self._transitions is None:
+            raise NondeterministicAutomatonError(
+                "this operation needs a deterministic machine; determinized() gives one"
+            )
+        return self._transitions
 
     def _ranked_edges(self) -> List[Tuple[int, int, int]]:
         """Every edge as (source rank, symbol rank, target rank), sorted."""
@@ -464,36 +481,12 @@ class LabeledAutomaton:
             )
         return self._edges
 
-    def out_map(self, state: int) -> Dict[object, FrozenSet[int]]:
-        if self._out is None:
-            states, symbols = self.states, self.alphabet.symbols
-            out: Dict[int, Dict[object, Set[int]]] = {q: {} for q in states}
-            for p, s, q in self._ranked_edges():
-                out[states[p]].setdefault(symbols[s], set()).add(states[q])
-            self._out = {p: {s: frozenset(ts) for s, ts in m.items()} for p, m in out.items()}
-        return self._out[state]
-
-    def step(self, states: Iterable[int], symbol) -> FrozenSet[int]:
-        nxt = set()
-        for p in states:
-            nxt |= self.out_map(p).get(symbol, frozenset())
-        return frozenset(nxt)
-
     def accepts(self, word: Word) -> bool:
-        if self.is_deterministic:
-            end = self._walk(bisect_left(self.states, self.start), word)
-            return end is not None and self.states[end] in self.accepting
-        current = frozenset({self.start})
-        for s in word:
-            current = self.step(current, s)
-            if not current:
-                return False
-        return bool(current & self.accepting)
+        end = self._walk(bisect_left(self.states, self.start), word)
+        return end is not None and self.states[end] in self.accepting
 
     def state_after(self, word: Word) -> Optional[int]:
         """Deterministic walk; None once a symbol has no edge."""
-        if not self.is_deterministic:
-            raise NondeterministicAutomatonError("state_after needs a deterministic machine")
         end = self._walk(bisect_left(self.states, self.start), word)
         return None if end is None else self.states[end]
 
@@ -530,10 +523,9 @@ class LabeledAutomaton:
         without edges: the minimal machine, which is trim."""
         if self._is_minimal:
             return self
-        if not self.is_deterministic:
-            raise NondeterministicAutomatonError("trim needs a deterministic machine")
+        table = self._table
         start, accepting = self._ends()
-        live = _distances(self._table, accepting)
+        live = _distances(table, accepting)
         # the new id of each rank, None until it is reached and for every
         # rank that cannot reach acceptance, a dead start among them
         number: List[Optional[int]] = [None] * len(self.states)
@@ -541,17 +533,17 @@ class LabeledAutomaton:
             number[start] = 0
         order = [start]  # the breadth-first queue, walked while it grows
         for p in order:
-            for targets in self._table:
+            for targets in table:
                 q = targets[p]
                 if q is not None and number[q] is None and live[q] is not None:
                     number[q] = len(order)
                     order.append(q)
-        table = [
+        trim = [
             [None if q is None else number[q] for q in map(targets.__getitem__, order)]
-            for targets in self._table
+            for targets in table
         ]
         kept = [number[q] for q in accepting if number[q] is not None]
-        return LabeledAutomaton._from_table(self.alphabet, len(order), kept, table)
+        return LabeledAutomaton._from_table(self.alphabet, len(order), kept, trim)
 
     def is_trim(self) -> bool:
         """Does trimming keep every state and every edge?"""
@@ -574,8 +566,6 @@ class LabeledAutomaton:
         if self._is_minimal:
             return self
         if self._minimal is None:
-            if not self.is_deterministic:
-                raise NondeterministicAutomatonError("minimize needs a deterministic machine")
             reversal = self._reversal or _table_reversal(self._table, *self._ends())
             self._reversal = None
             self._minimal = _minimal_raw(self.alphabet, *reversal)
@@ -971,10 +961,8 @@ def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set
     while an accepting state is still within reach of the length left, so
     no prefix is built that ends nowhere.
     """
-    if not automaton.is_deterministic:
-        raise NondeterministicAutomatonError(
-            "language extraction needs a deterministic machine"
-        )
+    # read before the length, so an NFA is refused at every length
+    rows = automaton._table
     if max_length < 0:
         return {}
     alphabet = automaton.alphabet
@@ -983,7 +971,7 @@ def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set
     # fewest symbols from each state to acceptance; the sink, like a state
     # that cannot reach acceptance, lies beyond every length
     far = max_length + 1
-    distance = [far if d is None else d for d in _distances(automaton._table, ranks)]
+    distance = [far if d is None else d for d in _distances(rows, ranks)]
     distance = np.array(distance + [far])
 
     out: Dict[int, Set[Word]] = {n: set() for n in range(max_length + 1)}
@@ -1120,6 +1108,8 @@ def verify_duplication_closure(automaton: LabeledAutomaton, kmax: int) -> Closur
 
     The machine must be a trim DFA: `is_trim` refuses an NFA.
     """
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
     if not automaton.is_trim():
         raise ValueError("closure certification expects a trim automaton")
     completed, final = _completed(automaton)

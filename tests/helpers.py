@@ -201,12 +201,17 @@ def string_dedup_distance(word, target, kmax, budget):
 
 
 def accepted_by_scan(machine, alphabet_text, n):
-    """Words of length n the machine accepts, by scanning all of Sigma^n."""
+    """Words of length n the machine accepts, by scanning all of Sigma^n and
+    walking, for each word, the set of states it reaches on the edge set.
+    The machine may be nondeterministic."""
+    succ = successors(machine.edges)
     hits = set()
     for tup in itertools.product(alphabet_text, repeat=n):
-        w = "".join(tup)
-        if machine.accepts(w):
-            hits.add(w)
+        current = {machine.start}
+        for s in tup:
+            current = {q for p in current for q in succ[p][s]}
+        if current & machine.accepting:
+            hits.add("".join(tup))
     return hits
 
 

@@ -45,6 +45,7 @@ from helpers import (
     set_minimal,
     set_pipeline,
     set_trim,
+    successors,
 )
 
 
@@ -115,18 +116,43 @@ def test_binary_counts_from_machine(binary_automaton):
     ]
 
 
-def test_counting_rejects_nondeterminism():
-    nfa = LabeledAutomaton(
-        Alphabet("a"), {0, 1}, 0, {1}, {(0, "a", 0), (0, "a", 1)}
-    )
-    with pytest.raises(NondeterministicAutomatonError):
-        count_accepted(nfa, 3)
-    with pytest.raises(NondeterministicAutomatonError):
-        accepted_counts(nfa, 3)
-    with pytest.raises(NondeterministicAutomatonError):
-        language_upto(nfa, 3)
-    with pytest.raises(NondeterministicAutomatonError):
-        nfa.minimized()
+@pytest.mark.parametrize("source", ["constructor", "regex_to_nfa"])
+def test_an_nfa_is_input_only(source):
+    """A nondeterministic machine keeps what the traced replay of
+    `build_automaton` reads of it, and every operation on the transition
+    table refuses it."""
+    if source == "constructor":
+        nfa = LabeledAutomaton(Alphabet("a"), {0, 1}, 0, {1}, {(0, "a", 0), (0, "a", 1)})
+    else:
+        # the repeated 0 puts two positions that read it behind one state
+        nfa = regex_to_nfa(seed_regex(("0", "1", "0"), 2), Alphabet("01"))
+    assert not nfa.is_deterministic
+    word = nfa.alphabet.symbols[0]
+    for call in (
+        partial(nfa.accepts, word),
+        partial(nfa.accepts, ""),
+        partial(nfa.state_after, word),
+        nfa.trimmed,
+        nfa.is_trim,
+        nfa.minimized,
+        partial(language_upto, nfa, 3),
+        partial(language_upto, nfa, -1),
+        partial(accepted_counts, nfa, 3),
+        partial(count_accepted, nfa, 3),
+        partial(transfer_matrix, nfa),
+        partial(verify_duplication_closure, nfa, 1),
+    ):
+        with pytest.raises(NondeterministicAutomatonError):
+            call()
+    rebuilt = LabeledAutomaton(nfa.alphabet, nfa.states, nfa.start, nfa.accepting, nfa.edges)
+    assert rebuilt == nfa and hash(rebuilt) == hash(nfa)
+    assert repr(rebuilt) == repr(nfa) and repr(nfa).startswith("<NFA ")
+    assert LabeledAutomaton.from_json(nfa.to_json()) == nfa
+    dfa = nfa.determinized()
+    assert dfa.is_deterministic
+    letters = "".join(nfa.alphabet.symbols)
+    scans = {n: accepted_by_scan(nfa, letters, n) for n in range(7)}
+    assert _language_set(dfa, 6) == {n: ws for n, ws in scans.items() if ws}
 
 
 class TestMachineBasics:
@@ -459,6 +485,11 @@ class TestClosureCertificates:
         found = [c["counterexample"] for c in doc["checks"] if c["counterexample"]]
         assert found and all(set(c) == {"prefix", "label", "suffix"} for c in found)
 
+    @pytest.mark.parametrize("kmax", [0, -1])
+    def test_kmax_below_one_is_refused(self, binary_automaton, kmax):
+        with pytest.raises(ValueError, match="^kmax must be at least 1$"):
+            verify_duplication_closure(binary_automaton, kmax)
+
     def test_requires_trim_input(self):
         m = LabeledAutomaton(
             Alphabet("a"), {0, 1, 2}, 0, {1}, {(0, "a", 1), (2, "a", 1)}
@@ -535,12 +566,13 @@ class TestClosureCertificates:
                 found = _assert_matches_the_path_table(machine, kmax)
                 verdicts |= found
                 through_inclusion += found == {LABEL_SETS, SUPERSTATE}
+            succ = successors(machine.edges)
             for n in range(4):
                 for letters_read in itertools.product(letters, repeat=n):
                     word = "".join(letters_read) if alphabet.single_char else letters_read
                     q = machine.start
                     for s in word:
-                        targets = machine.out_map(q).get(s) if q is not None else None
+                        targets = succ[q][s] if q is not None else None
                         q = next(iter(targets)) if targets else None
                     assert machine.state_after(word) == q, (machine, word)
                     if "z" in letters_read:
@@ -1043,8 +1075,6 @@ class TestTransitionTable:
         assert LabeledAutomaton.from_json(born.to_json()) == born
         assert born.to_dot() == rebuilt.to_dot()
         assert repr(born) == repr(rebuilt)
-        for q in born.states:
-            assert born.out_map(q) == rebuilt.out_map(q)
         words = [w for n in range(5) for w in born.alphabet.words_of_length(n)]
         assert [born.accepts(w) for w in words] == [rebuilt.accepts(w) for w in words]
         assert born.minimized() == rebuilt.minimized()
@@ -1077,12 +1107,6 @@ class TestTransitionTable:
             # the public machine's table against references read off its edges
             assert machine.to_json() == _edge_json(machine)
             assert LabeledAutomaton.from_json(machine.to_json()) == machine
-            for p in machine.states:
-                want = {}
-                for source, s, q in edges:
-                    if source == p:
-                        want.setdefault(s, set()).add(q)
-                assert machine.out_map(p) == {s: frozenset(qs) for s, qs in want.items()}
             assert machine.minimized() == moore_minimized(machine)
             assert transfer_matrix(machine).matrix.tolist() == edge_count_matrix(machine.trimmed())
             counts = accepted_counts(machine, 5)
@@ -1094,9 +1118,9 @@ class TestTransitionTable:
 
     @pytest.mark.parametrize("text,foreign", [("abc", "z"), ("2,10,1", "3")])
     def test_accepts_walks_the_table(self, text, foreign):
-        """A DFA's `accepts` walks its table; the reference walks the
-        out-maps, as an NFA's does, over the alphabet and one symbol
-        outside it."""
+        """A DFA's `accepts` walks its table; the reference walks sets of
+        states on the edge set, over the alphabet and one symbol outside
+        it."""
         rng = random.Random(17)
         ab = Alphabet.parse(text)
         symbols = list(ab.symbols) + [foreign]
@@ -1109,10 +1133,11 @@ class TestTransitionTable:
             accepting = set(rng.sample(ids, rng.randint(0, len(ids))))
             machine = LabeledAutomaton(ab, ids, rng.choice(ids), accepting, edges)
             assert machine.is_deterministic
+            succ = successors(machine.edges)
             for word in words:
                 current = {machine.start}
                 for s in word:
-                    current = {q for p in current for q in machine.out_map(p).get(s, ())}
+                    current = {q for p in current for q in succ[p][s]}
                 assert machine.accepts(word) == bool(current & machine.accepting), word
 
     def test_nondeterministic_machines_keep_their_edges(self):
@@ -1121,11 +1146,11 @@ class TestTransitionTable:
         nfa = LabeledAutomaton(ab, {-1, 5, 9}, 5, {9}, edges)
         assert not nfa.is_deterministic
         assert nfa.edges == edges
-        assert nfa.out_map(5) == {"a": frozenset({-1, 5}), "b": frozenset({9})}
         assert nfa.to_json() == _edge_json(nfa)
         assert LabeledAutomaton.from_json(nfa.to_json()) == nfa
-        assert nfa.accepts("ab") and nfa.accepts("aab") and not nfa.accepts("a")
-        assert _language_set(nfa.determinized(), 4) == {
+        dfa = nfa.determinized()
+        assert dfa.accepts("ab") and dfa.accepts("aab") and not dfa.accepts("a")
+        assert _language_set(dfa, 4) == {
             n: accepted_by_scan(nfa, "ab", n) for n in range(5) if accepted_by_scan(nfa, "ab", n)
         }
 
