@@ -45,6 +45,11 @@ automaton's language is closed under bounded duplication by a walk on
 pairs of states: where a short label ends, and where the same label leads
 from there.  A state that fails gets a counterexample that replays, a word
 the machine accepts whose duplicate it rejects.
+
+numpy is imported inside the functions that build arrays (`language_upto`,
+`transfer_matrix` and the certificate's inclusion relation), not with the
+module: building, walking, minimizing, counting and printing a machine
+never need it, and its import is a large share of a command's start-up.
 """
 
 from __future__ import annotations
@@ -53,17 +58,18 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from operator import or_
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
 
-import numpy as np
-
 from .core import Alphabet, DuplicationSystem, Word
 from .enumeration import _Packing
 from .errors import NondeterministicAutomatonError, UnsupportedDuplicationLength
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -944,6 +950,8 @@ def _completed(automaton: LabeledAutomaton) -> Tuple[np.ndarray, np.ndarray]:
     """A DFA's table by rank as an array, one row of targets per state, and
     the acceptance of each state, with one more state for a sink: a missing
     edge leads to the sink, which leads to itself and accepts nothing."""
+    import numpy as np
+
     sink = len(automaton.states)
     rows = [[sink if q is None else q for q in targets] + [sink] for targets in automaton._table]
     accepting = np.zeros(sink + 1, dtype=bool)
@@ -965,6 +973,8 @@ def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set
     rows = automaton._table
     if max_length < 0:
         return {}
+    import numpy as np
+
     alphabet = automaton.alphabet
     table, accepting = _completed(automaton)
     start, ranks = automaton._ends()
@@ -1005,6 +1015,8 @@ class TransferMatrix:
 
 
 def transfer_matrix(automaton: LabeledAutomaton) -> TransferMatrix:
+    import numpy as np
+
     trim = automaton.trimmed()
     # entry p * n + q of the flat matrix, once for every edge of the table
     n = len(trim.states)
@@ -1023,6 +1035,8 @@ def _inclusion(automaton: LabeledAutomaton) -> np.ndarray:
     table.  It is the greatest fixpoint of two demands: an accepting p
     needs an accepting q, and every symbol must lead p and q into an
     included pair.  Each round drops the pairs some symbol leads out."""
+    import numpy as np
+
     table, accepting = _completed(automaton)
     included = ~accepting[:, None] | accepting[None, :]
     while True:

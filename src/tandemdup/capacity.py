@@ -5,15 +5,17 @@ word counts, measured in base-|alphabet| logarithms so that a free monoid
 has capacity 1.  For kmax <= 3 the language is regular and the capacity is
 the log of the spectral radius of the automaton's transfer matrix; that
 radius also has a closed form depending only on gross features of the seed.
+
+numpy is imported only where `spectral_radius` builds its arrays, so the
+closed form and the estimate from counts answer without paying for its
+import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from .automaton import REGULAR_KMAX, avoidance_automaton, build_automaton, transfer_matrix
 from .core import Alphabet, DuplicationSystem, Word
@@ -24,6 +26,9 @@ from .errors import (
     NonConvergenceError,
     UnsupportedDuplicationLength,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # growth rate of the three-distinct-symbol block machine: (3 + sqrt 5) / 2
 ABC_BLOCK_GROWTH = (3.0 + math.sqrt(5.0)) / 2.0
@@ -88,6 +93,8 @@ def _power_radius(block: np.ndarray, tol: float) -> float:
     Iterates on block + I: the shift makes the matrix primitive, so the
     plain power method converges even when the block itself is periodic.
     """
+    import numpy as np
+
     b = block + np.eye(len(block))
     v = np.ones(len(b))
     estimate = None
@@ -114,6 +121,8 @@ def spectral_radius(matrix, tol: float = 1e-10) -> float:
     Reducible matrices are split into strongly connected blocks first and
     the maximum over the blocks is returned.
     """
+    import numpy as np
+
     m = np.asarray(matrix, dtype=float)
     if not tol >= 0:  # NaN too: no estimate would ever be within it
         raise ValueError("tolerance must be nonnegative")

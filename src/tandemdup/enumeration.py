@@ -46,14 +46,16 @@ of a word are those of its collapse, the word with every run cut to one
 symbol, and a square deleted from a run-free word leaves it run-free.
 `derives_from` and `dedup_distance` still visit every descendant: a
 distance counts the steps through runs, and a seed may have a run.
+
+numpy is imported where the level loop and its packing build arrays, not
+with the module, so the reverse searches, which pack words as Python ints,
+start without paying for its import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from .core import (
     Alphabet,
@@ -63,6 +65,9 @@ from .core import (
     find_tandem_repeat,
 )
 from .errors import BudgetExceededError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -89,13 +94,16 @@ def length_range(system: DuplicationSystem, max_length: int) -> range:
     return range(seed_len, max_length + 1)
 
 
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    """The distinct codes in increasing order, by one sort in place, so
-    `codes` must be an array the caller no longer needs.
+def _distinct(parts: List[np.ndarray]) -> np.ndarray:
+    """The distinct codes of the arrays in `parts`, in increasing order, by
+    one sort of their concatenation in place.
 
     Same result as `np.unique`, whose hash-based path in numpy 2 is about
     20 times slower on `uint64` arrays of a few hundred thousand codes.
     """
+    import numpy as np
+
+    codes = np.concatenate(parts)
     codes.sort()
     keep = np.empty(len(codes), dtype=bool)
     keep[:1] = True
@@ -115,6 +123,8 @@ class _Packing:
     """
 
     def __init__(self, alphabet: Alphabet, max_length: int):
+        import numpy as np
+
         self.alphabet = alphabet
         self.bits = max(1, (len(alphabet) - 1).bit_length())
         width = max_length * self.bits
@@ -139,6 +149,8 @@ class _Packing:
         return self.scalar((1 << symbols * self.bits) - 1)
 
     def array(self, codes) -> np.ndarray:
+        import numpy as np
+
         return np.array(codes, dtype=self.dtype)
 
     def encode(self, word: Word):
@@ -149,6 +161,8 @@ class _Packing:
 
     def decode(self, codes: np.ndarray, n: int) -> list:
         """The length-n words packed in `codes`, by one digit extraction."""
+        import numpy as np
+
         shifts = self._shifts[len(self._shifts) - n :]
         ranks = ((codes[:, None] >> shifts) & self.mask(1)).astype(np.intp)
         symbols = self._symbols[ranks]
@@ -197,7 +211,7 @@ def _levels(
                 # and every merge but the last of a block length sorts at
                 # most twice the children it takes in
                 if len(batch) * len(codes) >= total - released or i == n - k:
-                    merged = _distinct(np.concatenate([target, *batch]))
+                    merged = _distinct([target, *batch])
                     total += len(merged) - len(target)
                     if total > budget:
                         raise BudgetExceededError(budget, n)
@@ -445,7 +459,7 @@ def substrings_of_length(
             break
         if n < length:
             continue
-        found = _distinct(np.concatenate([found, *packing.factors(codes, n, length)]))
+        found = _distinct([found, *packing.factors(codes, n, length)])
         if len(found) == full:
             break
     words = frozenset(packing.decode(found, length))

@@ -2,12 +2,16 @@ import argparse
 import inspect
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tandemdup
 from tandemdup import (
     DuplicationSystem,
     cli,
@@ -647,3 +651,74 @@ def test_every_option_is_read_by_its_handler():
             read |= _args_read(cli._system)
         dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
         assert dests <= read, (name, sorted(dests - read))
+
+
+def _fresh_python(*argv):
+    """Run the interpreter in a fresh process on this checkout's package."""
+    src = str(Path(tandemdup.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+# commands that build no array, so they must answer without numpy
+_WITHOUT_NUMPY = {
+    "automaton": ["automaton", *SYS3],
+    "automaton-dot": ["automaton", *SYS3, "--format", "dot"],
+    "member-k3": ["member", *SYS3, "--word", "011212012"],
+    "member-k4": ["member", *SYS4, "--word", "011212012"],
+    "dedup-k4": ["dedup", "--alphabet", "012", "--word", "0101122", "--max-dup", "4"],
+    "dedup-k3-target": ["dedup", "--alphabet", "012", "--word", "0101122", "--max-dup", "3",
+                        "--target", "012"],
+    "count-k3": ["count", *SYS3, "--max-len", "10"],
+    "capacity": ["capacity", *SYS3],
+    "express": ["express", "--alphabet", "0123", "--seed", "0123", "--max-dup", "4"],
+    "squarefree": ["squarefree", "--length", "12"],
+}
+
+# answers each command in turn in one process and prints, per command, its
+# exit code and whether numpy is loaded once it has answered
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from tandemdup.cli import main
+seen = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen[name] = [code, "numpy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+class TestStartUp:
+    def test_commands_that_build_no_array_never_import_numpy(self):
+        # verify comes last and cold: it builds arrays, so it loads numpy on
+        # its first use and still answers
+        commands = {**_WITHOUT_NUMPY, "verify": ["verify", *SYS3, "--check-upto", "8"]}
+        proc = _fresh_python("-c", _NUMPY_PROBE, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen == {**{name: [0, False] for name in _WITHOUT_NUMPY}, "verify": [0, True]}
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["squarefree", "--length", "12"], 0),
+            (["automaton", *SYS4], 1),
+            (["automaton", "--alphabet", "012", "--seed", "012", "--max-dup", "0"], 2),
+        ],
+        ids=["answer", "domain-error", "usage-error"],
+    )
+    def test_module_entry_point_exit_codes(self, capsys, argv, code):
+        proc = _fresh_python("-m", "tandemdup", *argv)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        else:
+            assert proc.stderr == ""
+            assert proc.stdout == run(capsys, *argv)[1]

@@ -134,6 +134,19 @@ class TestCoverage:
         }
         assert check_coverage(sys4, 4, 14) == set()
 
+    @pytest.mark.parametrize("kmax", [4, 5])
+    def test_ternary_abc_seed_covers_length_six_by_depth_16(self, kmax):
+        # the bounded evidence behind the ternary-abc-seed-k4 rule: every
+        # ternary word of length 6, so every shorter one too, is a factor
+        # of a member by length 16, and each depth below leaves some out
+        system = D("012", "012", kmax)
+        assert check_coverage(system, 5, 14) == {"02102"}
+        assert check_coverage(system, 5, 15) == set()
+        assert check_coverage(system, 6, 15) == {
+            "002102", "010212", "021002", "021022", "021102", "022102",
+        }
+        assert check_coverage(system, 6, 16) == set()
+
     def test_binary_covers_everything(self, binary_system):
         for ell in (1, 2, 3, 4):
             assert check_coverage(binary_system, ell, 12) == set()
