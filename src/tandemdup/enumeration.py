@@ -23,12 +23,16 @@ outcome alone: the word total at the end of each block length is the
 same for any merge schedule.  The arrays take the narrowest of `uint32`
 (max_length * B <= 32), `uint64` (<= 64) and Python ints, with the same
 arithmetic.  The packing never leaves this module: words are decoded to
-strings or tuples only where a caller asks for words.
+strings or tuples only where a caller asks for words.  The bounded
+factor questions run the level loop themselves: `check_coverage` merges
+the factors of one length into one sorted array and stops once every
+word of that length is found, and `verify_witness_absent` stops at the
+first level where its word occurs.
 
-The reverse searches (`derives_from`, `dedup_roots`, `dedup_distance`)
-peel squares off words packed the same way, one Python int a word with a
-leading 1 bit above the symbols, so the length is implicit and there is
-no width limit.  The ranks come from the start word's own symbols,
+The reverse searches (`derives_from`, `dedup_roots`, `dedup_distance`,
+`greedy_root`) peel squares off words packed the same way, one Python
+int a word with a leading 1 bit above the symbols, so the length is
+implicit and there is no width limit.  The ranks come from the start word's own symbols,
 because deduplication never adds one.  Every square of block length l is
 found at once: x = c ^ (c >> l*B) is zero on each symbol that equals the
 one l places before it, and the AND of l shifted copies of that zero mask
@@ -44,8 +48,10 @@ deleted; the six cases, by where the run sits against the square's
 start, middle and end, are in the `dedup_roots` docstring.  So the roots
 of a word are those of its collapse, the word with every run cut to one
 symbol, and a square deleted from a run-free word leaves it run-free.
-`derives_from` and `dedup_distance` still visit every descendant: a
-distance counts the steps through runs, and a seed may have a run.
+`greedy_root`, the one root for kmax <= 3, cuts the runs the same way
+and then deletes the first square until none is left.  `derives_from`
+and `dedup_distance` still visit every descendant: a distance counts the
+steps through runs, and a seed may have a run.
 
 numpy is imported where the level loop and its packing build arrays, not
 with the module, so the reverse searches, which pack words as Python ints,
@@ -55,15 +61,9 @@ start without paying for its import.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .core import (
-    Alphabet,
-    DuplicationSystem,
-    Word,
-    deduplicate,
-    find_tandem_repeat,
-)
+from .core import Alphabet, DuplicationSystem, Word
 from .errors import BudgetExceededError
 
 if TYPE_CHECKING:
@@ -266,16 +266,6 @@ class CountTable:
 
 
 @dataclass(frozen=True)
-class SubstringProfile:
-    """Substrings of one fixed length seen anywhere in the language slice."""
-
-    system: DuplicationSystem
-    length: int
-    search_depth: int
-    found: FrozenSet[Word]
-
-
-@dataclass(frozen=True)
 class DedupResult:
     """Irreducible words reachable from a start word by deduplication."""
 
@@ -437,15 +427,15 @@ def derives_from(
     return False
 
 
-def substrings_of_length(
+def check_coverage(
     system: DuplicationSystem,
     length: int,
     max_length: int,
     budget: int = DEFAULT_BUDGET,
-) -> SubstringProfile:
-    """All length-`length` substrings occurring in words up to max_length.
+) -> Set[Word]:
+    """Words of the given length that never occur as factors up to max_length.
 
-    Stops scanning once every word over the alphabet has been seen; the
+    Stops scanning once every word over the alphabet has been found; the
     result is identical because the found set only grows.
     """
     if length < 1:
@@ -462,34 +452,36 @@ def substrings_of_length(
         found = _distinct([found, *packing.factors(codes, n, length)])
         if len(found) == full:
             break
-    words = frozenset(packing.decode(found, length))
-    return SubstringProfile(system, length, max_length, words)
+    return set(system.alphabet.words_of_length(length)).difference(
+        packing.decode(found, length)
+    )
 
 
-def occurs_as_factor(
+def verify_witness_absent(
     system: DuplicationSystem,
     word: Word,
     max_length: int,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
-    """Whether `word` is a factor of some member of length at most max_length.
+    """Check by enumeration that `word` is no factor of any member up to max_length.
 
     Enumerates level by level and stops at the first level where the word
-    occurs.  A word longer than max_length occurs in no such member: the
-    answer is False without enumerating, after the same input checks as
-    `derives_from`.
+    occurs.  A word longer than max_length is vacuously absent and returns
+    True without enumerating, after the same input checks as
+    `derives_from`: a budget below 1 and a symbol outside the alphabet are
+    rejected with ValueError on every path.
     """
     _check_search(system, word, budget)
     if len(word) > max_length:
-        return False
+        return True
     packing = _Packing(system.alphabet, max_length)
     code = packing.encode(word)
     for n, codes in _levels(system, max_length, budget, packing):
         if n >= len(word) and any(
             (factor == code).any() for factor in packing.factors(codes, n, len(word))
         ):
-            return True
-    return False
+            return False
+    return True
 
 
 def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupResult:
@@ -547,7 +539,8 @@ def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupRes
 
 
 def greedy_root(word: Word, kmax: int) -> Word:
-    """The kmax-irreducible word left by deleting the first square until
+    """The kmax-irreducible word left by cutting every run to one symbol
+    and then deleting the first square, in (offset, length) order, until
     none is left, with no search and no budget.
 
     For kmax <= 3 every word has exactly one root (Jain, Farnoud, Schwartz
@@ -556,11 +549,15 @@ def greedy_root(word: Word, kmax: int) -> Word:
     finds; for larger kmax it is one of them.
     """
     _at_least_one("kmax", kmax)
-    location = find_tandem_repeat(word, kmax)
-    while location is not None:
-        word = deduplicate(word, location)
-        location = find_tandem_repeat(word, kmax)
-    return word
+    peeling = _Peeling(word, kmax)
+    # runs never change the roots (see `dedup_roots`), and peeling keeps a
+    # run-free word run-free
+    code = peeling.collapse(peeling.encode(word))
+    squares = peeling.peel(code)
+    while squares:
+        code = min(squares)[2]
+        squares = peeling.peel(code)
+    return peeling.decode(code)
 
 
 def dedup_distance(

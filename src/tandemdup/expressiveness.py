@@ -4,16 +4,17 @@ A system is fully expressive when every word over its alphabet occurs as a
 substring of some member.  The answer is decided by a case ladder over the
 alphabet size, the duplication bound and the seed shape; every "no" comes
 with a concrete witness word that can never occur, checkable by
-enumeration at small lengths.
+enumeration at small lengths: `check_coverage` and `verify_witness_absent`
+live beside the level loop in `enumeration` and are imported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set
+from typing import Optional
 
 from .core import Alphabet, DuplicationSystem, Word, thue_square_free
-from .enumeration import DEFAULT_BUDGET, occurs_as_factor, substrings_of_length
+from .enumeration import check_coverage, verify_witness_absent  # noqa: F401
 
 ANSWER_YES = "yes"
 ANSWER_NO = "no"
@@ -96,31 +97,3 @@ def is_fully_expressive(system: DuplicationSystem) -> ExpressivenessVerdict:
 def witness(system: DuplicationSystem) -> Optional[Witness]:
     """A never-occurring factor for systems that are not fully expressive."""
     return is_fully_expressive(system).witness
-
-
-def check_coverage(
-    system: DuplicationSystem,
-    length: int,
-    max_length: int,
-    budget: int = DEFAULT_BUDGET,
-) -> Set[Word]:
-    """Words of the given length that never occur as factors up to max_length."""
-    profile = substrings_of_length(system, length, max_length, budget)
-    return {
-        w for w in system.alphabet.words_of_length(length) if w not in profile.found
-    }
-
-
-def verify_witness_absent(
-    system: DuplicationSystem,
-    word: Word,
-    max_length: int,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
-    """Check by enumeration that `word` is no factor of any member up to max_length.
-
-    A word longer than max_length is vacuously absent and returns True
-    without enumerating.  A budget below 1 and a symbol outside the
-    alphabet are rejected with ValueError on every path.
-    """
-    return not occurs_as_factor(system, word, max_length, budget)

@@ -126,6 +126,16 @@ def string_derives_from(system, word, budget):
     return False
 
 
+def string_first_square_root(word, kmax):
+    """Delete the first square of block length <= kmax, in (offset, length)
+    order, until none is left: the one root when kmax <= 3."""
+    locations = square_locations(word, kmax)
+    while locations:
+        word = _without_square(word, *locations[0])
+        locations = square_locations(word, kmax)
+    return word
+
+
 def collapse(word):
     """The word with every run of one symbol cut to a single symbol."""
     out = word[:0]

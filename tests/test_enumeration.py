@@ -16,6 +16,7 @@ from tandemdup import (
     BudgetExceededError,
     DuplicationSystem,
     build_automaton,
+    check_coverage,
     count_words,
     dedup_distance,
     dedup_roots,
@@ -23,7 +24,6 @@ from tandemdup import (
     enumerate_words,
     is_k_irreducible,
     language_upto,
-    substrings_of_length,
     tandem_duplicate,
     thue_square_free,
     verify_witness_absent,
@@ -40,6 +40,7 @@ from helpers import (
     string_dedup_distance,
     string_dedup_roots,
     string_derives_from,
+    string_first_square_root,
 )
 
 
@@ -97,7 +98,7 @@ def test_budget_below_one_is_bad_input(ternary_system, budget):
     searches = [
         lambda: count_words(ternary_system, 5, budget),
         lambda: enumerate_words(ternary_system, 5, budget),
-        lambda: substrings_of_length(ternary_system, 2, 5, budget),
+        lambda: check_coverage(ternary_system, 2, 5, budget),
         # the seed itself and a word too short to search: no search runs
         lambda: derives_from(ternary_system, "012", budget),
         lambda: derives_from(ternary_system, "0", budget),
@@ -185,20 +186,17 @@ class TestMembership:
 
 class TestSubstringProfile:
     def test_ternary_misses_three_windows(self, ternary_system):
-        prof = substrings_of_length(ternary_system, 3, 12)
-        assert prof.length == 3
-        assert prof.search_depth == 12
-        missing = {"".join(t) for t in __import__("itertools").product("012", repeat=3)} - prof.found
+        missing = check_coverage(ternary_system, 3, 12)
+        assert missing == _set_loop_missing(ternary_system, 3, 12, 10**7)
         assert missing == {"021", "102", "210"}
 
     def test_profile_monotone_in_depth(self, ternary_system):
-        shallow = substrings_of_length(ternary_system, 3, 6).found
-        deep = substrings_of_length(ternary_system, 3, 10).found
-        assert shallow <= deep
+        shallow = check_coverage(ternary_system, 3, 6)
+        deep = check_coverage(ternary_system, 3, 10)
+        assert shallow >= deep
 
     def test_binary_sees_everything_quickly(self, binary_system):
-        prof = substrings_of_length(binary_system, 2, 6)
-        assert prof.found == {"00", "01", "10", "11"}
+        assert check_coverage(binary_system, 2, 6) == set()
 
 
 class TestDedup:
@@ -233,6 +231,20 @@ class TestDedup:
             alphabet = "0123"[: rng.randint(2, 4)]
             word = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 16)))
             assert dedup_roots(word, kmax).roots == {greedy_root(word, kmax)}, (word, kmax)
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_greedy_root_on_long_words(self, kmax):
+        # deleting the first square of the word as it stands, with no run
+        # cut first, lands on the same one root
+        rng = random.Random(kmax)
+        for letters in ("01", "012", "0123"):
+            word = "".join(rng.choice(letters) for _ in range(rng.randint(200, 1000)))
+            assert greedy_root(word, kmax) == string_first_square_root(word, kmax), word
+        symbols = Alphabet.parse("2,10,1").symbols
+        word = tuple(rng.choice(symbols) for _ in range(rng.randint(200, 1000)))
+        root = greedy_root(word, kmax)
+        assert isinstance(root, tuple)
+        assert root == string_first_square_root(word, kmax), word
 
     def test_greedy_root_is_one_of_several_roots_beyond(self):
         roots = dedup_roots("012101212", 4).roots
@@ -303,8 +315,14 @@ def _set_loop_counts(system, top, budget):
     return {n: len(ws) for n, ws in set_levels(system, top, budget)}
 
 
-def _set_loop_profile(system, m, top, budget):
-    """`substrings_of_length` on the set loop, with the same early stops."""
+def _all_words(system, m):
+    """Every length-m word over the system's alphabet, as its seed is typed."""
+    join = "".join if isinstance(system.seed, str) else tuple
+    return {join(t) for t in itertools.product(system.alphabet.symbols, repeat=m)}
+
+
+def _set_loop_missing(system, m, top, budget):
+    """`check_coverage` on the set loop, with the same early stops."""
     full = len(system.alphabet) ** m
     found = set()
     for n, words in set_levels(system, top, budget):
@@ -315,7 +333,7 @@ def _set_loop_profile(system, m, top, budget):
         found |= _factors({n: words}, m)
         if len(found) == full:
             break
-    return found
+    return _all_words(system, m) - found
 
 
 def _set_loop_absent(system, word, top, budget):
@@ -350,7 +368,7 @@ def _agrees_with_the_set_loop(system, top, words_to_find):
     assert {n: set(ws) for n, ws in got.items()} == want
     assert count_words(system, top).counts == {n: len(ws) for n, ws in want.items()}
     for m in (1, 2, 3):
-        assert substrings_of_length(system, m, top).found == _factors(want, m), m
+        assert check_coverage(system, m, top) == _all_words(system, m) - _factors(want, m), m
     for word in words_to_find:
         absent = word not in _factors(want, len(word))
         assert verify_witness_absent(system, word, top) == absent, word
@@ -389,8 +407,8 @@ class TestPackedLevels:
             ), budget
             for m in (1, 2):
                 assert _outcome(
-                    lambda: substrings_of_length(system, m, top, budget).found
-                ) == _outcome(lambda: _set_loop_profile(system, m, top, budget)), (budget, m)
+                    lambda: check_coverage(system, m, top, budget)
+                ) == _outcome(lambda: _set_loop_missing(system, m, top, budget)), (budget, m)
             for word in (present, alphabet[::-1]):
                 assert _outcome(
                     lambda: verify_witness_absent(system, word, top, budget)
@@ -412,8 +430,8 @@ class TestPackedLevels:
             ), budget
             for m in (1, 2):
                 assert _outcome(
-                    lambda: substrings_of_length(system, m, top, budget).found
-                ) == _outcome(lambda: _set_loop_profile(system, m, top, budget)), (budget, m)
+                    lambda: check_coverage(system, m, top, budget)
+                ) == _outcome(lambda: _set_loop_missing(system, m, top, budget)), (budget, m)
             for word in ("30", "3210"):
                 assert _outcome(
                     lambda: verify_witness_absent(system, word, top, budget)
