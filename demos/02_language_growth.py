@@ -34,7 +34,7 @@ print("\n01212 in the language:", derives_from(system, "01212"))
 print("00000 in the language:", derives_from(system, "00000"))
 
 # the growth rate of the counts approaches the exact capacity from below
-estimate = empirical_capacity(table, base=3)
+estimate = empirical_capacity(table)
 report = exact_capacity(system)
 print(f"\nempirical growth ≈ {estimate.estimate:.5f}")
 print(f"exact capacity   = {report.value:.5f}  ({report.exact_form})")

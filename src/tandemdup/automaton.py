@@ -16,18 +16,18 @@ compiled: the parts of the expression, a head and the stage each further
 seed symbol adds, made of runs, interleaved pairs and three-symbol blocks,
 are turned once, at import, into masks of each position's followers and
 predecessors relative to the part, and `seed_regex` returns a seed's rows
-as these masks shifted into place.  One subset construction serves the
-forward DFA, the two passes of double reversal and
+as these masks shifted into place.  A subset of NFA states is one int,
+keyed as such.  The forward DFA of `build_automaton` walks the followers:
+per subset it forms the union of its members' followers once and cuts it
+per symbol by the positions that read that symbol, the step `position_walk`
+takes lazily, one mask at a time.  One subset construction over one row
+per symbol serves the two passes of double reversal and
 `LabeledAutomaton.determinized`: NFA states are ranked by their index in
-sorted order, a subset is one int keyed as such, and the edges come as
-rows with cuts.  The forward DFA reads one row, the followers of each
-position, so a subset's union of followers is formed once and cut per
-symbol by the positions that read it; `position_walk` forms the same union
-lazily, one mask at a time.  Reversals read one row per symbol, and many
-subsets meet such a row in the same members, so each per-symbol row
-remembers the target of every such hit.  The followers row keeps no such
-memo: every position has followers, so there the hit is the whole subset,
-which never comes twice.
+sorted order, and many subsets meet a row in the same members, so each row
+remembers the target of every such hit.  The forward DFA keeps its own
+loop because per-symbol rows of the followers would form the union once
+per symbol, and their memo would never hit: every position has followers,
+so there the hit is the whole subset, which never comes twice.
 
 The subset construction hands its transition table (per symbol, the target
 of each state) straight to the machine it builds, and that table is the
@@ -126,22 +126,11 @@ def _predecessor_rows(symbols, pred: List[int], symbol_order) -> List[List[int]]
 # ---------------------------------------------------------------------------
 # raw machine helpers.  For the subset construction an NFA's states are
 # ranked 0 .. n-1, and a set of states is one int with bit r for rank r.
-# Its edges come as rows with cuts: a row is a list that maps a rank to the
-# mask of its successors, and each cut of a row masks out the successors
-# under one symbol; read in order, the cuts follow the alphabet.  A position
-# NFA has one row, its followers, cut by each symbol's carrier.  Any other
-# NFA has one row per symbol, cut by `_ALL`.  A DFA comes out as a
-# transition table: per symbol, the target id of each state, None where it
-# has no edge.  Elsewhere states are ints and edges are (source, symbol,
-# target) triples.
-
-# the cut that keeps every successor
-_ALL = -1
-
-
-def _per_symbol(rows: List[List[int]]):
-    """Per-symbol rows, each with the one cut that keeps everything."""
-    return [(row, [_ALL]) for row in rows]
+# Its edges come as one row per symbol, in alphabet order: a list that maps
+# a rank to the mask of its successors under that symbol.  A DFA comes out
+# as a transition table: per symbol, the target id of each state, None
+# where it has no edge.  Elsewhere states are ints and edges are (source,
+# symbol, target) triples.
 
 
 def _support(row: List[int]) -> int:
@@ -161,7 +150,7 @@ def _table_reversal(table, start: int, accepting: Iterable[int]) -> Tuple[int, i
             if q is not None:
                 row[q] |= 1 << p
     back_start = reduce(or_, (1 << r for r in accepting), 0)
-    return back_start, 1 << start, _per_symbol(rows)
+    return back_start, 1 << start, rows
 
 
 def _distances(table, accepting: List[int]) -> List[Optional[int]]:
@@ -187,72 +176,47 @@ def _distances(table, accepting: List[int]) -> List[Optional[int]]:
     return distance
 
 
-def _determinize_raw(start: int, accepting: int, rows):
-    """Subset construction from the start mask over rows with cuts.
+def _determinize_raw(start: int, accepting: int, rows: List[List[int]]):
+    """Subset construction from the start mask over one row per symbol.
 
-    Each subset is one int, the key of `ids`.  Per row it forms the union of
-    its members' entries once, and each cut of the row masks out the target
-    under one symbol.  The row's support picks out the members that have an
-    entry, and only those are read, so a position of a Glushkov NFA's
-    reversal, which reads one symbol, is read once per subset.  State ids
-    follow discovery order, breadth-first with symbols in order, so the
+    Each subset is one int, the key of `ids`.  A row's support picks out
+    the members of a subset that have an entry, the hit, and only those are
+    read, so a position of a Glushkov NFA's reversal, which reads one
+    symbol, is read once per subset.  The hit alone decides the target,
+    which is never empty, and many subsets share their hit, so each row
+    remembers the target id of every hit and forms its union once.  State
+    ids follow discovery order, breadth-first with symbols in order, so the
     result is stable for a fixed symbol order and does not depend on how
     the NFA's states are ranked.  Returns the number of states, the ids of
     the subsets that meet `accepting` and the transition table.
-
-    On a per-symbol row (the one cut `_ALL`) many subsets share their
-    support part, the hit, so such a row remembers the target id of each
-    hit and forms its union once.  A row with several cuts keeps no such
-    memo: the followers row of a position NFA has every position in its
-    support, so there the hit is the subset itself and never comes twice.
     """
     ids = {start: 0}
     subsets = [start]
-    table: List[List[Optional[int]]] = []
-    steps = []
-    for row, cuts in rows:
-        lanes = [([], cut) for cut in cuts]
-        table += [targets for targets, _ in lanes]
-        known: Optional[Dict[int, int]] = {} if cuts == [_ALL] else None
-        steps.append((row, _support(row), lanes, known))
+    table: List[List[Optional[int]]] = [[] for _ in rows]
+    steps = [(row, _support(row), targets, {}) for row, targets in zip(rows, table)]
     find = ids.get
     # the list grows while it is walked: it is the breadth-first queue
     for subset in subsets:
-        for row, support, lanes, known in steps:
+        for row, support, targets, known in steps:
             hit = subset & support
             if not hit:
-                for targets, _ in lanes:
-                    targets.append(None)
+                targets.append(None)
                 continue
-            if known is not None:
-                # the hit alone decides the target, which is never empty
-                tid = known.get(hit)
-                if tid is None:
-                    target = _union(hit, row)
-                    tid = find(target)
-                    if tid is None:
-                        tid = ids[target] = len(subsets)
-                        subsets.append(target)
-                    known[hit] = tid
-                lanes[0][0].append(tid)
-                continue
-            after = _union(hit, row)
-            for targets, cut in lanes:
-                target = after & cut
-                if not target:
-                    targets.append(None)
-                    continue
+            tid = known.get(hit)
+            if tid is None:
+                target = _union(hit, row)
                 tid = find(target)
                 if tid is None:
                     tid = ids[target] = len(subsets)
                     subsets.append(target)
-                targets.append(tid)
+                known[hit] = tid
+            targets.append(tid)
     det_accepting = [sid for sid, subset in enumerate(subsets) if subset & accepting]
     return len(subsets), det_accepting, table
 
 
 def _subset_machine(alphabet: Alphabet, start: int, accepting: int, rows) -> "LabeledAutomaton":
-    """The DFA of the subset construction over rows with cuts."""
+    """The DFA of the subset construction over per-symbol rows."""
     count, det_accepting, table = _determinize_raw(start, accepting, rows)
     return LabeledAutomaton._from_table(alphabet, count, det_accepting, table)
 
@@ -520,7 +484,7 @@ class LabeledAutomaton:
             rows[s][p] |= 1 << q
         start, accepting = self._ends()
         accepting_mask = reduce(or_, (1 << r for r in accepting), 0)
-        return _subset_machine(self.alphabet, 1 << start, accepting_mask, _per_symbol(rows))
+        return _subset_machine(self.alphabet, 1 << start, accepting_mask, rows)
 
     def trimmed(self) -> "LabeledAutomaton":
         """Trim machine for the same language, with states numbered
@@ -833,14 +797,32 @@ def build_automaton(
     often ten times the minimal machine and more."""
     symbols, last, follow, pred = seed_regex(system.seed, system.kmax)
     order = system.alphabet.symbols
-    back = _per_symbol(_predecessor_rows(symbols, pred, order))
+    back = _predecessor_rows(symbols, pred, order)
     if minimize:
         return _minimal_raw(system.alphabet, last, 1, back)
-    # One row, the followers, whose union is formed once per subset and cut
-    # per symbol.  No trim pass: every Glushkov position of `seed_regex` can
-    # reach acceptance, so every subset can too, and discovery is
-    # breadth-first with symbols in order, the numbering `trimmed` would give.
-    machine = _subset_machine(system.alphabet, 1, last, [(follow, _carriers(symbols, order))])
+    # No trim pass: every Glushkov position of `seed_regex` can reach
+    # acceptance, so every subset can too, and discovery is breadth-first
+    # with symbols in order, the numbering `trimmed` would give.
+    ids = {1: 0}
+    subsets = [1]
+    table: List[List[Optional[int]]] = [[] for _ in order]
+    cuts = list(zip(_carriers(symbols, order), table))
+    find = ids.get
+    # the list grows while it is walked: it is the breadth-first queue
+    for subset in subsets:
+        after = _union(subset, follow)
+        for carrier, targets in cuts:
+            target = after & carrier
+            if not target:
+                targets.append(None)
+                continue
+            tid = find(target)
+            if tid is None:
+                tid = ids[target] = len(subsets)
+                subsets.append(target)
+            targets.append(tid)
+    accepting = [sid for sid, subset in enumerate(subsets) if subset & last]
+    machine = LabeledAutomaton._from_table(system.alphabet, len(subsets), accepting, table)
     machine._reversal = last, 1, back
     return machine
 
@@ -881,8 +863,9 @@ def position_walk(system: DuplicationSystem) -> Callable[[Word], bool]:
     the seed's position NFA; no automaton is built.
 
     The live positions are one mask.  A step is the union of the live
-    positions' followers, cut down to the positions that carry the symbol,
-    as in the forward subset construction of `build_automaton`.  The union
+    positions' followers, cut down to the positions that carry the symbol:
+    the step `build_automaton` takes from each subset of its forward
+    machine, there for every symbol at once.  The union
     is formed once per mask and remembered across the words the test is
     given, so the walks build lazily just the part of the subset DFA that
     they visit.  A symbol outside the alphabet, like one outside the seed,

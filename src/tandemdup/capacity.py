@@ -228,12 +228,14 @@ class GrowthEstimate:
         }
 
 
-def empirical_capacity(table: CountTable, base: int, window: int = 5) -> GrowthEstimate:
+def empirical_capacity(table: CountTable, *, window: int = 5) -> GrowthEstimate:
     """Growth estimate log_base(counts[n+1] / counts[n]), averaged over the
-    last `window` ratios.  Over one symbol nothing grows, so every ratio
-    is 0.0, as in `exact_capacity` and `spectral_capacity`."""
+    last `window` ratios, where base is the alphabet size of the counted
+    system, `table.system.base`.  Over one symbol nothing grows, so every
+    ratio is 0.0, as in `exact_capacity` and `spectral_capacity`."""
     if window < 1:
         raise ValueError("window must be at least 1")
+    base = table.system.base
     counts = table.counts
     ratios = {
         n: math.log(counts[n + 1] / counts[n]) / math.log(base) if base > 1 else 0.0

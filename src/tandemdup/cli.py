@@ -168,7 +168,7 @@ def cmd_capacity(args):
     system = _system(args)
     if args.empirical:
         table = _count_table(system, args.max_len, args.budget)
-        estimate = empirical_capacity(table, system.base, args.window)
+        estimate = empirical_capacity(table, window=args.window)
         doc = estimate.to_json_dict()
     else:
         report = exact_capacity(system)

@@ -445,8 +445,6 @@ def check_coverage(
     packing = _Packing(system.alphabet, max(length, max_length))
     found = packing.array([])
     for n, codes in _levels(system, max_length, budget, packing):
-        if len(found) == full:
-            break
         if n < length:
             continue
         found = _distinct([found, *packing.factors(codes, n, length)])

@@ -211,7 +211,7 @@ def test_criterion_11_symbol_gap_invariant():
 
 def test_supplementary_empirical_ratio_band():
     table = count_words(TERNARY, 14)
-    estimate = empirical_capacity(table, base=3)
+    estimate = empirical_capacity(table)
     target = exact_capacity(TERNARY).value
     assert abs(estimate.estimate - target) < 0.05
     print(

@@ -813,11 +813,20 @@ class TestBitmaskSubsetConstruction:
     """The bitmask pipeline against the frozenset references of
     `tests/helpers.py`, state numbering included."""
 
-    @pytest.mark.parametrize("kmax", [1, 2, 3])
-    def test_canonical_seed_sweep_matches_the_set_references(self, kmax):
+    # the seed's symbols in sorted order, reversed, and reversed behind an
+    # unused multi-character symbol, which makes words tuples: a carrier or
+    # row indexed by sorted order instead of alphabet order fails the last two
+    @pytest.mark.parametrize("kmax, order", [
+        pytest.param(kmax, order, id=str(kmax) if order == "sorted" else f"{kmax}-{order}")
+        for order in ("sorted", "reversed", "tuple")
+        for kmax in (1, 2, 3)
+    ])
+    def test_canonical_seed_sweep_matches_the_set_references(self, kmax, order):
         for pattern in canonical_patterns(6):
-            alphabet = "0123"[: int(max(pattern)) + 1]
-            sys = DuplicationSystem.parse(alphabet, pattern, kmax)
+            used = tuple("0123"[: int(max(pattern)) + 1])
+            symbols = {"sorted": used, "reversed": used[::-1], "tuple": ("99", *used[::-1])}
+            alphabet = Alphabet(symbols[order])
+            sys = DuplicationSystem(alphabet, alphabet.join(pattern), kmax)
             nfa, dfa, minimal = set_pipeline(sys)
             full = build_automaton(sys)
             built = build_automaton(sys, minimize=True)

@@ -221,24 +221,24 @@ def test_trie_machine_has_the_window_graph_radius():
 class TestEmpirical:
     def test_tracks_the_true_capacity(self, ternary_system):
         table = count_words(ternary_system, 12)
-        est = empirical_capacity(table, base=3)
+        est = empirical_capacity(table)
         assert abs(est.estimate - 0.876036) < 0.05
         assert est.window == 5
 
     def test_ratios_climb_toward_the_limit(self, ternary_system):
         table = count_words(ternary_system, 13)
-        est = empirical_capacity(table, base=3)
+        est = empirical_capacity(table)
         tail = [est.ratios[n] for n in sorted(est.ratios) if n >= 9]
         assert tail == sorted(tail)
         assert all(r < 0.8760358 for r in tail)
 
     def test_binary_estimate_is_exactly_one(self, binary_system):
-        est = empirical_capacity(count_words(binary_system, 10), base=2)
+        est = empirical_capacity(count_words(binary_system, 10))
         assert abs(est.estimate - 1.0) < 1e-12
 
     def test_one_symbol_alphabet_grows_at_rate_zero(self):
         unary = DuplicationSystem.parse("0", "0", 2)
-        est = empirical_capacity(count_words(unary, 6), base=1)
+        est = empirical_capacity(count_words(unary, 6))
         assert est.ratios == {n: 0.0 for n in range(1, 6)}
         assert est.estimate == 0.0 == exact_capacity(unary).value == spectral_capacity(unary)
 
@@ -247,14 +247,14 @@ class TestEmpirical:
 
         sparse = CountTable(ternary_system, 7, {3: 1, 5: 2, 7: 4})
         with pytest.raises(InsufficientDataError):
-            empirical_capacity(sparse, base=3)
+            empirical_capacity(sparse)
 
     @pytest.mark.parametrize("window", [0, -1])
     def test_window_must_be_positive(self, ternary_system, window):
         with pytest.raises(ValueError, match="window must be at least 1"):
-            empirical_capacity(count_words(ternary_system, 10), base=3, window=window)
+            empirical_capacity(count_words(ternary_system, 10), window=window)
 
     def test_json_shape(self, ternary_system):
-        doc = empirical_capacity(count_words(ternary_system, 10), base=3).to_json_dict()
+        doc = empirical_capacity(count_words(ternary_system, 10)).to_json_dict()
         assert doc["case"] == "empirical"
         assert {"value", "window", "ratios"} <= set(doc)

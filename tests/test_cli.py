@@ -387,7 +387,7 @@ class TestExitCodes:
             (["generate", *SYS3, "--max-len", "7", "--budget", "3"],
              lambda system: enumerate_words(system, 7).to_json_dict()),
             (["capacity", *SYS3, "--empirical", "--max-len", "10", "--budget", "3"],
-             lambda system: empirical_capacity(count_words(system, 10), 3).to_json_dict()),
+             lambda system: empirical_capacity(count_words(system, 10)).to_json_dict()),
             (["member", *SYS3, "--word", "011212012012001122", "--budget", "5"],
              lambda system: {"system": system.to_json_dict(),
                              "word": "011212012012001122",
