@@ -50,8 +50,13 @@ of a word are those of its collapse, the word with every run cut to one
 symbol, and a square deleted from a run-free word leaves it run-free.
 `greedy_root`, the one root for kmax <= 3, cuts the runs the same way
 and then deletes the first square until none is left.  `derives_from`
-and `dedup_distance` still visit every descendant: a distance counts the
-steps through runs, and a seed may have a run.
+cuts the runs too when the seed has none, by a lemma on the same six
+cases (see its docstring); a seed with a run keeps the search over every
+descendant.  A search that has cut the runs peels squares of block
+length 2 and more only.  `dedup_distance`, whose steps through runs
+count, searches best first: each step deletes at most kmax symbols, so
+a word x needs at least ceil((|x| - |target|) / kmax) more steps, and
+the search opens the words with the least bound first.
 
 numpy is imported where the level loop and its packing build arrays, not
 with the module, so the reverse searches, which pack words as Python ints,
@@ -318,6 +323,9 @@ class _Peeling:
         self.bits = max(1, (len(self.symbols) - 1).bit_length())
         self._rank = {s: r for r, s in enumerate(self.symbols)}
         self._join = "".join if isinstance(word, str) else tuple
+        # the shortest block length `peel` looks for: 2 once `run_free`
+        # has started a search whose words have no square of block length 1
+        self._first_block = 1
         # valid[m]: the lowest bit of each of the last m + 1 symbols, that
         # is of the squares with t = 0..m symbols after them
         self._valid = []
@@ -374,6 +382,15 @@ class _Peeling:
             code = ((code >> tail + bits) << tail) | (code & (1 << tail) - 1)
         return code
 
+    def run_free(self, word: Word) -> int:
+        """The collapse of `word`, the start of a search that visits
+        run-free words only.  A square deleted from a run-free word leaves
+        it run-free, since every pair of neighbours in x u y is one in
+        x u u y, so from now on `peel` skips block length 1, whose squares
+        are runs."""
+        self._first_block = 2
+        return self.collapse(self.encode(word))
+
     def peel(self, code: int, shortest: int = 0) -> List[Tuple[int, int, int]]:
         """(offset, length, child) for every square of block length at most
         kmax whose deletion leaves at least `shortest` symbols; the child is
@@ -382,7 +399,7 @@ class _Peeling:
         bits = self.bits
         n = (code.bit_length() - 1) // bits
         found = []
-        for length in range(1, min(self.kmax, n // 2, n - shortest) + 1):
+        for length in range(self._first_block, min(self.kmax, n // 2, n - shortest) + 1):
             shift = length * bits
             hits = self._squares(code, n, length)
             while hits:
@@ -404,14 +421,31 @@ def derives_from(
     reachable backwards iff the word is reachable forwards.  A word whose
     end symbols or symbol set differ from the seed's is no member, and is
     answered before any search.  The search is depth first and visits the
-    squares of a word in (offset, length) order.
+    squares of a word in (offset, length) order; the budget counts the
+    words it visits.
+
+    When the seed has no run, the search starts from the collapse of the
+    word, every run cut to one symbol, and visits run-free words only.
+    The word reaches the collapse by deleting runs' letters, so it is
+    enough that the collapse still reaches a run-free t whenever the word
+    does.  Let w have a run and let w' be w with one letter of it deleted;
+    by induction on |w|, w ->* t gives w' ->* t.  w is not t, which has no
+    run, so take the first step w -> v of a path to t.  By the six cases
+    in the `dedup_roots` docstring, w' ->* v', where v' = v or v' is v
+    less one letter of a run.  If v' = v, then w' ->* v ->* t.  Otherwise
+    v has a run, |v| < |w| and v ->* t, so v' ->* t by induction.  A seed
+    with a run keeps the search over every descendant.
     """
     _check_search(system, word, budget)
     seed = system.seed
     if len(word) < len(seed) or _kept_by_deduplication(word) != _kept_by_deduplication(seed):
         return False
     peeling = _Peeling(word, system.kmax)
-    start, goal = peeling.encode(word), peeling.encode(seed)
+    goal = peeling.encode(seed)
+    if peeling.collapse(goal) == goal:
+        start = peeling.run_free(word)
+    else:
+        start = peeling.encode(word)
     seen = {start}
     stack = [start]
     while stack:
@@ -514,10 +548,7 @@ def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupRes
     _at_least_one("kmax", kmax)
     _at_least_one("budget", budget)
     peeling = _Peeling(word, kmax)
-    # a square deleted from a run-free word leaves a run-free word: every
-    # pair of neighbours in x u y is a pair of neighbours in x u u y.  So
-    # once the start word is collapsed, every word visited is run-free
-    start = peeling.collapse(peeling.encode(word))
+    start = peeling.run_free(word)
     seen = {start}
     stack = [start]
     roots = []
@@ -548,9 +579,8 @@ def greedy_root(word: Word, kmax: int) -> Word:
     """
     _at_least_one("kmax", kmax)
     peeling = _Peeling(word, kmax)
-    # runs never change the roots (see `dedup_roots`), and peeling keeps a
-    # run-free word run-free
-    code = peeling.collapse(peeling.encode(word))
+    # runs never change the roots (see `dedup_roots`)
+    code = peeling.run_free(word)
     squares = peeling.peel(code)
     while squares:
         code = min(squares)[2]
@@ -563,11 +593,20 @@ def dedup_distance(
 ) -> Optional[int]:
     """Minimal number of deduplication steps from `word` to `target`, or None.
 
-    Breadth first; each frontier keeps its words in the order they were
-    found, squares in (offset, length) order, so the budget runs out on
-    the same inputs in every process.  A target whose end symbols or
-    symbol set differ from the word's is unreachable, and is answered
-    before any search.
+    Best first (A*, Hart, Nilsson and Raphael 1968): a word x reached in
+    s steps has the bound f = s + ceil((|x| - |target|) / kmax), since a
+    step deletes at most kmax symbols.  A step keeps f or raises it by
+    one, so two stacks, one for the least open f and one for f + 1, take
+    the place of a priority queue.  Each stack pops its newest word, and
+    a word's children are pushed in (offset, length) order.  A word
+    reached again by a shorter path is pushed again with the shorter
+    count, and its stale entry is skipped.  f never falls along a path,
+    and the target's f is its step count, so the first path to the
+    target is a shortest one.  The budget counts the distinct words
+    reached; with lists and a fixed order, where it runs out does not
+    depend on string hashing.  A target whose end symbols or symbol set
+    differ from the word's is unreachable, and is answered before any
+    search.
     """
     _at_least_one("kmax", kmax)
     _at_least_one("budget", budget)
@@ -579,22 +618,31 @@ def dedup_distance(
         return None
     peeling = _Peeling(word, kmax)
     start, goal = peeling.encode(word), peeling.encode(target)
+    bits, shortest = peeling.bits, len(target)
     # the codes of words longer than the target
-    longer = 1 << (len(target) + 1) * peeling.bits
-    frontier = [start]
-    seen = {start}
-    steps = 0
-    while frontier:
-        steps += 1
-        nxt = []
-        for code in frontier:
-            for _, _, child in sorted(peeling.peel(code, len(target))):
+    longer = 1 << (shortest + 1) * bits
+    best = {start: 0}
+    level, later = [(start, 0)], []  # (code, steps) with the bound f and f + 1
+    while level:
+        code, steps = level.pop()
+        if best[code] == steps:
+            excess = (code.bit_length() - 1) // bits - shortest
+            # a square of block length `keep` or more keeps the bound
+            keep = excess - (-(-excess // kmax) - 1) * kmax
+            steps += 1
+            for _, length, child in sorted(peeling.peel(code, shortest)):
                 if child == goal:
                     return steps
-                if child >= longer and child not in seen:
-                    if len(seen) >= budget:
+                if child < longer:
+                    continue
+                known = best.get(child)
+                if known is None:
+                    if len(best) >= budget:
                         raise BudgetExceededError(budget)
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
+                elif known <= steps:
+                    continue
+                best[child] = steps
+                (level if length >= keep else later).append((child, steps))
+        if not level:
+            level, later = later, []
     return None

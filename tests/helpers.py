@@ -4,6 +4,7 @@ Everything here is written from scratch with plain loops so that a bug in
 the package cannot hide behind the same bug in the tests.
 """
 
+import functools
 import itertools
 from collections import defaultdict, deque
 
@@ -101,8 +102,14 @@ def _without_square(word, offset, length):
     return word[: offset + length] + word[offset + 2 * length :]
 
 
-def string_derives_from(system, word, budget):
-    """Membership by depth-first square peeling, squares in (offset, length) order."""
+def string_derives_from(system, word, budget, collapsed=False):
+    """Membership by depth-first square peeling, squares in (offset, length) order.
+
+    With `collapsed` and a seed that has no run, the word and every word
+    found are first cut by `collapse`, so the budget counts run-free words
+    only: the budget reference for the packed `derives_from`.  Without it,
+    this is the full search over every descendant, the membership oracle.
+    """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if not system.alphabet.contains_word(word):
@@ -110,6 +117,8 @@ def string_derives_from(system, word, budget):
     seed = system.seed
     if len(word) < len(seed) or kept_by_deduplication(word) != kept_by_deduplication(seed):
         return False
+    cut = collapse if collapsed and collapse(seed) == seed else (lambda w: w)
+    word = cut(word)
     seen = {word}
     stack = [word]
     while stack:
@@ -117,7 +126,7 @@ def string_derives_from(system, word, budget):
         if w == seed:
             return True
         for offset, length in square_locations(w, system.kmax):
-            y = _without_square(w, offset, length)
+            y = cut(_without_square(w, offset, length))
             if len(y) >= len(seed) and y not in seen:
                 if len(seen) >= budget:
                     raise BudgetExceededError(budget)
@@ -177,19 +186,74 @@ def string_dedup_roots(word, kmax, budget, collapsed=False):
     return roots
 
 
+def _distance_search(search):
+    """`search` behind the input checks of a distance and the answers that
+    need no search."""
+
+    @functools.wraps(search)
+    def distance(word, target, kmax, budget):
+        if kmax < 1:
+            raise ValueError("kmax must be at least 1")
+        if budget < 1:
+            raise ValueError("budget must be at least 1")
+        if len(target) > len(word):
+            raise ValueError("target cannot be longer than the start word")
+        if word == target:
+            return 0
+        if kept_by_deduplication(word) != kept_by_deduplication(target):
+            return None
+        return search(word, target, kmax, budget)
+
+    return distance
+
+
+@_distance_search
 def string_dedup_distance(word, target, kmax, budget):
+    """Fewest deduplications from `word` to `target`, best first: the budget
+    reference for the packed `dedup_distance`.
+
+    A word y reached in s steps has the bound s + ceil((|y| - |target|) / kmax).
+    Two stacks hold the words of the least open bound and of the bound
+    one above it, as (word, steps) pairs; each pops its newest pair, and a
+    word's children are pushed in (offset, length) order.  A word reached
+    again in fewer steps is pushed again, and its old pair is skipped.
+    The budget counts distinct words reached, the start word included.
+    """
+
+    def bound(w, steps):
+        return steps + -(-(len(w) - len(target)) // kmax)
+
+    best = {word: 0}
+    level, later = [(word, 0)], []
+    while level or later:
+        if not level:
+            level, later = later, []
+        w, steps = level.pop()
+        if best[w] < steps:
+            continue
+        for offset, length in square_locations(w, kmax):
+            y = _without_square(w, offset, length)
+            if y == target:
+                return steps + 1
+            if len(y) <= len(target):
+                continue
+            if y in best:
+                if best[y] <= steps + 1:
+                    continue
+            elif len(best) >= budget:
+                raise BudgetExceededError(budget)
+            best[y] = steps + 1
+            if bound(y, steps + 1) == bound(w, steps):
+                level.append((y, steps + 1))
+            else:
+                later.append((y, steps + 1))
+    return None
+
+
+@_distance_search
+def breadth_first_dedup_distance(word, target, kmax, budget):
     """Fewest deduplications from `word` to `target`, breadth first, each
-    frontier a list in discovery order."""
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if len(target) > len(word):
-        raise ValueError("target cannot be longer than the start word")
-    if word == target:
-        return 0
-    if kept_by_deduplication(word) != kept_by_deduplication(target):
-        return None
+    frontier a list in discovery order: the distance oracle."""
     frontier = [word]
     seen = {word}
     steps = 0

@@ -30,6 +30,7 @@ from tandemdup import (
 )
 from tandemdup.enumeration import _Packing, _Peeling, greedy_root, length_range
 from helpers import (
+    breadth_first_dedup_distance,
     canonical_patterns,
     collapse,
     kept_by_deduplication,
@@ -211,6 +212,19 @@ class TestDedup:
     def test_distance_example(self):
         assert dedup_distance("012101212", "012", 4) == 2
         assert dedup_distance("012101212", "012", 2) is None
+
+    @pytest.mark.parametrize(
+        "word,via", [("0110011", ("011011", "011")), ("0011001", ("001001", "001"))]
+    )
+    def test_distance_reopens_a_word_reached_by_a_shorter_path(self, word, via):
+        # three steps, through the two words of `via`.  A best-first search
+        # that keeps the first step count it finds for a word answers 4 on
+        # one of the two, which one depending on the order it visits
+        # children in; this search's order would fail on 0011001
+        assert dedup_distance(word, "01", 3) == 3
+        assert dedup_distance(word, via[0], 3) == 1
+        assert dedup_distance(via[0], via[1], 3) == 1
+        assert dedup_distance(via[1], "01", 3) == 1
 
     def test_distance_zero_to_self(self):
         assert dedup_distance("0101", "0101", 2) == 0
@@ -512,8 +526,11 @@ def _agree_with_the_string_searches(alphabet, word, kmax, others, budget=10**7):
     `derives_from` with it as the seed, give the string searches' answers
     or budget errors.
 
-    `dedup_roots` spends its budget as the collapsed string search does,
-    on run-free words, and its roots are those of the full search."""
+    Each packed search spends its budget as its string reference does:
+    `dedup_roots`, and `derives_from` from a run-free seed, on run-free
+    words, and `dedup_distance` best first.  Their answers are those of
+    the full searches, which visit every descendant breadth or depth
+    first."""
     roots = _outcome(lambda: dedup_roots(word, kmax, budget).roots)
     assert roots == _outcome(
         lambda: string_dedup_roots(word, kmax, budget, collapsed=True)
@@ -521,13 +538,19 @@ def _agree_with_the_string_searches(alphabet, word, kmax, others, budget=10**7):
     if not isinstance(roots, tuple):
         assert roots == _full_roots(word, kmax), (word, kmax, budget)
     for other in others:
-        assert _outcome(lambda: dedup_distance(word, other, kmax, budget)) == _outcome(
+        distance = _outcome(lambda: dedup_distance(word, other, kmax, budget))
+        assert distance == _outcome(
             lambda: string_dedup_distance(word, other, kmax, budget)
         ), (word, other, kmax, budget)
+        if not isinstance(distance, tuple):
+            assert distance == breadth_first_dedup_distance(word, other, kmax, 10**7)
         system = DuplicationSystem(alphabet, other, kmax)
-        assert _outcome(lambda: derives_from(system, word, budget)) == _outcome(
-            lambda: string_derives_from(system, word, budget)
+        member = _outcome(lambda: derives_from(system, word, budget))
+        assert member == _outcome(
+            lambda: string_derives_from(system, word, budget, collapsed=True)
         ), (word, other, kmax, budget)
+        if not isinstance(member, tuple):
+            assert member == string_derives_from(system, word, 10**7), (word, other, kmax)
 
 
 @functools.lru_cache(maxsize=None)
@@ -546,18 +569,21 @@ def _lemma_sweep():
                     yield "".join(symbols), kmax
 
 
-def _descendants(word, kmax):
-    """How many words deduplication reaches from `word`, the word included."""
-    seen = {word}
-    stack = [word]
-    while stack:
-        w = stack.pop()
-        for offset, length in square_locations(w, kmax):
-            y = w[: offset + length] + w[offset + 2 * length :]
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen)
+def _distances(word, kmax):
+    """The fewest deduplications from `word` to each word it reaches, itself
+    included, by one breadth-first search."""
+    steps = {word: 0}
+    frontier = [word]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for offset, length in square_locations(w, kmax):
+                y = w[: offset + length] + w[offset + 2 * length :]
+                if y not in steps:
+                    steps[y] = steps[w] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return steps
 
 
 def _grown(rng, word, kmax, extra):
@@ -638,7 +664,8 @@ class TestPackedPeeling:
     )
     def test_budget_sweep(self, alphabet, word, kmax, others):
         alphabet = Alphabet.parse(alphabet)
-        for budget in range(1, _descendants(word, kmax) + 2):
+        # up to one past the number of words deduplication reaches
+        for budget in range(1, len(_distances(word, kmax)) + 2):
             _agree_with_the_string_searches(alphabet, word, kmax, others, budget)
 
     def test_a_run_never_changes_the_roots(self):
@@ -648,6 +675,44 @@ class TestPackedPeeling:
             assert _full_roots(word, kmax) == _full_roots(collapse(word), kmax), (word, kmax)
             pairs += 1
         assert pairs == 26_635
+
+    def test_a_run_never_changes_membership_of_a_run_free_seed(self):
+        # the lemma behind the run-free `derives_from`, on the string oracle
+        # alone: every word of the sweep that has a run, at kmax <= 4, with
+        # every run-free seed of up to four symbols it could reach
+        seeds = [
+            "".join(symbols)
+            for n in range(1, 5)
+            for symbols in itertools.product("012", repeat=n)
+            if collapse("".join(symbols)) == "".join(symbols)
+        ]
+        triples = 0
+        for word, kmax in _lemma_sweep():
+            if kmax > 4 or collapse(word) == word:
+                continue
+            for seed in seeds:
+                if kept_by_deduplication(seed) != kept_by_deduplication(word):
+                    continue
+                system = DuplicationSystem(Alphabet("012"), seed, kmax)
+                assert string_derives_from(system, word, 10**7) == string_derives_from(
+                    system, collapse(word), 10**7
+                ), (word, seed, kmax)
+                triples += 1
+        assert triples == 40_256
+
+    def test_best_first_distance_to_every_descendant(self):
+        # every descendant of the binary words up to length 9 and the
+        # ternary words up to length 7, at its breadth-first distance
+        pairs = 0
+        for letters, top in (("01", 9), ("012", 7)):
+            for n in range(top + 1):
+                for symbols in itertools.product(letters, repeat=n):
+                    word = "".join(symbols)
+                    for kmax in (2, 3, 4):
+                        for other, steps in _distances(word, kmax).items():
+                            assert dedup_distance(word, other, kmax) == steps, (word, other, kmax)
+                            pairs += 1
+        assert pairs == 78_810
 
     def test_run_free_search_on_the_lemma_sweep(self):
         for word, kmax in _lemma_sweep():
@@ -667,12 +732,13 @@ class TestPackedPeeling:
             assert peeling.decode(peeling.collapse(peeling.encode(word))) == collapse(word), word
 
     def test_distance_budget_outcome_ignores_string_hashing(self):
-        # the frontiers are lists in discovery order: string hashing, which
-        # orders a set of strings, cannot move the point where budget runs out
+        # the open words are lists in a fixed order: string hashing, which
+        # orders a set of strings, cannot move the point where budget runs
+        # out.  54 is the largest budget that runs out; 55 answers 6
         call = (
             "from tandemdup import BudgetExceededError, dedup_distance\n"
             "try:\n"
-            "    print(dedup_distance('22100220002110', '2210', 4, budget=55))\n"
+            "    print(dedup_distance('22100220002110', '2210', 4, budget=54))\n"
             "except BudgetExceededError as err:\n"
             "    print(err)\n"
         )
@@ -688,7 +754,7 @@ class TestPackedPeeling:
             ).stdout
             for hash_seed in (1, 2)
         }
-        assert outcomes == {"word budget of 55 exceeded\n"}
+        assert outcomes == {"word budget of 54 exceeded\n"}
 
 
 class TestPrunedSearches:
