@@ -58,7 +58,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from operator import or_
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import json
 import math
@@ -942,15 +942,17 @@ def _completed(automaton: LabeledAutomaton) -> Tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=np.intp).T, accepting
 
 
-def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set[Word]]:
-    """Accepted words grouped by length, read off level by level.
+def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, List[Word]]:
+    """Accepted words grouped by length, read off level by level, each
+    length a list in alphabet order (lexicographic by symbol rank).
 
     A level is one array of prefixes packed as codes, in the format of the
     enumeration's level loop, beside the array of states they lead to.  A
     level grows into the next by one table lookup per prefix and symbol,
     and its accepted words are decoded at once.  A prefix is extended only
     while an accepting state is still within reach of the length left, so
-    no prefix is built that ends nowhere.
+    no prefix is built that ends nowhere.  The prefixes of a level come
+    out in (prefix, symbol) order, so every level stays sorted.
     """
     # read before the length, so an NFA is refused at every length
     rows = automaton._table
@@ -967,9 +969,9 @@ def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set
     distance = [far if d is None else d for d in _distances(rows, ranks)]
     distance = np.array(distance + [far])
 
-    out: Dict[int, Set[Word]] = {n: set() for n in range(max_length + 1)}
+    out: Dict[int, List[Word]] = {n: [] for n in range(max_length + 1)}
     if accepting[start]:
-        out[0].add("" if alphabet.single_char else ())
+        out[0].append("" if alphabet.single_char else ())
     packing = _Packing(alphabet, max_length)
     shift = packing.shift(1)
     states = np.array([start], dtype=np.intp)
@@ -982,9 +984,7 @@ def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Set
             break
         states = steps[prefixes, ranks]
         codes = (codes[prefixes] << shift) | ranks.astype(packing.dtype)
-        hits = codes[accepting[states]]
-        if len(hits):
-            out[n].update(packing.decode(hits, n))
+        out[n] = packing.decode(codes[accepting[states]], n)
     return out
 
 

@@ -4,11 +4,11 @@ Each question has one engine per duplication bound.  For kmax <= 3 the
 language is regular: `count` and `capacity --empirical` sweep the minimal
 automaton once for every length, `generate` reads its words off it,
 `member` walks the seed's position automaton and forms its subsets only
-as the word reaches them, so no machine is built, and `dedup` deletes the
-first square until none is left (the root is unique).  None of these
-spends the `--budget`.  For kmax >= 4 the exhaustive searches of
-`tandemdup.enumeration` answer under the budget, and so do
-`dedup --target` and `verify --check-upto` at any bound.
+as the word reaches them, so no machine is built, and `dedup` deletes
+each square as soon as a left-to-right pass completes it (the root is
+unique).  None of these spends the `--budget`.  For kmax >= 4 the
+exhaustive searches of `tandemdup.enumeration` answer under the budget,
+and so do `dedup --target` and `verify --check-upto` at any bound.
 
 Exit codes: 0 on success, 1 on a `tandemdup.errors.DomainError` (budget
 exhausted, unsupported duplication bound, degenerate inputs), 2 on usage
@@ -125,7 +125,7 @@ def cmd_generate(args):
     else:
         lengths = length_range(system, args.max_len)
         words = language_upto(build_automaton(system, minimize=True), args.max_len)
-        by_length = {n: frozenset(words[n]) for n in lengths}
+        by_length = {n: tuple(words[n]) for n in lengths}
         piece = LanguageSlice(system, args.max_len, by_length)
     doc = piece.to_json_dict()
     if args.format == "json":
@@ -225,7 +225,7 @@ def cmd_verify(args):
         piece = enumerate_words(system, args.check_upto, args.budget)
         accepted = language_upto(machine, args.check_upto)
         agrees = all(
-            piece.by_length.get(n, frozenset()) == frozenset(accepted.get(n, ()))
+            list(piece.by_length.get(n, ())) == accepted[n]
             for n in range(len(system.seed), args.check_upto + 1)
         )
         doc["oracleDepth"] = args.check_upto

@@ -14,25 +14,30 @@ w is then whole-array arithmetic,
 
     ((w >> (n-i-k)*B) << (n-i)*B) | (w & (2**((n-i)*B) - 1)),
 
-and one sort with duplicates dropped merges the children into the
-pending level n + k.  A merge comes once the children outnumber every
-word the loop holds, the level being expanded and all pending ones, and
-at the end of each block length.  That bound follows the memory already
-in use, so there is no batch size to tune, and it leaves the budget
-outcome alone: the word total at the end of each block length is the
-same for any merge schedule.  The arrays take the narrowest of `uint32`
+and a batch of offsets i is one broadcast of that formula, the level's
+codes against a column of shift counts and masks, one row per offset.  One
+sort with duplicates dropped merges a batch into the pending level
+n + k.  A batch ends once its children outnumber every word the loop
+holds, the level being expanded and all pending ones, or at the last
+offset of a block length.  That bound follows the memory already in
+use, so there is no batch size to tune, and it leaves the budget outcome
+alone: the word total at the end of each block length is the same for
+any merge schedule.  The arrays take the narrowest of `uint32`
 (max_length * B <= 32), `uint64` (<= 64) and Python ints, with the same
-arithmetic.  The packing never leaves this module: words are decoded to
-strings or tuples only where a caller asks for words.  The bounded
-factor questions run the level loop themselves: `check_coverage` merges
-the factors of one length into one sorted array and stops once every
-word of that length is found, and `verify_witness_absent` stops at the
-first level where its word occurs.
+arithmetic.  A sorted level is in alphabet order, lexicographic by
+symbol rank, and so are the words decoded from it.  The packing never
+leaves this module: words are decoded to strings or tuples only where a
+caller asks for words.  The bounded factor questions run the level loop
+themselves: `check_coverage` takes the factors of one length at every
+offset in one broadcast, merges them into one sorted array and stops
+once every word of that length is found, and `verify_witness_absent`
+compares its word with all of them at once and stops at the first level
+where it occurs.
 
-The reverse searches (`derives_from`, `dedup_roots`, `dedup_distance`,
-`greedy_root`) peel squares off words packed the same way, one Python
-int a word with a leading 1 bit above the symbols, so the length is
-implicit and there is no width limit.  The ranks come from the start word's own symbols,
+The reverse searches (`derives_from`, `dedup_roots`, `dedup_distance`)
+peel squares off words packed the same way, one Python int a word with
+a leading 1 bit above the symbols, so the length is implicit and there
+is no width limit.  The ranks come from the start word's own symbols,
 because deduplication never adds one.  Every square of block length l is
 found at once: x = c ^ (c >> l*B) is zero on each symbol that equals the
 one l places before it, and the AND of l shifted copies of that zero mask
@@ -48,15 +53,18 @@ deleted; the six cases, by where the run sits against the square's
 start, middle and end, are in the `dedup_roots` docstring.  So the roots
 of a word are those of its collapse, the word with every run cut to one
 symbol, and a square deleted from a run-free word leaves it run-free.
-`greedy_root`, the one root for kmax <= 3, cuts the runs the same way
-and then deletes the first square until none is left.  `derives_from`
+`greedy_root`, the one root for kmax <= 3, needs no search: it appends
+the word's symbols one at a time and deletes each square, runs
+included, as soon as its last symbol arrives.  `derives_from`
 cuts the runs too when the seed has none, by a lemma on the same six
 cases (see its docstring); a seed with a run keeps the search over every
 descendant.  A search that has cut the runs peels squares of block
 length 2 and more only.  `dedup_distance`, whose steps through runs
 count, searches best first: each step deletes at most kmax symbols, so
 a word x needs at least ceil((|x| - |target|) / kmax) more steps, and
-the search opens the words with the least bound first.
+the search opens the words with the least bound first.  For kmax <= 3 it
+first compares the two words' roots, and a target with another root is
+no descendant.
 
 numpy is imported where the level loop and its packing build arrays, not
 with the module, so the reverse searches, which pack words as Python ints,
@@ -122,9 +130,10 @@ class _Packing:
     Codes take the narrowest type that holds max_length symbols: `uint32`
     up to 32 bits, `uint64` up to 64 and Python ints (dtype object)
     beyond; half-width codes halve what every sort, shift and compare
-    moves.  Shift counts and masks come from `shift` and `mask` as
-    scalars of the codes' own type, so fixed-width arithmetic never
-    depends on numpy's promotion of Python ints.
+    moves.  Shift counts and masks are scalars or arrays of the codes' own
+    type, so fixed-width arithmetic never depends on numpy's promotion of
+    Python ints (`uint64` with `int64` promotes to float64, which cannot
+    be shifted).
     """
 
     def __init__(self, alphabet: Alphabet, max_length: int):
@@ -141,9 +150,10 @@ class _Packing:
             self.scalar = int
         self.dtype = np.dtype(object if self.scalar is int else self.scalar)
         self._symbols = np.array(alphabet.symbols)
-        # the shift of each symbol of a max_length word, first symbol
-        # first; a shorter word's shifts are the last ones
-        self._shifts = self.array(range(max_length - 1, -1, -1)) * self.shift(1)
+        # for t < max_length: the shift count that moves a code by t
+        # symbols, and the mask that keeps its last t symbols
+        self._shifts = self.array(range(max_length)) * self.shift(1)
+        self._masks = self.array([(1 << t * self.bits) - 1 for t in range(max_length)])
 
     def shift(self, symbols: int):
         """The shift count that moves a code by this many symbols."""
@@ -165,36 +175,56 @@ class _Packing:
         return self.scalar(code)
 
     def decode(self, codes: np.ndarray, n: int) -> list:
-        """The length-n words packed in `codes`, by one digit extraction."""
+        """The length-n words packed in `codes`, in the same order, by one
+        digit extraction."""
         import numpy as np
 
-        shifts = self._shifts[len(self._shifts) - n :]
+        # the shift of each symbol, first symbol first
+        shifts = self._shifts[:n][::-1]
         ranks = ((codes[:, None] >> shifts) & self.mask(1)).astype(np.intp)
         symbols = self._symbols[ranks]
         if self.alphabet.single_char:
             return symbols.view(np.dtype((np.str_, n))).ravel().tolist()
         return list(map(tuple, symbols.tolist()))
 
-    def factors(self, codes: np.ndarray, n: int, m: int):
-        """The length-m factors of the length-n codes, one array per offset."""
-        mask = self.mask(m)
-        for offset in range(n - m + 1):
-            yield (codes >> self.shift(n - offset - m)) & mask
+    def duplicates(self, codes: np.ndarray, n: int, k: int, offsets: range) -> np.ndarray:
+        """The children of the length-n codes that duplicate the k symbols
+        at each offset, one row per offset, by one broadcast over the
+        batch: w at offset i with t = n - i symbols from there to the end
+        becomes ((w >> (t-k)*B) << t*B) | (w & (2**(t*B) - 1))."""
+        # the rows by t, from the batch's last offset to its first
+        tails = slice(n - offsets.stop + 1, n - offsets.start + 1)
+        heads = slice(tails.start - k, tails.stop - k)
+        children = codes >> self._shifts[heads, None]
+        children <<= self._shifts[tails, None]
+        children |= codes & self._masks[tails, None]
+        return children
+
+    def factors(self, codes: np.ndarray, n: int, m: int) -> np.ndarray:
+        """The length-m factors of the length-n codes, one row per offset,
+        by one broadcast."""
+        # the factor at offset i sits n - i - m symbols above the end
+        return (codes >> self._shifts[: n - m + 1, None]) & self.mask(m)
 
 
 def _levels(
     system: DuplicationSystem, max_length: int, budget: int, packing: _Packing
 ):
-    """Yield (length, codes) pairs level by level, spending one budget unit per word.
+    """Yield (length, codes) pairs level by level, spending one budget unit
+    per word; the codes of a level are distinct and sorted, which is
+    alphabet order.
 
     Each level is expanded before it is yielded, so a caller that stops
-    at length n has paid for every word its expansion produced.
+    at length n has paid for every word its expansion produced.  The
+    offsets of one block length are expanded in batches, one array
+    operation a batch (`_Packing.duplicates`).
     """
     _at_least_one("budget", budget)
     lengths = length_range(system, max_length)
     pending: Dict[int, np.ndarray] = {
         lengths.start: packing.array([packing.encode(system.seed)])
     }
+    empty = packing.array([])
     total = 1  # distinct words generated
     released = 0  # words of the levels already yielded
     for n in lengths:
@@ -202,25 +232,21 @@ def _levels(
         if codes is None:
             continue
         for k in range(1, min(system.kmax, max_length - n, n) + 1):
-            target = pending.get(n + k, packing.array([]))
-            batch = []
-            for i in range(n - k + 1):
-                tail = n - i
-                child = codes >> packing.shift(tail - k)
-                child <<= packing.shift(tail)
-                child |= codes & packing.mask(tail)
-                batch.append(child)
-                # merge once the children outnumber every word the loop
-                # holds, this level and all pending ones (total - released):
-                # the children in flight stay under twice the words held,
-                # and every merge but the last of a block length sorts at
-                # most twice the children it takes in
-                if len(batch) * len(codes) >= total - released or i == n - k:
-                    merged = _distinct([target, *batch])
-                    total += len(merged) - len(target)
-                    if total > budget:
-                        raise BudgetExceededError(budget, n)
-                    target, batch = merged, []
+            target = pending.get(n + k, empty)
+            first, offsets = 0, n - k + 1
+            while first < offsets:
+                # a batch takes offsets until its children outnumber every
+                # word the loop holds, this level and all pending ones
+                # (total - released): the children in flight stay under
+                # twice the words held, and every merge but the last of a
+                # block length sorts at most twice the children it takes in
+                last = min(first - (-(total - released) // len(codes)), offsets)
+                batch = packing.duplicates(codes, n, k, range(first, last))
+                merged = _distinct([target, batch.ravel()])
+                total += len(merged) - len(target)
+                if total > budget:
+                    raise BudgetExceededError(budget, n)
+                target, first = merged, last
             pending[n + k] = target
         released += len(codes)
         yield n, codes
@@ -228,11 +254,13 @@ def _levels(
 
 @dataclass(frozen=True)
 class LanguageSlice:
-    """All words of the system with length at most max_length, grouped by length."""
+    """All words of the system with length at most max_length, grouped by
+    length: each length a tuple of distinct words in alphabet order, that
+    is lexicographic by symbol rank."""
 
     system: DuplicationSystem
     max_length: int
-    by_length: Dict[int, FrozenSet[Word]]
+    by_length: Dict[int, Tuple[Word, ...]]
 
     def counts(self) -> "CountTable":
         return CountTable(
@@ -242,7 +270,9 @@ class LanguageSlice:
         )
 
     def to_json_dict(self) -> dict:
-        """The count document plus the words of each length, sorted."""
+        """The count document plus the words of each length, sorted by
+        text.  Alphabet order is text order for most alphabets, and sorting
+        presorted words takes one linear pass."""
         alphabet = self.system.alphabet
         # words over one-character symbols are their own text already
         text = None if alphabet.single_char else alphabet.text
@@ -282,10 +312,11 @@ class DedupResult:
 def enumerate_words(
     system: DuplicationSystem, max_length: int, budget: int = DEFAULT_BUDGET
 ) -> LanguageSlice:
-    """Every word of the system up to max_length, exactly."""
+    """Every word of the system up to max_length, exactly, each length in
+    alphabet order."""
     packing = _Packing(system.alphabet, max_length)
     by_length = {
-        n: frozenset(packing.decode(codes, n))
+        n: tuple(packing.decode(codes, n))
         for n, codes in _levels(system, max_length, budget, packing)
     }
     return LanguageSlice(system, max_length, by_length)
@@ -391,6 +422,33 @@ class _Peeling:
         self._first_block = 2
         return self.collapse(self.encode(word))
 
+    def root(self, word: Word) -> int:
+        """The code of a kmax-irreducible descendant of `word`, in one pass:
+        its symbols are appended one at a time, and a square that ends at
+        the newest symbol has its second copy deleted at once, the shortest
+        such square first.
+
+        The word built so far stays irreducible: a new square must end at
+        the newest symbol, and deleting its second copy leaves a prefix of
+        the word before the append.  Each deletion is a deduplication of
+        the whole word, so what is left at the end is a root."""
+        bits, rank = self.bits, self._rank
+        # (length, 2 * length, shift, mask of the last `length` symbols)
+        blocks = [(l, 2 * l, l * bits, (1 << l * bits) - 1) for l in range(1, self.kmax + 1)]
+        code, n = 1, 0
+        for symbol in word:
+            code = code << bits | rank[symbol]
+            n += 1
+            for length, twice, shift, low in blocks:
+                if twice > n:
+                    break
+                # the last `length` symbols repeat the `length` before them
+                if not (code ^ code >> shift) & low:
+                    code >>= shift
+                    n -= length
+                    break
+        return code
+
     def peel(self, code: int, shortest: int = 0) -> List[Tuple[int, int, int]]:
         """(offset, length, child) for every square of block length at most
         kmax whose deletion leaves at least `shortest` symbols; the child is
@@ -481,7 +539,7 @@ def check_coverage(
     for n, codes in _levels(system, max_length, budget, packing):
         if n < length:
             continue
-        found = _distinct([found, *packing.factors(codes, n, length)])
+        found = _distinct([found, packing.factors(codes, n, length).ravel()])
         if len(found) == full:
             break
     return set(system.alphabet.words_of_length(length)).difference(
@@ -509,9 +567,7 @@ def verify_witness_absent(
     packing = _Packing(system.alphabet, max_length)
     code = packing.encode(word)
     for n, codes in _levels(system, max_length, budget, packing):
-        if n >= len(word) and any(
-            (factor == code).any() for factor in packing.factors(codes, n, len(word))
-        ):
+        if n >= len(word) and (packing.factors(codes, n, len(word)) == code).any():
             return False
     return True
 
@@ -568,9 +624,9 @@ def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupRes
 
 
 def greedy_root(word: Word, kmax: int) -> Word:
-    """The kmax-irreducible word left by cutting every run to one symbol
-    and then deleting the first square, in (offset, length) order, until
-    none is left, with no search and no budget.
+    """A kmax-irreducible word reachable from `word`, by one left-to-right
+    pass that deletes each square as soon as it is complete
+    (`_Peeling.root`), with no search and no budget.
 
     For kmax <= 3 every word has exactly one root (Jain, Farnoud, Schwartz
     and Bruck, "Duplication-correcting codes for data storage in the DNA of
@@ -579,13 +635,7 @@ def greedy_root(word: Word, kmax: int) -> Word:
     """
     _at_least_one("kmax", kmax)
     peeling = _Peeling(word, kmax)
-    # runs never change the roots (see `dedup_roots`)
-    code = peeling.run_free(word)
-    squares = peeling.peel(code)
-    while squares:
-        code = min(squares)[2]
-        squares = peeling.peel(code)
-    return peeling.decode(code)
+    return peeling.decode(peeling.root(word))
 
 
 def dedup_distance(
@@ -606,7 +656,9 @@ def dedup_distance(
     reached; with lists and a fixed order, where it runs out does not
     depend on string hashing.  A target whose end symbols or symbol set
     differ from the word's is unreachable, and is answered before any
-    search.
+    search.  So is a target whose root differs from the word's when
+    kmax <= 3, where every word has exactly one root (`greedy_root`):
+    the target's root is a root of the word whenever the word reaches it.
     """
     _at_least_one("kmax", kmax)
     _at_least_one("budget", budget)
@@ -617,6 +669,8 @@ def dedup_distance(
     if _kept_by_deduplication(word) != _kept_by_deduplication(target):
         return None
     peeling = _Peeling(word, kmax)
+    if kmax <= 3 and peeling.root(word) != peeling.root(target):
+        return None
     start, goal = peeling.encode(word), peeling.encode(target)
     bits, shortest = peeling.bits, len(target)
     # the codes of words longer than the target

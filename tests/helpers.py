@@ -40,6 +40,18 @@ def naive_closure(seed, kmax, max_length):
     return by_length
 
 
+def rank_sorted(alphabet, words):
+    """The words as a list in alphabet order, lexicographic by symbol rank,
+    by a sort on each word's list of ranks."""
+    return sorted(words, key=lambda w: [alphabet.index(s) for s in w])
+
+
+def levels_by_rank(alphabet, levels, seq=list):
+    """A {length: words} map with each length's words as a `seq` in
+    alphabet order."""
+    return {n: seq(rank_sorted(alphabet, ws)) for n, ws in levels.items()}
+
+
 def set_levels(system, max_length, budget):
     """The level loop on Python sets of words, the reference for the packed
     one: yield (length, words) pairs level by level, spending one budget
@@ -218,7 +230,13 @@ def string_dedup_distance(word, target, kmax, budget):
     word's children are pushed in (offset, length) order.  A word reached
     again in fewer steps is pushed again, and its old pair is skipped.
     The budget counts distinct words reached, the start word included.
+    When kmax <= 3, a target whose root differs from the word's is
+    answered before any search.
     """
+
+    # every word has exactly one root when kmax <= 3
+    if kmax <= 3 and string_first_square_root(word, kmax) != string_first_square_root(target, kmax):
+        return None
 
     def bound(w, steps):
         return steps + -(-(len(w) - len(target)) // kmax)

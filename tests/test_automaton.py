@@ -34,10 +34,12 @@ from helpers import (
     accepted_by_scan,
     canonical_patterns,
     edge_count_matrix,
+    levels_by_rank,
     moore_minimized,
     naive_closure,
     path_table_certificate,
     prefix_language_upto,
+    rank_sorted,
     right_language_subset,
     seed_expression,
     set_determinize,
@@ -732,7 +734,7 @@ class TestMinimalMachine:
         words = language_upto(m, 6)
         for n in range(7):
             assert count_accepted(m, n) == len(accepted_by_scan(m, "ab", n))
-            assert words[n] == accepted_by_scan(m, "ab", n)
+            assert words[n] == rank_sorted(m.alphabet, accepted_by_scan(m, "ab", n))
 
     @pytest.mark.parametrize("accepting", [set(), {2}], ids=["none", "unreachable"])
     def test_empty_language_gives_one_rejecting_state(self, accepting):
@@ -963,13 +965,16 @@ class TestTrim:
                 assert machine.is_trim() == (len(machine.states) == 1 and not machine.edges)
             if i % 5 == 0:
                 words = language_upto(machine, 4)
-                assert words == {n: accepted_by_scan(machine, "abc", n) for n in range(5)}
+                assert words == {
+                    n: rank_sorted(ab, accepted_by_scan(machine, "abc", n)) for n in range(5)
+                }
         assert 50 < empty < 950
 
 
 class TestLanguageUpto:
     """`language_upto` reads a DFA level by level on packed codes;
-    `prefix_language_upto` is the one-prefix-at-a-time reference."""
+    `prefix_language_upto` is the one-prefix-at-a-time reference, whose
+    words each level must list in alphabet order."""
 
     @pytest.mark.parametrize("kmax", [1, 2, 3])
     def test_canonical_seed_sweep(self, kmax):
@@ -978,13 +983,14 @@ class TestLanguageUpto:
             for minimize in (False, True):
                 machine = build_automaton(system, minimize=minimize)
                 top = len(pattern) + 4
-                assert language_upto(machine, top) == prefix_language_upto(machine, top), pattern
+                want = levels_by_rank(machine.alphabet, prefix_language_upto(machine, top))
+                assert language_upto(machine, top) == want, pattern
 
     def test_multi_character_symbols(self):
         system = DuplicationSystem.parse("a,bb,c", "a,bb,c,a", 3)
         machine = build_automaton(system, minimize=True)
         words = language_upto(machine, 9)
-        assert words == prefix_language_upto(machine, 9)
+        assert words == levels_by_rank(machine.alphabet, prefix_language_upto(machine, 9))
         assert ("a", "bb", "c", "a") in words[4]
         assert all(isinstance(w, tuple) for ws in words.values() for w in ws)
         assert {n: len(ws) for n, ws in words.items()} == {
@@ -998,11 +1004,11 @@ class TestLanguageUpto:
         rejecting_start = LabeledAutomaton(ab, {0, 1}, 0, {1}, {(0, "a", 1)})
         for machine in (accepting_start, rejecting_start):
             got = language_upto(machine, max_length)
-            assert got == prefix_language_upto(machine, max_length)
+            assert got == levels_by_rank(ab, prefix_language_upto(machine, max_length))
             assert sorted(got) == list(range(max_length + 1))
         if max_length >= 0:
-            assert language_upto(accepting_start, max_length)[0] == {""}
-            assert language_upto(rejecting_start, max_length)[0] == set()
+            assert language_upto(accepting_start, max_length)[0] == [""]
+            assert language_upto(rejecting_start, max_length)[0] == []
 
     @pytest.mark.parametrize(
         "alphabet, seed, max_length",
@@ -1014,7 +1020,7 @@ class TestLanguageUpto:
         machine = build_automaton(system, minimize=True)
         assert max_length * max(1, (len(system.alphabet) - 1).bit_length()) > 64
         words = language_upto(machine, max_length)
-        assert words == prefix_language_upto(machine, max_length)
+        assert words == levels_by_rank(machine.alphabet, prefix_language_upto(machine, max_length))
         assert len(words[max_length]) == count_accepted(machine, max_length) > 0
 
     def test_sparse_negative_ids_and_dead_states(self):
@@ -1026,9 +1032,9 @@ class TestLanguageUpto:
         }
         machine = LabeledAutomaton(ab, {-7, 3, 42, 100, 5000}, -7, {100}, edges)
         words = language_upto(machine, 7)
-        assert words == prefix_language_upto(machine, 7)
-        assert words == {n: accepted_by_scan(machine, "abc", n) for n in range(8)}
-        assert words[2] == {"ab"} and words[5] == {"abaab", "abccc"}
+        assert words == levels_by_rank(ab, prefix_language_upto(machine, 7))
+        assert words == {n: rank_sorted(ab, accepted_by_scan(machine, "abc", n)) for n in range(8)}
+        assert words[2] == ["ab"] and words[5] == ["abaab", "abccc"]
 
     def test_random_dfas_match_the_reference(self):
         rng = random.Random(12)
@@ -1041,7 +1047,7 @@ class TestLanguageUpto:
             accepting = set(rng.sample(ids, rng.randint(0, min(3, len(ids)))))
             machine = LabeledAutomaton(ab, ids, rng.choice(ids), accepting, edges)
             top = rng.randint(0, 7)
-            assert language_upto(machine, top) == prefix_language_upto(machine, top)
+            assert language_upto(machine, top) == levels_by_rank(ab, prefix_language_upto(machine, top))
 
 
 def _rebuilt(machine):
@@ -1120,7 +1126,7 @@ class TestTransitionTable:
             assert transfer_matrix(machine).matrix.tolist() == edge_count_matrix(machine.trimmed())
             counts = accepted_counts(machine, 5)
             assert counts == [len(accepted_by_scan(machine, "abc", n)) for n in range(6)]
-            assert language_upto(machine, 5) == prefix_language_upto(machine, 5)
+            assert language_upto(machine, 5) == levels_by_rank(ab, prefix_language_upto(machine, 5))
             # and every machine the subset construction gives it
             for born in (machine.determinized(), machine.trimmed(), machine.minimized()):
                 self.assert_same(born, _rebuilt(born), 5)

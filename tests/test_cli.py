@@ -68,6 +68,16 @@ class TestGenerate:
         assert code == 0
         assert out.splitlines() == ["2\t01", "3\t001", "3\t011"]
 
+    @pytest.mark.parametrize("kmax", ["2", "4"], ids=["machine", "level-loop"])
+    def test_words_are_written_in_text_order(self, capsys, kmax):
+        # alphabet 210 ranks 2 first, so both engines list 220 before 200;
+        # the output still sorts them as text
+        argv = ["--alphabet", "210", "--seed", "20", "--max-dup", kmax, "--max-len", "4"]
+        code, out = run(capsys, "generate", *argv, "--format", "text")
+        assert code == 0
+        assert out.splitlines()[:3] == ["2\t20", "3\t200", "3\t220"]
+        assert run_json(capsys, "generate", *argv)["words"]["3"] == ["200", "220"]
+
 
 class TestCount:
     def test_json_and_text_agree(self, capsys):
@@ -229,6 +239,21 @@ class TestDedup:
         assert code == 0
         assert "distance\tNone" in out
 
+    def test_a_target_with_another_root_spends_no_budget(self, capsys):
+        # at kmax <= 3 a word has one root: the word's is 21012101 and the
+        # target's 201, so the answer needs no search and no budget
+        doc = run_json(
+            capsys,
+            "dedup",
+            "--alphabet", "012",
+            "--word", "22210111121011",
+            "--max-dup", "3",
+            "--target", "22001",
+            "--budget", "20",
+        )
+        assert doc["roots"] == ["21012101"]
+        assert doc["distance"] is None
+
 
 class TestVerify:
     def test_certificate_and_oracle(self, capsys):
@@ -366,7 +391,8 @@ class TestExitCodes:
         [
             ["member", *SYS4, "--word", "011212012012001122"],
             ["dedup", "--alphabet", "012", "--word", "011212012012001122", "--max-dup", "4"],
-            # the breadth-first distance search spends the budget at any kmax
+            # the distance search spends the budget at any kmax; at kmax 3
+            # the word's root is the target, so it is searched
             ["dedup", "--alphabet", "012", "--word", "011212012012001122", "--max-dup", "3",
              "--target", "012"],
         ],

@@ -34,8 +34,10 @@ from helpers import (
     canonical_patterns,
     collapse,
     kept_by_deduplication,
+    levels_by_rank,
     naive_closure,
     prefix_language_upto,
+    rank_sorted,
     set_levels,
     square_locations,
     string_dedup_distance,
@@ -59,14 +61,51 @@ def test_enumeration_matches_fixed_point_closure(alphabet, seed, kmax, max_lengt
     sys = DuplicationSystem.parse(alphabet, seed, kmax)
     got = enumerate_words(sys, max_length).by_length
     want = naive_closure(seed, kmax, max_length)
-    assert {n: set(ws) for n, ws in got.items()} == want
+    assert got == levels_by_rank(sys.alphabet, want, tuple)
 
 
 def test_binary_slice_small_lengths(binary_system):
     by_length = enumerate_words(binary_system, 4).by_length
-    assert by_length[2] == {"01"}
-    assert by_length[3] == {"001", "011"}
-    assert by_length[4] == {"0001", "0011", "0101", "0111"}
+    assert by_length[2] == ("01",)
+    assert by_length[3] == ("001", "011")
+    assert by_length[4] == ("0001", "0011", "0101", "0111")
+
+
+class TestAlphabetOrder:
+    """Both engines list each length's words once each, in alphabet order:
+    lexicographic by symbol rank, which is not text order on every
+    alphabet."""
+
+    @staticmethod
+    def assert_in_alphabet_order(alphabet, levels):
+        for ws in levels.values():
+            # a set drops repeats, so equal lengths mean there were none
+            assert list(ws) == rank_sorted(alphabet, set(ws))
+
+    @pytest.mark.parametrize("kmax", [2, 3, 4])
+    def test_ranks_against_text_order(self, kmax):
+        # 2 ranks first over 210, so rank order is the reverse of text order
+        system = DuplicationSystem.parse("210", "20", kmax)
+        piece = enumerate_words(system, 6)
+        by_length = piece.by_length
+        assert by_length[3] == ("220", "200")
+        self.assert_in_alphabet_order(system.alphabet, by_length)
+        # the document sorts them as text
+        assert piece.to_json_dict()["words"]["3"] == ["200", "220"]
+        if kmax <= 3:
+            words = language_upto(build_automaton(system, minimize=True), 6)
+            assert words[3] == ["220", "200"]
+            assert words == {n: list(by_length.get(n, ())) for n in range(7)}
+
+    @pytest.mark.parametrize("kmax", [2, 3, 4])
+    def test_multi_character_symbols(self, kmax):
+        system = DuplicationSystem.parse("a,bb,c", "c,a,bb", kmax)
+        by_length = enumerate_words(system, 7).by_length
+        assert all(isinstance(w, tuple) for ws in by_length.values() for w in ws)
+        self.assert_in_alphabet_order(system.alphabet, by_length)
+        if kmax <= 3:
+            words = language_upto(build_automaton(system, minimize=True), 7)
+            assert words == {n: list(by_length.get(n, ())) for n in range(8)}
 
 
 def test_binary_counts_double(binary_system):
@@ -142,9 +181,10 @@ def test_language_grows_with_kmax():
     for k in (1, 2, 3):
         sys = DuplicationSystem.parse("012", "012", k)
         slices[k] = enumerate_words(sys, 8).by_length
+        assert slices[k] == levels_by_rank(sys.alphabet, naive_closure("012", k, 8), tuple)
     for n in range(3, 9):
-        assert slices[1].get(n, set()) <= slices[2].get(n, set())
-        assert slices[2].get(n, set()) <= slices[3].get(n, set())
+        assert set(slices[1].get(n, ())) <= set(slices[2].get(n, ()))
+        assert set(slices[2].get(n, ())) <= set(slices[3].get(n, ()))
 
 
 def test_slice_is_closed_under_bounded_duplication(ternary_system):
@@ -264,6 +304,13 @@ class TestDedup:
         roots = dedup_roots("012101212", 4).roots
         assert len(roots) == 2
         assert greedy_root("012101212", 4) in roots
+        # the one-pass root is a root at every kmax, and over every alphabet
+        rng = random.Random(4)
+        for _ in range(400):
+            kmax = rng.randint(4, 6)
+            alphabet = "0123"[: rng.randint(2, 4)]
+            word = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 16)))
+            assert greedy_root(word, kmax) in _full_roots(word, kmax), (word, kmax)
 
     def test_target_longer_than_word_is_an_error(self):
         with pytest.raises(ValueError):
@@ -379,7 +426,7 @@ def _block_totals(system, top):
 def _agrees_with_the_set_loop(system, top, words_to_find):
     want = {n: set(ws) for n, ws in set_levels(system, top, 10**7)}
     got = enumerate_words(system, top).by_length
-    assert {n: set(ws) for n, ws in got.items()} == want
+    assert got == levels_by_rank(system.alphabet, want, tuple)
     assert count_words(system, top).counts == {n: len(ws) for n, ws in want.items()}
     for m in (1, 2, 3):
         assert check_coverage(system, m, top) == _all_words(system, m) - _factors(want, m), m
@@ -506,8 +553,8 @@ class TestPackedLevels:
             # the k <= 3 machine's words, packed by the same rule
             machine = build_automaton(system, minimize=True)
             words = language_upto(machine, top)
-            assert words == prefix_language_upto(machine, top)
-            assert words[top] == want[top]
+            assert words == levels_by_rank(machine.alphabet, prefix_language_upto(machine, top))
+            assert words[top] == rank_sorted(system.alphabet, want[top])
 
     def test_comma_separated_symbols(self):
         system = DuplicationSystem.parse("a,bb,ccc", "a,bb,ccc,a", 3)
@@ -779,6 +826,27 @@ class TestPrunedSearches:
             derives_from(ternary_system, word, budget=1)
         with pytest.raises(BudgetExceededError):
             dedup_distance(word, "0122", 3, budget=1)
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_a_target_with_another_root_is_unreachable(self, kmax):
+        # every word has one root at kmax <= 3, so a target whose root is
+        # not the word's is answered before any search; the breadth-first
+        # oracle searches
+        rng = random.Random(kmax)
+        shortcuts = 0
+        for _ in range(150):
+            word = "".join(rng.choice("012") for _ in range(rng.randint(6, 11)))
+            middle = "".join(rng.choice("012") for _ in range(rng.randint(0, 4)))
+            target = word[0] + middle + word[-1]
+            if len(target) > len(word) or kept_by_deduplication(target) != kept_by_deduplication(word):
+                continue
+            want = breadth_first_dedup_distance(word, target, kmax, 10**7)
+            assert dedup_distance(word, target, kmax) == want, (word, target, kmax)
+            if string_first_square_root(word, kmax) != string_first_square_root(target, kmax):
+                shortcuts += 1
+                assert want is None
+                assert dedup_distance(word, target, kmax, budget=1) is None
+        assert shortcuts >= 20
 
     def test_pruning_follows_the_input_checks(self, ternary_system):
         with pytest.raises(ValueError, match="budget must be at least 1"):
