@@ -20,8 +20,8 @@ as these masks shifted into place.  A subset of NFA states is one int,
 keyed as such.  The forward DFA of `build_automaton` walks the followers:
 per subset it forms the union of its members' followers once and cuts it
 per symbol by the positions that read that symbol, the step `position_walk`
-takes lazily, one mask at a time.  One subset construction over one row
-per symbol serves the two passes of double reversal and
+takes along one word, one mask at a time.  One subset construction over
+one row per symbol serves the two passes of double reversal and
 `LabeledAutomaton.determinized`: NFA states are ranked by their index in
 sorted order, and many subsets meet a row in the same members, so each row
 remembers the target of every such hit.  The forward DFA keeps its own
@@ -865,16 +865,14 @@ def position_walk(system: DuplicationSystem) -> Callable[[Word], bool]:
     The live positions are one mask.  A step is the union of the live
     positions' followers, cut down to the positions that carry the symbol:
     the step `build_automaton` takes from each subset of its forward
-    machine, there for every symbol at once.  The union
-    is formed once per mask and remembered across the words the test is
-    given, so the walks build lazily just the part of the subset DFA that
-    they visit.  A symbol outside the alphabet, like one outside the seed,
-    leaves no position live.
+    machine, there for every symbol at once, so a walk visits just the
+    subsets of that DFA that its word reaches.  Nothing is remembered
+    between steps or words.  A symbol outside the alphabet, like one
+    outside the seed, leaves no position live.
     """
     symbols, last, follow, _ = seed_regex(system.seed, system.kmax)
     order = system.alphabet.symbols
     carriers = dict(zip(order, _carriers(symbols, order)))
-    reach: Dict[int, int] = {}
 
     def accepts(word: Word) -> bool:
         mask = 1
@@ -882,10 +880,7 @@ def position_walk(system: DuplicationSystem) -> Callable[[Word], bool]:
             carrier = carriers.get(s)
             if carrier is None:
                 return False
-            after = reach.get(mask)
-            if after is None:
-                after = reach[mask] = _union(mask, follow)
-            mask = after & carrier
+            mask = _union(mask, follow) & carrier
             if not mask:
                 return False
         return bool(mask & last)

@@ -13,8 +13,9 @@ and so do `dedup --target` and `verify --check-upto` at any bound.
 Exit codes: 0 on success, 1 on a `tandemdup.errors.DomainError` (budget
 exhausted, unsupported duplication bound, degenerate inputs), 2 on usage
 errors: a bad command line, any other `ValueError` from the library, or
-an unwritable `--out`.  `main` maps exception types to exit codes once;
-handlers call the library directly.
+an unwritable `--out` or standard output, such as a pipe whose reader
+has gone.  `main` maps exception types to exit codes once; handlers call
+the library directly.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 
@@ -358,7 +360,13 @@ def _emit(args, doc, lines) -> None:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
     else:
-        print(text)
+        try:
+            # flushed here, so a closed pipe fails inside `main`, not at exit
+            print(text, flush=True)
+        except OSError:
+            # the flush at exit would fail again on what is left in the buffer
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
 
 
 @functools.cache
@@ -393,7 +401,8 @@ def main(argv=None) -> int:
         try:
             _emit(args, doc, lines)
         except OSError as exc:
-            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
+            target = "--out" if args.out else "standard output"
+            print(f"usage error: cannot write {target}: {exc}", file=sys.stderr)
             return 2
         return 0
     finally:

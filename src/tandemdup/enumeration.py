@@ -25,14 +25,15 @@ alone: the word total at the end of each block length is the same for
 any merge schedule.  The arrays take the narrowest of `uint32`
 (max_length * B <= 32), `uint64` (<= 64) and Python ints, with the same
 arithmetic.  A sorted level is in alphabet order, lexicographic by
-symbol rank, and so are the words decoded from it.  The packing never
-leaves this module: words are decoded to strings or tuples only where a
-caller asks for words.  The bounded factor questions run the level loop
-themselves: `check_coverage` takes the factors of one length at every
-offset in one broadcast, merges them into one sorted array and stops
-once every word of that length is found, and `verify_witness_absent`
-compares its word with all of them at once and stops at the first level
-where it occurs.
+symbol rank, and so are the words decoded from it.  The one user of the
+packing outside this module is `automaton.language_upto`, which grows a
+machine's words as codes too; words are decoded to strings or tuples
+only where a caller asks for words.  The bounded factor questions run
+the level loop themselves: `check_coverage` takes the factors of one
+length at every offset in one broadcast, merges them into one sorted
+array and stops once every word of that length is found, and
+`verify_witness_absent` compares its word with all of them at once and
+stops at the first level where it occurs.
 
 The reverse searches (`derives_from`, `dedup_roots`, `dedup_distance`)
 peel squares off words packed the same way, one Python int a word with
@@ -42,29 +43,33 @@ because deduplication never adds one.  Every square of block length l is
 found at once: x = c ^ (c >> l*B) is zero on each symbol that equals the
 one l places before it, and the AND of l shifted copies of that zero mask
 (an OR over a window of l*B bits of x, taken by doubling) marks the
-offsets where a whole block repeats.  Only the roots are decoded.
+offsets where a whole block repeats.  `_Peeling.peel` lists a word's
+squares in (offset, length) order.  Only the roots are decoded.
 
-`dedup_roots` searches run-free words only.  A run `aa` never changes a
-word's roots: if w has a run and w' is w with one letter of it deleted,
-w and w' have the same kmax-irreducible descendants for every kmax >= 1.
-w -> w' is itself a deduplication, and every other step w -> v is matched
-from w' by at most two steps, to v or to v with one letter of a run
-deleted; the six cases, by where the run sits against the square's
-start, middle and end, are in the `dedup_roots` docstring.  So the roots
-of a word are those of its collapse, the word with every run cut to one
-symbol, and a square deleted from a run-free word leaves it run-free.
-`greedy_root`, the one root for kmax <= 3, needs no search: it appends
-the word's symbols one at a time and deletes each square, runs
-included, as soon as its last symbol arrives.  `derives_from`
-cuts the runs too when the seed has none, by a lemma on the same six
-cases (see its docstring); a seed with a run keeps the search over every
-descendant.  A search that has cut the runs peels squares of block
-length 2 and more only.  `dedup_distance`, whose steps through runs
-count, searches best first: each step deletes at most kmax symbols, so
-a word x needs at least ceil((|x| - |target|) / kmax) more steps, and
-the search opens the words with the least bound first.  For kmax <= 3 it
-first compares the two words' roots, and a target with another root is
-no descendant.
+`derives_from` and `dedup_roots` are one depth-first walk (`_walk`),
+which owns the stack, the words seen and the budget that counts them,
+and yields each word it visits with its squares: membership looks for
+the seed among them, and the roots are those without a square.  A run
+`aa` never changes a word's roots: if w has a run and w' is w with one
+letter of it deleted, w and w' have the same kmax-irreducible
+descendants for every kmax >= 1.  w -> w' is itself a deduplication,
+and every other step w -> v is matched from w' by at most two steps, to
+v or to v with one letter of a run deleted; the six cases, by where the
+run sits against the square's start, middle and end, are in the
+`dedup_roots` docstring.  So the roots of a word are those of its
+collapse, the word with every run cut to one symbol, and a square
+deleted from a run-free word leaves it run-free.  `dedup_roots` walks
+run free, and so does `derives_from` when the seed has no run, by a
+lemma on the same six cases (see its docstring): the walk starts from
+the collapse and peels block lengths 2 and more only, an argument fixed
+when it starts.  `greedy_root`, the one root for kmax <= 3, needs no
+search: it appends the word's symbols one at a time and deletes each
+square, runs included, as soon as its last symbol arrives.
+`dedup_distance`, whose steps through runs count, searches best first:
+each step deletes at most kmax symbols, so a word x needs at least
+ceil((|x| - |target|) / kmax) more steps, and the search opens the
+words with the least bound first.  For kmax <= 3 it first compares the
+two words' roots, and a target with another root is no descendant.
 
 numpy is imported where the level loop and its packing build arrays, not
 with the module, so the reverse searches, which pack words as Python ints,
@@ -228,9 +233,7 @@ def _levels(
     total = 1  # distinct words generated
     released = 0  # words of the levels already yielded
     for n in lengths:
-        codes = pending.pop(n, None)
-        if codes is None:
-            continue
+        codes = pending.pop(n)
         for k in range(1, min(system.kmax, max_length - n, n) + 1):
             target = pending.get(n + k, empty)
             first, offsets = 0, n - k + 1
@@ -354,9 +357,6 @@ class _Peeling:
         self.bits = max(1, (len(self.symbols) - 1).bit_length())
         self._rank = {s: r for r, s in enumerate(self.symbols)}
         self._join = "".join if isinstance(word, str) else tuple
-        # the shortest block length `peel` looks for: 2 once `run_free`
-        # has started a search whose words have no square of block length 1
-        self._first_block = 1
         # valid[m]: the lowest bit of each of the last m + 1 symbols, that
         # is of the squares with t = 0..m symbols after them
         self._valid = []
@@ -413,15 +413,6 @@ class _Peeling:
             code = ((code >> tail + bits) << tail) | (code & (1 << tail) - 1)
         return code
 
-    def run_free(self, word: Word) -> int:
-        """The collapse of `word`, the start of a search that visits
-        run-free words only.  A square deleted from a run-free word leaves
-        it run-free, since every pair of neighbours in x u y is one in
-        x u u y, so from now on `peel` skips block length 1, whose squares
-        are runs."""
-        self._first_block = 2
-        return self.collapse(self.encode(word))
-
     def root(self, word: Word) -> int:
         """The code of a kmax-irreducible descendant of `word`, in one pass:
         its symbols are appended one at a time, and a square that ends at
@@ -449,15 +440,15 @@ class _Peeling:
                     break
         return code
 
-    def peel(self, code: int, shortest: int = 0) -> List[Tuple[int, int, int]]:
-        """(offset, length, child) for every square of block length at most
-        kmax whose deletion leaves at least `shortest` symbols; the child is
-        the code with the square's second copy deleted.  In no fixed order:
-        sorted, the squares come in (offset, length) order."""
+    def peel(self, code: int, shortest: int = 0, first: int = 1) -> List[Tuple[int, int, int]]:
+        """(offset, length, child) for every square of block length first ..
+        kmax whose deletion leaves at least `shortest` symbols, in (offset,
+        length) order; the child is the code with the square's second copy
+        deleted."""
         bits = self.bits
         n = (code.bit_length() - 1) // bits
         found = []
-        for length in range(self._first_block, min(self.kmax, n // 2, n - shortest) + 1):
+        for length in range(first, min(self.kmax, n // 2, n - shortest) + 1):
             shift = length * bits
             hits = self._squares(code, n, length)
             while hits:
@@ -466,7 +457,34 @@ class _Peeling:
                 tail = low.bit_length() - 1  # bits of the symbols after the square
                 child = ((code >> tail + shift) << tail) | (code & low - 1)
                 found.append((n - 2 * length - tail // bits, length, child))
+        # no two squares share an (offset, length), so no child is compared
+        found.sort()
         return found
+
+
+def _walk(peeling: _Peeling, word: Word, budget: int, run_free: bool, shortest: int = 0):
+    """Depth first over the descendants of `word` with at least `shortest`
+    symbols: yield each visited code with its squares, then push its
+    unseen children in (offset, length) order, the newest visited next.
+    The budget counts the codes seen; a caller that stops at a yield has
+    pushed none of that code's children.  A `run_free` walk starts from
+    the collapse and never peels block length 1: every pair of neighbours
+    in x u y is one in x u u y, so no word it visits has a run."""
+    start, first = peeling.encode(word), 1
+    if run_free:
+        start, first = peeling.collapse(start), 2
+    seen = {start}
+    stack = [start]
+    while stack:
+        code = stack.pop()
+        squares = peeling.peel(code, shortest, first)
+        yield code, squares
+        for _, _, child in squares:
+            if child not in seen:
+                if len(seen) >= budget:
+                    raise BudgetExceededError(budget)
+                seen.add(child)
+                stack.append(child)
 
 
 def derives_from(
@@ -478,11 +496,10 @@ def derives_from(
     deduplication is the exact inverse of duplication, so the seed is
     reachable backwards iff the word is reachable forwards.  A word whose
     end symbols or symbol set differ from the seed's is no member, and is
-    answered before any search.  The search is depth first and visits the
-    squares of a word in (offset, length) order; the budget counts the
-    words it visits.
-
-    When the seed has no run, the search starts from the collapse of the
+    answered before any search.  The search is `_walk`, depth first with
+    children in (offset, length) order, up to the first visited word that
+    is the seed; the budget counts the words it has seen.  When the seed
+    has no run, the walk is run free: it starts from the collapse of the
     word, every run cut to one symbol, and visits run-free words only.
     The word reaches the collapse by deleting runs' letters, so it is
     enough that the collapse still reaches a run-free t whenever the word
@@ -500,23 +517,9 @@ def derives_from(
         return False
     peeling = _Peeling(word, system.kmax)
     goal = peeling.encode(seed)
-    if peeling.collapse(goal) == goal:
-        start = peeling.run_free(word)
-    else:
-        start = peeling.encode(word)
-    seen = {start}
-    stack = [start]
-    while stack:
-        code = stack.pop()
-        if code == goal:
-            return True
-        for _, _, child in sorted(peeling.peel(code, len(seed))):
-            if child not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceededError(budget)
-                seen.add(child)
-                stack.append(child)
-    return False
+    run_free = peeling.collapse(goal) == goal
+    walk = _walk(peeling, word, budget, run_free, len(seed))
+    return any(code == goal for code, _ in walk)
 
 
 def check_coverage(
@@ -575,10 +578,13 @@ def verify_witness_absent(
 def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupResult:
     """All kmax-irreducible words reachable from `word` by deduplication.
 
-    The search starts from the collapse of `word`, every run cut to one
-    symbol, and visits only run-free words; the budget counts those.  That
-    the roots stay the same is a lemma: let w have a run `aa` and let w'
-    be w with one of those a's deleted; then w and w' have the same roots.
+    The roots are the words without a square that `_walk` visits, run
+    free: it starts from the collapse of `word`, every run cut to one
+    symbol, and visits only run-free words; the budget counts those.  It
+    visits them all, so neither the roots nor where the budget runs out
+    depend on the order of the visits.  That the roots stay the same is a
+    lemma: let w have a run `aa` and let w' be w with one of those a's
+    deleted; then w and w' have the same roots.
     w -> w' is a deduplication, so the roots of w' are roots of w.  For
     the converse, by induction on |w|, take a root r of w and the first
     step w -> v of a path to it, which deletes the second copy of a
@@ -604,23 +610,12 @@ def dedup_roots(word: Word, kmax: int, budget: int = DEFAULT_BUDGET) -> DedupRes
     _at_least_one("kmax", kmax)
     _at_least_one("budget", budget)
     peeling = _Peeling(word, kmax)
-    start = peeling.run_free(word)
-    seen = {start}
-    stack = [start]
-    roots = []
-    while stack:
-        code = stack.pop()
-        squares = peeling.peel(code)
-        if not squares:
-            roots.append(code)
-            continue
-        for _, _, child in squares:
-            if child not in seen:
-                if len(seen) >= budget:
-                    raise BudgetExceededError(budget)
-                seen.add(child)
-                stack.append(child)
-    return DedupResult(word, kmax, frozenset(map(peeling.decode, roots)))
+    roots = frozenset(
+        peeling.decode(code)
+        for code, squares in _walk(peeling, word, budget, run_free=True)
+        if not squares
+    )
+    return DedupResult(word, kmax, roots)
 
 
 def greedy_root(word: Word, kmax: int) -> Word:
@@ -684,7 +679,7 @@ def dedup_distance(
             # a square of block length `keep` or more keeps the bound
             keep = excess - (-(-excess // kmax) - 1) * kmax
             steps += 1
-            for _, length, child in sorted(peeling.peel(code, shortest)):
+            for _, length, child in peeling.peel(code, shortest):
                 if child == goal:
                     return steps
                 if child < longer:

@@ -158,6 +158,20 @@ def test_an_nfa_is_input_only(source):
 
 
 class TestMachineBasics:
+    @pytest.mark.parametrize(
+        "start,accepting,edges,message",
+        [
+            (2, {1}, {(0, "a", 1)}, "start state missing"),
+            (0, {2}, {(0, "a", 1)}, "accepting states missing"),
+            (0, {1}, {(0, "a", 2)}, "leaves the state set"),
+            (0, {1}, {(2, "a", 1)}, "leaves the state set"),
+            (0, {1}, {(0, "b", 1)}, "not in alphabet"),
+        ],
+    )
+    def test_constructor_rejects_what_lies_outside(self, start, accepting, edges, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledAutomaton(Alphabet("a"), {0, 1}, start, accepting, edges)
+
     def test_accepts_rejects_foreign_symbols(self, ternary_automaton):
         assert not ternary_automaton.accepts("013")
 

@@ -77,6 +77,9 @@ class TestSpectralRadius:
             with pytest.raises(ValueError, match="finite"):
                 spectral_radius(matrix)
 
+    def test_empty_matrix_has_radius_zero(self):
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
+
     @pytest.mark.parametrize("tol", [-1e-10, float("nan")])
     def test_rejects_a_tolerance_no_estimate_can_meet(self, tol):
         with pytest.raises(ValueError, match="tolerance"):

@@ -498,6 +498,7 @@ class TestExitCodes:
         ["dedup", "--alphabet", "012", "--word", "0121", "--max-dup", "3", "--budget", "0"],
         ["verify", *SYS3, "--budget", "0"],
         ["capacity", *SYS3, "--budget", "-5"],
+        ["count", "--alphabet", "0,,1", "--seed", "01", "--max-dup", "2", "--max-len", "4"],
     ],
     ids=["negative-length", "two-symbol-squarefree", "max-len-below-seed",
          "target-longer-than-word", "max-dup-zero", "one-symbol-forbidden-word",
@@ -506,7 +507,7 @@ class TestExitCodes:
          "witness-subcommand", "missing-seed", "non-integer-max-dup",
          "exponent-avoid-tolerance", "numeric-with-empirical", "count-budget-zero",
          "member-budget-zero", "dedup-budget-zero", "verify-budget-zero",
-         "capacity-negative-budget"],
+         "capacity-negative-budget", "empty-alphabet-symbol"],
 )
 def test_bad_input_is_a_one_line_usage_error(capsys, argv):
     code = main(argv)
@@ -653,6 +654,49 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("usage error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_closed_standard_output_is_named_as_such():
+    # the answer is about 1 MB, far more than a pipe holds, so the write
+    # fails once the reader has taken one line and closed its end
+    src = str(Path(tandemdup.__file__).resolve().parent.parent)
+    argv = ["generate", "--alphabet", "012", "--seed", "012", "--max-dup", "3",
+            "--max-len", "14", "--format", "text"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tandemdup", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "3\t012\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("usage error: cannot write standard output: ")
+    assert "--out" not in err
+
+
+def test_small_answer_to_a_closed_pipe_is_one_line():
+    # a buffered answer that fits the buffer would fail only in the flush
+    # at exit, and again there after `main` had reported it
+    src = str(Path(tandemdup.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tandemdup", "squarefree", "--length", "5"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage error: cannot write standard output: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

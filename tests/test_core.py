@@ -52,6 +52,12 @@ def test_deduplicate_requires_a_square():
         deduplicate("0120", RepeatLocation(0, 2))
 
 
+@pytest.mark.parametrize("location", [(3, 1), (0, 3), (-1, 1), (1, 0)])
+def test_deduplicate_requires_room_for_the_square(location):
+    with pytest.raises(ValueError, match="^no room for a square"):
+        deduplicate("0120", RepeatLocation(*location))
+
+
 @pytest.mark.parametrize(
     "word,kmax,expected",
     [
@@ -168,6 +174,24 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(("0", "0"))
 
+    @pytest.mark.parametrize(
+        "symbols,message",
+        [
+            ("", "at least one symbol"),
+            ((), "at least one symbol"),
+            (("0", ""), "nonempty strings"),
+            (("0", 1), "nonempty strings"),
+            (("0", "a,b"), "word separator"),
+        ],
+    )
+    def test_rejects_bad_symbols(self, symbols, message):
+        with pytest.raises(ValueError, match=message):
+            Alphabet(symbols)
+
+    def test_parse_rejects_an_empty_symbol(self):
+        with pytest.raises(ValueError, match="nonempty strings"):
+            Alphabet.parse("0,,1")
+
     def test_rejects_unknown_symbols(self):
         a = Alphabet.parse("01")
         with pytest.raises(ValueError):
@@ -196,6 +220,9 @@ class TestDuplicationSystem:
     def test_seed_must_use_alphabet(self):
         with pytest.raises(ValueError):
             DuplicationSystem.parse("01", "02", 2)
+        # built directly, the check is the system's own
+        with pytest.raises(ValueError, match="uses symbols outside"):
+            DuplicationSystem(Alphabet("01"), "02", 2)
 
     def test_seed_must_be_nonempty(self):
         with pytest.raises(ValueError):

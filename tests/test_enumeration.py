@@ -239,6 +239,11 @@ class TestSubstringProfile:
     def test_binary_sees_everything_quickly(self, binary_system):
         assert check_coverage(binary_system, 2, 6) == set()
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_length_below_one_is_bad_input(self, binary_system, length):
+        with pytest.raises(ValueError, match="substring length must be positive"):
+            check_coverage(binary_system, length, 6)
+
 
 class TestDedup:
     def test_roots_example(self):
@@ -764,6 +769,23 @@ class TestPackedPeeling:
     def test_run_free_search_on_the_lemma_sweep(self):
         for word, kmax in _lemma_sweep():
             assert dedup_roots(word, kmax).roots == _full_roots(word, kmax), (word, kmax)
+
+    @pytest.mark.parametrize("kmax", [1, 2, 3, 4, 5])
+    def test_peel_lists_squares_in_offset_then_length_order(self, kmax):
+        # the walk and the best-first search push children in this order,
+        # which fixes where a budget runs out
+        rng = random.Random(kmax)
+        for _ in range(300):
+            letters = "0123"[: rng.randint(1, 4)]
+            word = "".join(rng.choice(letters) for _ in range(rng.randint(0, 24)))
+            peeling = _Peeling(word, kmax)
+            squares = peeling.peel(peeling.encode(word))
+            want = square_locations(word, kmax)
+            assert [(offset, length) for offset, length, _ in squares] == want, word
+            for offset, length, child in squares:
+                assert peeling.decode(child) == word[: offset + length] + word[offset + 2 * length :]
+            runs_skipped = peeling.peel(peeling.encode(word), first=2)
+            assert runs_skipped == [square for square in squares if square[1] >= 2], word
 
     def test_collapse_matches_the_string_collapse(self):
         rng = random.Random(11)
