@@ -15,7 +15,9 @@ exhausted, unsupported duplication bound, degenerate inputs), 2 on usage
 errors: a bad command line, any other `ValueError` from the library, or
 an unwritable `--out` or standard output, such as a pipe whose reader
 has gone.  `main` maps exception types to exit codes once; handlers call
-the library directly.
+the library directly.  `main` parses a command line that names a
+subcommand with that subcommand's parser alone; the top-level parser
+serves help, the version and usage errors.
 """
 
 from __future__ import annotations
@@ -139,8 +141,9 @@ def cmd_count(args):
     system = _system(args)
     table = _count_table(system, args.max_len, args.budget)
     doc = table.to_json_dict()
-    lines = [f"{n}\t{table.counts[n]}" for n in sorted(table.counts)]
-    return doc, lines
+    if args.format == "json":
+        return doc, None
+    return doc, [f"{n}\t{table.counts[n]}" for n in sorted(table.counts)]
 
 
 def cmd_member(args):
@@ -370,17 +373,29 @@ def _emit(args, doc, lines) -> None:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built once per process: a build costs a few
-    milliseconds, and parsing leaves the parser unchanged.  Handlers are
-    bound here but look library functions up as module globals on every
-    call, so patching those still takes effect."""
-    return build_parser()
+def _parser() -> tuple:
+    """The top-level parser and its subcommand parsers by name, built once
+    per process: a build costs a few milliseconds, and parsing leaves a
+    parser unchanged.  `main` parses a command line that starts with a
+    subcommand name with that subparser alone, which reads each argument
+    once, not twice; the top-level parser serves help, the version and
+    usage errors.  Handlers are bound here but look library functions up
+    as module globals on every call, so patching those still takes
+    effect."""
+    parser = build_parser()
+    (commands,) = (
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return parser, commands.choices
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parser()
+    if argv and argv[0] in commands:
+        parser, argv = commands[argv[0]], argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # exact counts outgrow the interpreter's limit on writing an int as text

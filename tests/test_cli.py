@@ -464,6 +464,12 @@ class TestExitCodes:
 
     def test_usage_error_from_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "usage error: argument command: invalid choice: 'frobnicate'"
+        )
+        assert len(captured.err.splitlines()) == 1, captured.err
 
     def test_error_messages_go_to_stderr(self, capsys):
         code = main(["automaton", "--alphabet", "012", "--seed", "012", "--max-dup", "4"])
@@ -602,6 +608,126 @@ def test_help_and_version_still_exit_zero(capsys):
     assert captured.out.startswith("usage: tandemdup capacity")
     assert "[--numeric | --empirical]" in captured.out
     assert captured.err == ""
+
+
+# one command line per subcommand that sets each of its options (capacity
+# twice: --numeric and --empirical exclude each other); `OUT` stands for a
+# file under the test's temporary directory
+_EVERY_OPTION = {
+    "generate": ["generate", *SYS2, "--max-len", "4", "--budget", "50", "--format", "text",
+                 "--out", "OUT"],
+    "count": ["count", *SYS2, "--max-len", "4", "--budget", "50", "--format", "text",
+              "--out", "OUT"],
+    "member": ["member", *SYS2, "--word", "0101", "--budget", "50", "--format", "text",
+               "--out", "OUT"],
+    "automaton": ["automaton", *SYS2, "--minimize", "--format", "dot", "--out", "OUT"],
+    "capacity-numeric": ["capacity", *SYS2, "--numeric", "--max-len", "8", "--window", "3",
+                         "--budget", "50", "--tolerance", "1e-8", "--bits", "--format", "text",
+                         "--out", "OUT"],
+    "capacity-empirical": ["capacity", *SYS2, "--empirical", "--max-len", "8", "--window", "3",
+                           "--budget", "500", "--tolerance", "1e-8", "--bits", "--format",
+                           "text", "--out", "OUT"],
+    "express": ["express", *SYS2, "--format", "text", "--out", "OUT"],
+    "dedup": ["dedup", "--alphabet", "01", "--word", "0110", "--max-dup", "2", "--target", "01",
+              "--budget", "50", "--format", "text", "--out", "OUT"],
+    "verify": ["verify", *SYS2, "--check-upto", "5", "--budget", "100", "--format", "text",
+               "--out", "OUT"],
+    "squarefree": ["squarefree", "--length", "5", "--alphabet", "012", "--format", "text",
+                   "--out", "OUT"],
+    "avoid": ["avoid", "--alphabet", "012", "--forbid", "00", "11", "--forbid", "22",
+              "--tolerance", "1e-6", "--format", "text", "--out", "OUT"],
+}
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The namespaces that `argparse.ArgumentParser.parse_known_args`
+    returns, one per call, in call order."""
+    seen = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        result = real(self, *args, **kwargs)
+        seen.append(result[0])
+        return result
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return seen
+
+
+def _every_option_argv(name, tmp_path):
+    return [str(tmp_path / "out") if a == "OUT" else a for a in _EVERY_OPTION[name]]
+
+
+def test_every_option_argv_sets_every_option():
+    subcommands = _subcommands()
+    assert {argv[0] for argv in _EVERY_OPTION.values()} == set(subcommands)
+    for name, sub in subcommands.items():
+        given = {a for argv in _EVERY_OPTION.values() if argv[0] == name for a in argv}
+        for action in sub._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert given & set(action.option_strings), (name, action.dest)
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_OPTION))
+def test_main_parses_as_the_top_level_parser_does(tmp_path, parses, name):
+    argv = _every_option_argv(name, tmp_path)
+    assert main(argv) == 0
+    routed = vars(parses[-1])
+    whole = vars(build_parser().parse_args(argv))
+    assert whole.pop("command") == argv[0]
+    routed.pop("command", None)
+    assert routed == whole
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_OPTION))
+def test_a_valid_command_line_is_parsed_once(tmp_path, parses, name):
+    assert main(_every_option_argv(name, tmp_path)) == 0
+    assert len(parses) == 1
+
+
+class TestTopLevelParser:
+    """Command lines that do not start with a subcommand name go to the
+    top-level parser, which prints help or the version or reports a usage
+    error."""
+
+    def test_no_arguments_name_the_missing_command(self, capsys):
+        assert main([]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage error: the following arguments are required: command\n"
+        )
+
+    def test_an_option_before_the_command_is_an_invalid_choice(self, capsys):
+        assert main(["--alphabet", "012", "count"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: argument command: invalid choice: '012'")
+        assert len(captured.err.splitlines()) == 1, captured.err
+
+    def test_help(self, capsys):
+        assert main(["-h"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: tandemdup [-h] [--version]")
+        assert captured.err == ""
+
+    def test_version_after_the_command_is_unrecognized(self, capsys):
+        assert main(["count", *SYS3, "--max-len", "4", "--version"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: unrecognized arguments: --version\n"
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        answer = run(capsys, "squarefree", "--length", "7")
+        monkeypatch.setattr(sys, "argv", ["tandemdup", "squarefree", "--length", "7"])
+        assert main() == 0
+        assert capsys.readouterr().out == answer[1]
+        monkeypatch.setattr(sys, "argv", ["tandemdup"])
+        assert main() == 2
+        assert capsys.readouterr().err == (
+            "usage error: the following arguments are required: command\n"
+        )
 
 
 # subcommands, a usage error from argparse and one from the library, a
