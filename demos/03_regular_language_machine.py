@@ -38,8 +38,7 @@ for n in (20, 40, 80):
 
 # the transfer matrix drives the counting; its dominant eigenvalue is
 # the growth factor per symbol
-tm = transfer_matrix(machine)
-print("transfer matrix shape:", tm.matrix.shape)
+print("transfer matrix shape:", transfer_matrix(machine).shape)
 
 # a certificate that the language really is closed under duplication:
 # every short label arriving at a state replays from that state

@@ -13,7 +13,7 @@ from tandemdup import (
     check_coverage,
     derives_from,
     is_fully_expressive,
-    is_k_irreducible,
+    iter_tandem_repeats,
     tandem_duplicate,
     verify_witness_absent,
     witness,
@@ -41,7 +41,7 @@ for alphabet, seed, kmax in ladder:
 ternary = DuplicationSystem.parse("012", "012", 3)
 w = witness(ternary).word
 print("\nternary witness", w)
-print("3-irreducible:", is_k_irreducible(w, 3))
+print("3-irreducible:", not any(iter_tandem_repeats(w, 3)))
 print("missing windows of length 3 up to depth 12:", sorted(check_coverage(ternary, 3, 12)))
 print("01210 absent to depth 14:", verify_witness_absent(ternary, "01210", 14))
 

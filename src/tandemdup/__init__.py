@@ -10,7 +10,6 @@ from .automaton import (
     ClosureCertificate,
     ClosureCheck,
     LabeledAutomaton,
-    TransferMatrix,
     build_automaton,
     count_accepted,
     language_upto,
@@ -32,11 +31,7 @@ from .capacity import (
 from .core import (
     Alphabet,
     DuplicationSystem,
-    RepeatLocation,
     Word,
-    deduplicate,
-    find_tandem_repeat,
-    is_k_irreducible,
     iter_tandem_repeats,
     tandem_duplicate,
     thue_square_free,
@@ -94,8 +89,6 @@ __all__ = [
     "LanguageSlice",
     "NonConvergenceError",
     "NondeterministicAutomatonError",
-    "RepeatLocation",
-    "TransferMatrix",
     "UnsupportedDuplicationLength",
     "Witness",
     "Word",
@@ -106,14 +99,11 @@ __all__ = [
     "count_words",
     "dedup_distance",
     "dedup_roots",
-    "deduplicate",
     "derives_from",
     "empirical_capacity",
     "enumerate_words",
     "exact_capacity",
-    "find_tandem_repeat",
     "is_fully_expressive",
-    "is_k_irreducible",
     "iter_tandem_repeats",
     "language_upto",
     "regex_to_nfa",

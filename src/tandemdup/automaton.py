@@ -983,16 +983,10 @@ def language_upto(automaton: LabeledAutomaton, max_length: int) -> Dict[int, Lis
     return out
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Edge-count matrix of a trim DFA: entry [i, j] is the number of symbols
-    labeling an edge from state i to state j (in `states` order)."""
-
-    states: tuple
-    matrix: np.ndarray
-
-
-def transfer_matrix(automaton: LabeledAutomaton) -> TransferMatrix:
+def transfer_matrix(automaton: LabeledAutomaton) -> np.ndarray:
+    """Edge-count matrix of the trim DFA, as an int64 n x n array: entry
+    [i, j] is the number of symbols labeling an edge from state i to state
+    j, in the order of `automaton.trimmed().states`."""
     import numpy as np
 
     trim = automaton.trimmed()
@@ -1000,7 +994,7 @@ def transfer_matrix(automaton: LabeledAutomaton) -> TransferMatrix:
     n = len(trim.states)
     cells = [p * n + q for targets in trim._table for p, q in enumerate(targets) if q is not None]
     m = np.bincount(np.array(cells, dtype=np.intp), minlength=n * n).astype(np.int64, copy=False)
-    return TransferMatrix(trim.states, m.reshape(n, n))
+    return m.reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

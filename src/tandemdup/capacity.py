@@ -201,8 +201,7 @@ def spectral_capacity(system: DuplicationSystem, tol: float = 1e-10) -> float:
     if system.base == 1:
         # one word per length, nothing to measure
         return 0.0
-    tm = transfer_matrix(build_automaton(system, minimize=True))
-    rho = spectral_radius(tm.matrix, tol)
+    rho = spectral_radius(transfer_matrix(build_automaton(system, minimize=True)), tol)
     if rho < 1.0:
         # a duplication language always pumps at least one run
         raise EmptyLanguageError("transfer matrix has no productive cycle")
@@ -267,7 +266,7 @@ def avoidance_capacity(
         return 1.0
     if any(len(p) < 2 for p in patterns):
         raise ValueError("forbidden words need length at least 2")
-    rho = spectral_radius(transfer_matrix(avoidance_automaton(alphabet, patterns)).matrix, tol)
+    rho = spectral_radius(transfer_matrix(avoidance_automaton(alphabet, patterns)), tol)
     if rho == 0.0:
         raise EmptyLanguageError("every long enough word hits a forbidden factor")
     return math.log(rho) / math.log(len(alphabet))

@@ -14,10 +14,12 @@ Exit codes: 0 on success, 1 on a `tandemdup.errors.DomainError` (budget
 exhausted, unsupported duplication bound, degenerate inputs), 2 on usage
 errors: a bad command line, any other `ValueError` from the library, or
 an unwritable `--out` or standard output, such as a pipe whose reader
-has gone.  `main` maps exception types to exit codes once; handlers call
-the library directly.  `main` parses a command line that names a
-subcommand with that subcommand's parser alone; the top-level parser
-serves help, the version and usage errors.
+has gone.  A closed standard error loses the one-line message, not the
+exit code, and help or the version lost on a closed standard output
+keep argparse's 0.  `main` maps exception types to exit codes once;
+handlers call the library directly.  `main` parses a command line that
+names a subcommand with that subcommand's parser alone; the top-level
+parser serves help, the version and usage errors.
 """
 
 from __future__ import annotations
@@ -367,9 +369,29 @@ def _emit(args, doc, lines) -> None:
             # flushed here, so a closed pipe fails inside `main`, not at exit
             print(text, flush=True)
         except OSError:
-            # the flush at exit would fail again on what is left in the buffer
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _flush(sys.stdout)
             raise
+
+
+def _flush(stream) -> None:
+    """Flush `stream`, or, if it is closed, point its descriptor at devnull:
+    the flush at exit would fail again on what is left in the buffer and
+    change the exit code."""
+    try:
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _complain(line: str) -> None:
+    """Write one line to standard error.  A closed one loses the line, not
+    the exit code: the error is ignored, as argparse ignores it for its own
+    messages."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+    _flush(sys.stderr)
 
 
 @functools.cache
@@ -397,6 +419,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        # argparse ignores a closed stream, but leaves its text in the buffer
+        _flush(sys.stdout)
+        _flush(sys.stderr)
         return exc.code if isinstance(exc.code, int) else 2
     # exact counts outgrow the interpreter's limit on writing an int as text
     # (4 300 digits by default), so it is lifted while the answer is computed
@@ -408,16 +433,16 @@ def main(argv=None) -> int:
         try:
             doc, lines = args.func(args)
         except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _complain(f"error: {exc}")
             return 1
         except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
+            _complain(f"usage error: {exc}")
             return 2
         try:
             _emit(args, doc, lines)
         except OSError as exc:
             target = "--out" if args.out else "standard output"
-            print(f"usage error: cannot write {target}: {exc}", file=sys.stderr)
+            _complain(f"usage error: cannot write {target}: {exc}")
             return 2
         return 0
     finally:

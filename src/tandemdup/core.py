@@ -8,13 +8,13 @@ its language is everything reachable from the seed by such copies.
 Words are plain Python strings when every alphabet symbol is a single
 character (the usual case: ``"012"``, ``"ACGT"``).  Alphabets with longer
 symbol names use tuples of symbol strings instead.  All operations accept
-both forms, since they rely only on slicing, concatenation and equality.
+both forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import itertools
 
@@ -155,13 +155,6 @@ class DuplicationSystem:
         }
 
 
-class RepeatLocation(NamedTuple):
-    """Position of a square: the block word[offset:offset+length] repeats immediately."""
-
-    offset: int
-    length: int
-
-
 def tandem_duplicate(word: Word, offset: int, length: int) -> Word:
     """Copy the block at [offset, offset+length) in place: uvw -> uvvw.
 
@@ -174,42 +167,14 @@ def tandem_duplicate(word: Word, offset: int, length: int) -> Word:
     return word[: offset + length] + word[offset:]
 
 
-def deduplicate(word: Word, location: RepeatLocation) -> Word:
-    """Remove the second copy of a tandem repeat: uvvw -> uvw.
+def iter_tandem_repeats(word: Word, kmax: int) -> Iterator[Tuple[int, int]]:
+    """Every square with block length <= kmax as (offset, length): the block
+    word[offset:offset + length] repeats right after itself.  In (offset,
+    length) order, as `_Peeling.peel`, the one square finder, lists them."""
+    from .enumeration import _Peeling
 
-    Exact inverse of tandem_duplicate; raises if the location does not
-    hold a square.
-    """
-    offset, length = location
-    if length < 1 or offset < 0 or offset + 2 * length > len(word):
-        raise ValueError(f"no room for a square at {location} in {word!r}")
-    if word[offset : offset + length] != word[offset + length : offset + 2 * length]:
-        raise ValueError(f"no tandem repeat at {location} in {word!r}")
-    return word[: offset + length] + word[offset + 2 * length :]
-
-
-def find_tandem_repeat(word: Word, kmax: int) -> Optional[RepeatLocation]:
-    """First square with block length <= kmax, smallest offset then length."""
-    return next(iter_tandem_repeats(word, kmax), None)
-
-
-def iter_tandem_repeats(word: Word, kmax: int) -> Iterator[RepeatLocation]:
-    """All square locations with block length <= kmax, in (offset, length) order."""
-    n = len(word)
-    for offset in range(n - 1):
-        limit = min(kmax, (n - offset) // 2)
-        for length in range(1, limit + 1):
-            # cheap first-symbol probe before the slice compare
-            if word[offset] == word[offset + length] and (
-                word[offset : offset + length]
-                == word[offset + length : offset + 2 * length]
-            ):
-                yield RepeatLocation(offset, length)
-
-
-def is_k_irreducible(word: Word, kmax: int) -> bool:
-    """True when no square with block length <= kmax remains."""
-    return find_tandem_repeat(word, kmax) is None
+    peeling = _Peeling(word, kmax)
+    return ((offset, length) for offset, length, _ in peeling.peel(peeling.encode(word)))
 
 
 _SQUARE_FREE_MORPHISM = {"0": "012", "1": "02", "2": "1"}

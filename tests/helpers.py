@@ -96,10 +96,6 @@ def square_locations(word, kmax=None):
     return found
 
 
-def has_short_square(word, kmax):
-    return bool(square_locations(word, kmax))
-
-
 # ---------------------------------------------------------------------------
 # the reverse searches on words as strings or tuples, the references for the
 # packed ones: same input checks, pruning, visiting order and budget

@@ -208,7 +208,7 @@ def test_trie_machine_has_the_window_graph_radius():
         case = (alphabet, forbidden)
         window = _eigen_radius(window_graph(alphabet, forbidden))
         machine = avoidance_automaton(Alphabet(alphabet), forbidden)
-        trie = _eigen_radius(transfer_matrix(machine).matrix)
+        trie = _eigen_radius(transfer_matrix(machine))
         if window < 0.5:
             empty += 1
             assert trie < 0.5, case

@@ -782,9 +782,12 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     assert captured.err.startswith("usage error: ") and len(captured.err.splitlines()) == 1
 
 
-def test_closed_standard_output_is_named_as_such():
+@pytest.mark.parametrize("shared", [False, True], ids=["own-stderr", "shared-pipe"])
+def test_closed_standard_output_is_named_as_such(shared):
     # the answer is about 1 MB, far more than a pipe holds, so the write
-    # fails once the reader has taken one line and closed its end
+    # fails once the reader has taken one line and closed its end; with one
+    # pipe for both streams, as after `2>&1 | head -n 1`, the message that
+    # names it fails too, and the exit code stays that of the write
     src = str(Path(tandemdup.__file__).resolve().parent.parent)
     argv = ["generate", "--alphabet", "012", "--seed", "012", "--max-dup", "3",
             "--max-len", "14", "--format", "text"]
@@ -792,11 +795,14 @@ def test_closed_standard_output_is_named_as_such():
         [sys.executable, "-m", "tandemdup", *argv],
         env=dict(os.environ, PYTHONPATH=src),
         stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
+        stderr=subprocess.STDOUT if shared else subprocess.PIPE,
         text=True,
     )
     assert proc.stdout.readline() == "3\t012\n"
     proc.stdout.close()
+    if shared:
+        assert proc.wait(timeout=60) == 2
+        return
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
@@ -805,24 +811,47 @@ def test_closed_standard_output_is_named_as_such():
     assert "--out" not in err
 
 
-def test_small_answer_to_a_closed_pipe_is_one_line():
-    # a buffered answer that fits the buffer would fail only in the flush
-    # at exit, and again there after `main` had reported it
+_COUNT012 = ["count", "--alphabet", "012", "--seed", "012", "--max-len", "12"]
+_CANNOT_WRITE = "usage error: cannot write standard output: "
+
+
+@pytest.mark.parametrize(
+    "argv,closed,code,lines",
+    [
+        (["squarefree", "--length", "5"], "stdout", 2, [_CANNOT_WRITE]),
+        # argparse's help and version, which it writes itself
+        (["--version"], "stdout", 0, []),
+        (["count", "--help"], "stdout", 0, []),
+        # a library ValueError, a domain error (the budget runs out) and a
+        # usage error of argparse's
+        ([*_COUNT012, "--max-dup", "0"], "stderr", 2, []),
+        ([*_COUNT012, "--max-dup", "4", "--budget", "10"], "stderr", 1, []),
+        (["count"], "stderr", 2, []),
+    ],
+    ids=["stdout-answer", "stdout-version", "stdout-help", "stderr-usage-error",
+         "stderr-domain-error", "stderr-argparse-error"],
+)
+def test_a_closed_pipe_keeps_the_exit_code(argv, closed, code, lines):
+    # a buffered text that fits the buffer would fail only in the flush at
+    # exit, which would change the exit code to 120, and after `main` had
+    # reported it; what goes to the closed stream is lost, and the other
+    # stream holds the expected lines, each given by its start
     src = str(Path(tandemdup.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("PYTHONUNBUFFERED", None)
     read_end, write_end = os.pipe()
     os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "tandemdup", "squarefree", "--length", "5"],
-            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            [sys.executable, "-m", "tandemdup", *argv],
+            env=env, text=True, timeout=60, **streams,
         )
     finally:
         os.close(write_end)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("usage error: cannot write standard output: ")
-    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.returncode == code
+    other = (proc.stderr if closed == "stdout" else proc.stdout).splitlines()
+    assert len(other) == len(lines) and all(map(str.startswith, other, lines)), other
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -6,15 +6,11 @@ from hypothesis import given, strategies as st
 from tandemdup import (
     Alphabet,
     DuplicationSystem,
-    RepeatLocation,
-    deduplicate,
-    find_tandem_repeat,
-    is_k_irreducible,
     iter_tandem_repeats,
     tandem_duplicate,
     thue_square_free,
 )
-from helpers import has_short_square, square_locations
+from helpers import square_locations
 
 
 @pytest.mark.parametrize(
@@ -41,55 +37,19 @@ def test_tandem_duplicate_rejects_negative_arguments():
         tandem_duplicate("01", 0, -1)
 
 
-def test_deduplicate_undoes_duplicate():
-    word = tandem_duplicate("0120", 1, 2)
-    assert word == "012120"
-    assert deduplicate(word, RepeatLocation(1, 2)) == "0120"
-
-
-def test_deduplicate_requires_a_square():
-    with pytest.raises(ValueError):
-        deduplicate("0120", RepeatLocation(0, 2))
-
-
-@pytest.mark.parametrize("location", [(3, 1), (0, 3), (-1, 1), (1, 0)])
-def test_deduplicate_requires_room_for_the_square(location):
-    with pytest.raises(ValueError, match="^no room for a square"):
-        deduplicate("0120", RepeatLocation(*location))
-
-
-@pytest.mark.parametrize(
-    "word,kmax,expected",
-    [
-        ("00101", 2, RepeatLocation(0, 1)),
-        ("012120", 2, RepeatLocation(1, 2)),
-        ("0121012", 4, None),
-        ("012", 3, None),
-        ("abab", 2, RepeatLocation(0, 2)),
-    ],
-)
-def test_find_tandem_repeat_examples(word, kmax, expected):
-    assert find_tandem_repeat(word, kmax) == expected
-
-
-def test_find_tandem_repeat_prefers_smaller_offset_then_length():
-    # 0101 has a length-2 square at 0; 00 at offset 2 would be later
-    assert find_tandem_repeat("010100", 2) == RepeatLocation(0, 2)
-    assert find_tandem_repeat("001010", 2) == RepeatLocation(0, 1)
-
-
 def test_iter_tandem_repeats_matches_brute_force():
-    for word in ["0101", "0121012", "001122", "012012012", "0"]:
-        got = sorted((loc.offset, loc.length) for loc in iter_tandem_repeats(word, 3))
-        want = sorted(square_locations(word, 3))
-        assert got == want
-
-
-def test_is_k_irreducible_against_scan():
-    for n in range(1, 9):
-        for tup in itertools.product("01", repeat=n):
-            w = "".join(tup)
-            assert is_k_irreducible(w, 2) == (not has_short_square(w, 2))
+    # the same squares in the same (offset, length) order: every word of up
+    # to 8 symbols over 012 at bounds -1 to 5, and one word over a comma
+    # alphabet
+    for n in range(9):
+        for word in map("".join, itertools.product("012", repeat=n)):
+            for kmax in range(-1, 6):
+                assert list(iter_tandem_repeats(word, kmax)) == square_locations(word, kmax), (
+                    word, kmax
+                )
+    word = Alphabet.parse("ab,c").word("ab,c,ab,c,c,ab,ab,c")
+    for kmax in range(6):
+        assert list(iter_tandem_repeats(word, kmax)) == square_locations(word, kmax), kmax
 
 
 @pytest.mark.parametrize(
@@ -120,13 +80,15 @@ ternary_words = st.text(alphabet="012", min_size=1, max_size=12)
 
 
 @given(ternary_words, st.integers(0, 12), st.integers(1, 4))
-def test_duplicate_then_deduplicate_round_trips(word, offset, length):
+def test_a_duplication_leaves_a_square_where_it_copied(word, offset, length):
     out = tandem_duplicate(word, offset, length)
     if out == word:
         assert offset + length > len(word)
     else:
         assert len(out) == len(word) + length
-        assert deduplicate(out, RepeatLocation(offset, length)) == word
+        assert (offset, length) in iter_tandem_repeats(out, length)
+        # deleting that square's second copy gives the word back
+        assert out[: offset + length] + out[offset + 2 * length :] == word
 
 
 @given(binary_words, st.integers(0, 12), st.integers(1, 3))
@@ -138,12 +100,9 @@ def test_duplicate_preserves_ends_and_symbols(word, offset, length):
 
 
 @given(ternary_words)
-def test_reported_repeat_is_a_real_square(word):
-    loc = find_tandem_repeat(word, 3)
-    if loc is None:
-        assert not has_short_square(word, 3)
-    else:
-        i, k = loc
+def test_reported_repeats_are_real_squares(word):
+    for i, k in iter_tandem_repeats(word, 3):
+        assert 1 <= k <= 3
         assert word[i : i + k] == word[i + k : i + 2 * k]
 
 

@@ -22,7 +22,6 @@ from tandemdup import (
     dedup_roots,
     derives_from,
     enumerate_words,
-    is_k_irreducible,
     language_upto,
     tandem_duplicate,
     thue_square_free,
@@ -249,7 +248,7 @@ class TestDedup:
     def test_roots_example(self):
         res = dedup_roots("012101212", 4)
         assert res.roots == {"012", "0121012"}
-        assert all(is_k_irreducible(r, 4) for r in res.roots)
+        assert not any(square_locations(r, 4) for r in res.roots)
 
     def test_roots_depend_on_kmax(self):
         assert dedup_roots("012101212", 2).roots == {"0121012"}

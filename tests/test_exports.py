@@ -1,5 +1,6 @@
 """The package's export list: every name resolves, none is listed twice,
-and it names exactly the public objects `__init__.py` imports."""
+it names exactly the public objects `__init__.py` imports, and it is the
+list pinned here, so adding or dropping a public name is an edit below."""
 
 import ast
 from pathlib import Path
@@ -18,6 +19,62 @@ def _imported_names():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     ]
+
+
+EXPORTS = [
+    "ABC_BLOCK_GROWTH",
+    "ANSWER_NO",
+    "ANSWER_UNKNOWN",
+    "ANSWER_YES",
+    "Alphabet",
+    "BudgetExceededError",
+    "CapacityReport",
+    "ClosureCertificate",
+    "ClosureCheck",
+    "CountTable",
+    "DEFAULT_BUDGET",
+    "DedupResult",
+    "DuplicationSystem",
+    "EmptyLanguageError",
+    "ExpressivenessVerdict",
+    "GrowthEstimate",
+    "InsufficientDataError",
+    "LabeledAutomaton",
+    "LanguageSlice",
+    "NonConvergenceError",
+    "NondeterministicAutomatonError",
+    "UnsupportedDuplicationLength",
+    "Witness",
+    "Word",
+    "avoidance_capacity",
+    "build_automaton",
+    "check_coverage",
+    "count_accepted",
+    "count_words",
+    "dedup_distance",
+    "dedup_roots",
+    "derives_from",
+    "empirical_capacity",
+    "enumerate_words",
+    "exact_capacity",
+    "is_fully_expressive",
+    "iter_tandem_repeats",
+    "language_upto",
+    "regex_to_nfa",
+    "seed_regex",
+    "spectral_capacity",
+    "spectral_radius",
+    "tandem_duplicate",
+    "thue_square_free",
+    "transfer_matrix",
+    "verify_duplication_closure",
+    "verify_witness_absent",
+    "witness",
+]
+
+
+def test_the_export_list_is_pinned():
+    assert sorted(tandemdup.__all__) == EXPORTS
 
 
 def test_every_exported_name_resolves():

@@ -13,7 +13,6 @@ from tandemdup import (
     check_coverage,
     derives_from,
     is_fully_expressive,
-    is_k_irreducible,
     verify_witness_absent,
     witness,
 )
@@ -81,7 +80,7 @@ class TestTernaryWitnessStructure:
         for seed in ["012", "01210", "0112"]:
             w = witness(D("012", seed, 3)).word
             assert len(w) == 4 * (len(seed) + 1) + 1
-            assert is_k_irreducible(w, 3)
+            assert not square_locations(w, 3)
             # neither end of the word echoes a nearby symbol
             assert w[0] != w[2]
             assert w[0] != w[3]
