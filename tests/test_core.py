@@ -6,10 +6,12 @@ from hypothesis import given, strategies as st
 from tandemdup import (
     Alphabet,
     DuplicationSystem,
+    dedup_roots,
     iter_tandem_repeats,
     tandem_duplicate,
     thue_square_free,
 )
+from tandemdup.enumeration import greedy_root
 from helpers import square_locations
 
 
@@ -50,6 +52,34 @@ def test_iter_tandem_repeats_matches_brute_force():
     word = Alphabet.parse("ab,c").word("ab,c,ab,c,c,ab,ab,c")
     for kmax in range(6):
         assert list(iter_tandem_repeats(word, kmax)) == square_locations(word, kmax), kmax
+
+
+@pytest.mark.parametrize(
+    "word,kmax,expected",
+    [
+        ("00101", 2, (0, 1)),
+        ("012120", 2, (1, 2)),
+        ("0121012", 4, None),
+        ("012", 3, None),
+        ("abab", 2, (0, 2)),
+    ],
+)
+def test_first_tandem_repeat_examples(word, kmax, expected):
+    assert next(iter_tandem_repeats(word, kmax), None) == expected
+
+
+def test_first_tandem_repeat_prefers_smaller_offset_then_length():
+    # 0101 has a length-2 square at 0; 00 at offset 2 would be later
+    assert next(iter_tandem_repeats("010100", 2)) == (0, 2)
+    assert next(iter_tandem_repeats("001010", 2)) == (0, 1)
+
+
+def test_a_word_is_its_own_root_exactly_when_it_has_no_square():
+    for n in range(1, 9):
+        for word in map("".join, itertools.product("01", repeat=n)):
+            irreducible = not square_locations(word, 2)
+            assert (greedy_root(word, 2) == word) == irreducible, word
+            assert (dedup_roots(word, 2).roots == {word}) == irreducible, word
 
 
 @pytest.mark.parametrize(
