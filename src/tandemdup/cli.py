@@ -16,10 +16,13 @@ errors: a bad command line, any other `ValueError` from the library, or
 an unwritable `--out` or standard output, such as a pipe whose reader
 has gone.  A closed standard error loses the one-line message, not the
 exit code, and help or the version lost on a closed standard output
-keep argparse's 0.  `main` maps exception types to exit codes once;
-handlers call the library directly.  `main` parses a command line that
-names a subcommand with that subcommand's parser alone; the top-level
-parser serves help, the version and usage errors.
+keep argparse's 0.  A stream closed at start-up, as after `>&-` or
+`2>&-`, counts as closed: an answer with no standard output exits 2, and
+an error line with no standard error is lost, not written to standard
+output.  `main` maps exception types to exit codes once; handlers call
+the library directly.  `main` parses a command line that names a
+subcommand with that subcommand's parser alone; the top-level parser
+serves help, the version and usage errors.
 """
 
 from __future__ import annotations
@@ -364,19 +367,23 @@ def _emit(args, doc, lines) -> None:
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
+    elif sys.stdout is None:
+        # closed at start-up: print would drop the text without an error
+        import errno
+
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     else:
-        try:
-            # flushed here, so a closed pipe fails inside `main`, not at exit
-            print(text, flush=True)
-        except OSError:
-            _flush(sys.stdout)
-            raise
+        # flushed here, so a closed pipe fails inside `main`, not at exit
+        print(text, flush=True)
 
 
 def _flush(stream) -> None:
     """Flush `stream`, or, if it is closed, point its descriptor at devnull:
     the flush at exit would fail again on what is left in the buffer and
-    change the exit code."""
+    change the exit code.  A stream closed at start-up is None, and has
+    nothing to flush."""
+    if stream is None:
+        return
     try:
         stream.flush()
     except OSError:
@@ -386,12 +393,14 @@ def _flush(stream) -> None:
 def _complain(line: str) -> None:
     """Write one line to standard error.  A closed one loses the line, not
     the exit code: the error is ignored, as argparse ignores it for its own
-    messages."""
+    messages.  One closed at start-up is None, and print would write the
+    line to standard output instead."""
+    if sys.stderr is None:
+        return
     try:
         print(line, file=sys.stderr)
     except OSError:
         pass
-    _flush(sys.stderr)
 
 
 @functools.cache
@@ -416,20 +425,17 @@ def main(argv=None) -> int:
     parser, commands = _parser()
     if argv and argv[0] in commands:
         parser, argv = commands[argv[0]], argv[1:]
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse ignores a closed stream, but leaves its text in the buffer
-        _flush(sys.stdout)
-        _flush(sys.stderr)
-        return exc.code if isinstance(exc.code, int) else 2
     # exact counts outgrow the interpreter's limit on writing an int as text
     # (4 300 digits by default), so it is lifted while the answer is computed
-    # and written; the arguments above were read under it
+    # and written; the arguments are read under it
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         try:
             doc, lines = args.func(args)
         except DomainError as exc:
@@ -448,6 +454,11 @@ def main(argv=None) -> int:
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+        # a closed stream fails here, not in the flush at exit, which would
+        # change the exit code; argparse ignores one, but leaves its text
+        # in the buffer
+        _flush(sys.stdout)
+        _flush(sys.stderr)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ both forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import itertools
 
@@ -167,12 +167,117 @@ def tandem_duplicate(word: Word, offset: int, length: int) -> Word:
     return word[: offset + length] + word[offset:]
 
 
+class _Peeling:
+    """Words over the symbols of one start word as Python ints, for peeling
+    squares off them.
+
+    Each symbol is its rank among the start word's symbols, sorted, in
+    B = max(1, ceil(log2 |symbols|)) bits, first symbol most significant,
+    under a leading 1 bit.  A code of n symbols lies in [2**(n*B),
+    2**(n*B + 1)).
+    """
+
+    def __init__(self, word: Word, kmax: int):
+        self.kmax = kmax
+        self.symbols = sorted(set(word))
+        self.bits = max(1, (len(self.symbols) - 1).bit_length())
+        self._rank = {s: r for r, s in enumerate(self.symbols)}
+        self._join = "".join if isinstance(word, str) else tuple
+        # valid[m]: the lowest bit of each of the last m + 1 symbols, that
+        # is of the squares with t = 0..m symbols after them
+        self._valid = []
+        ones = 0
+        for t in range(len(word)):
+            ones |= 1 << t * self.bits
+            self._valid.append(ones)
+
+    def encode(self, word: Word) -> int:
+        code = 1
+        for symbol in word:
+            code = (code << self.bits) | self._rank[symbol]
+        return code
+
+    def decode(self, code: int) -> Word:
+        n = (code.bit_length() - 1) // self.bits
+        rank = (1 << self.bits) - 1
+        return self._join(
+            self.symbols[(code >> j * self.bits) & rank] for j in range(n - 1, -1, -1)
+        )
+
+    def _squares(self, code: int, n: int, length: int) -> int:
+        """A mask with the lowest bit of the last symbol of every square of
+        block length `length` in a code of n >= 2 * length symbols, so the
+        bits below a mark are those of the symbols after its square."""
+        shift = length * self.bits
+        # x is zero on every symbol that equals the one `length` places
+        # before it.  OR-ing each bit of x with the shift - 1 bits above
+        # it, by doubling, leaves the lowest bit of a symbol clear just
+        # where x is zero on it and the length - 1 symbols before it:
+        # the AND of `length` shifted copies of x's symbol-wise zero mask
+        x = code ^ (code >> shift)
+        span = 1
+        while 2 * span <= shift:
+            x |= x >> span
+            span *= 2
+        x |= x >> shift - span
+        return self._valid[n - 2 * length] & ~x
+
+    def root(self, word: Word, bound: int) -> int:
+        """The code of a `bound`-irreducible descendant of `word`, in one
+        pass: its symbols are appended one at a time, and a square of block
+        length <= bound that ends at the newest symbol has its second copy
+        deleted at once, the shortest such square first.  At bound 1 this is
+        the collapse of `word`, every run cut to one symbol.
+
+        The word built so far stays irreducible: a new square must end at
+        the newest symbol, and deleting its second copy leaves a prefix of
+        the word before the append.  Each deletion is a deduplication of
+        the whole word, so what is left at the end is a root."""
+        bits, rank = self.bits, self._rank
+        # (length, 2 * length, shift, mask of the last `length` symbols), up
+        # to half the word's length: no longer square fits in it
+        top = min(bound, len(word) // 2)
+        blocks = [(l, 2 * l, l * bits, (1 << l * bits) - 1) for l in range(1, top + 1)]
+        code, n = 1, 0
+        for symbol in word:
+            code = code << bits | rank[symbol]
+            n += 1
+            for length, twice, shift, low in blocks:
+                if twice > n:
+                    break
+                # the last `length` symbols repeat the `length` before them
+                if not (code ^ code >> shift) & low:
+                    code >>= shift
+                    n -= length
+                    break
+        return code
+
+    def peel(self, code: int, shortest: int = 0, first: int = 1) -> List[Tuple[int, int, int]]:
+        """(offset, length, child) for every square of block length first ..
+        kmax whose deletion leaves at least `shortest` symbols, in (offset,
+        length) order; the child is the code with the square's second copy
+        deleted."""
+        bits = self.bits
+        n = (code.bit_length() - 1) // bits
+        found = []
+        for length in range(first, min(self.kmax, n // 2, n - shortest) + 1):
+            shift = length * bits
+            hits = self._squares(code, n, length)
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                tail = low.bit_length() - 1  # bits of the symbols after the square
+                child = ((code >> tail + shift) << tail) | (code & low - 1)
+                found.append((n - 2 * length - tail // bits, length, child))
+        # no two squares share an (offset, length), so no child is compared
+        found.sort()
+        return found
+
+
 def iter_tandem_repeats(word: Word, kmax: int) -> Iterator[Tuple[int, int]]:
     """Every square with block length <= kmax as (offset, length): the block
     word[offset:offset + length] repeats right after itself.  In (offset,
     length) order, as `_Peeling.peel`, the one square finder, lists them."""
-    from .enumeration import _Peeling
-
     peeling = _Peeling(word, kmax)
     return ((offset, length) for offset, length, _ in peeling.peel(peeling.encode(word)))
 

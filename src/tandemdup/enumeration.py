@@ -36,15 +36,16 @@ array and stops once every word of that length is found, and
 stops at the first level where it occurs.
 
 The reverse searches (`derives_from`, `dedup_roots`, `dedup_distance`)
-peel squares off words packed the same way, one Python int a word with
-a leading 1 bit above the symbols, so the length is implicit and there
-is no width limit.  The ranks come from the start word's own symbols,
-because deduplication never adds one.  Every square of block length l is
-found at once: x = c ^ (c >> l*B) is zero on each symbol that equals the
-one l places before it, and the AND of l shifted copies of that zero mask
-(an OR over a window of l*B bits of x, taken by doubling) marks the
-offsets where a whole block repeats.  `_Peeling.peel` lists a word's
-squares in (offset, length) order.  Only the roots are decoded.
+peel squares off words packed the same way by `tandemdup.core._Peeling`,
+the package's one square engine: one Python int a word with a leading 1
+bit above the symbols, so the length is implicit and there is no width
+limit.  The ranks come from the start word's own symbols, because
+deduplication never adds one.  Every square of block length l is found
+at once: x = c ^ (c >> l*B) is zero on each symbol that equals the one l
+places before it, and the AND of l shifted copies of that zero mask (an
+OR over a window of l*B bits of x, taken by doubling) marks the offsets
+where a whole block repeats.  `_Peeling.peel` lists a word's squares in
+(offset, length) order.  Only the roots are decoded.
 
 `derives_from` and `dedup_roots` are one depth-first walk (`_walk`),
 which owns the stack, the words seen and the budget that counts them,
@@ -64,7 +65,8 @@ lemma on the same six cases (see its docstring): the walk starts from
 the collapse and peels block lengths 2 and more only, an argument fixed
 when it starts.  `greedy_root`, the one root for kmax <= 3, needs no
 search: it appends the word's symbols one at a time and deletes each
-square, runs included, as soon as its last symbol arrives.
+square, runs included, as soon as its last symbol arrives
+(`_Peeling.root`); the same pass at block bound 1 is the collapse.
 `dedup_distance`, whose steps through runs count, searches best first:
 each step deletes at most kmax symbols, so a word x needs at least
 ceil((|x| - |target|) / kmax) more steps, and the search opens the
@@ -81,7 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .core import Alphabet, DuplicationSystem, Word
+from .core import Alphabet, DuplicationSystem, Word, _Peeling
 from .errors import BudgetExceededError
 
 if TYPE_CHECKING:
@@ -341,138 +343,16 @@ def _kept_by_deduplication(word: Word) -> tuple:
     return word[:1], word[-1:], frozenset(word)
 
 
-class _Peeling:
-    """Words over the symbols of one start word as Python ints, for peeling
-    squares off them.
-
-    Each symbol is its rank among the start word's symbols, sorted, in
-    B = max(1, ceil(log2 |symbols|)) bits, first symbol most significant,
-    under a leading 1 bit.  A code of n symbols lies in [2**(n*B),
-    2**(n*B + 1)).
-    """
-
-    def __init__(self, word: Word, kmax: int):
-        self.kmax = kmax
-        self.symbols = sorted(set(word))
-        self.bits = max(1, (len(self.symbols) - 1).bit_length())
-        self._rank = {s: r for r, s in enumerate(self.symbols)}
-        self._join = "".join if isinstance(word, str) else tuple
-        # valid[m]: the lowest bit of each of the last m + 1 symbols, that
-        # is of the squares with t = 0..m symbols after them
-        self._valid = []
-        ones = 0
-        for t in range(len(word)):
-            ones |= 1 << t * self.bits
-            self._valid.append(ones)
-
-    def encode(self, word: Word) -> int:
-        code = 1
-        for symbol in word:
-            code = (code << self.bits) | self._rank[symbol]
-        return code
-
-    def decode(self, code: int) -> Word:
-        n = (code.bit_length() - 1) // self.bits
-        rank = (1 << self.bits) - 1
-        return self._join(
-            self.symbols[(code >> j * self.bits) & rank] for j in range(n - 1, -1, -1)
-        )
-
-    def _squares(self, code: int, n: int, length: int) -> int:
-        """A mask with the lowest bit of the last symbol of every square of
-        block length `length` in a code of n >= 2 * length symbols, so the
-        bits below a mark are those of the symbols after its square."""
-        shift = length * self.bits
-        # x is zero on every symbol that equals the one `length` places
-        # before it.  OR-ing each bit of x with the shift - 1 bits above
-        # it, by doubling, leaves the lowest bit of a symbol clear just
-        # where x is zero on it and the length - 1 symbols before it:
-        # the AND of `length` shifted copies of x's symbol-wise zero mask
-        x = code ^ (code >> shift)
-        span = 1
-        while 2 * span <= shift:
-            x |= x >> span
-            span *= 2
-        x |= x >> shift - span
-        return self._valid[n - 2 * length] & ~x
-
-    def collapse(self, code: int) -> int:
-        """The code with every run of one symbol cut to a single symbol.
-
-        A run of r symbols holds r - 1 squares of block length 1.  Their
-        second copies are deleted from the top bit down, so no deletion
-        moves the bits of the squares below it."""
-        bits = self.bits
-        n = (code.bit_length() - 1) // bits
-        if n < 2:
-            return code
-        hits = self._squares(code, n, 1)
-        while hits:
-            tail = hits.bit_length() - 1  # bits of the symbols after the run
-            hits ^= 1 << tail
-            code = ((code >> tail + bits) << tail) | (code & (1 << tail) - 1)
-        return code
-
-    def root(self, word: Word) -> int:
-        """The code of a kmax-irreducible descendant of `word`, in one pass:
-        its symbols are appended one at a time, and a square that ends at
-        the newest symbol has its second copy deleted at once, the shortest
-        such square first.
-
-        The word built so far stays irreducible: a new square must end at
-        the newest symbol, and deleting its second copy leaves a prefix of
-        the word before the append.  Each deletion is a deduplication of
-        the whole word, so what is left at the end is a root."""
-        bits, rank = self.bits, self._rank
-        # (length, 2 * length, shift, mask of the last `length` symbols)
-        blocks = [(l, 2 * l, l * bits, (1 << l * bits) - 1) for l in range(1, self.kmax + 1)]
-        code, n = 1, 0
-        for symbol in word:
-            code = code << bits | rank[symbol]
-            n += 1
-            for length, twice, shift, low in blocks:
-                if twice > n:
-                    break
-                # the last `length` symbols repeat the `length` before them
-                if not (code ^ code >> shift) & low:
-                    code >>= shift
-                    n -= length
-                    break
-        return code
-
-    def peel(self, code: int, shortest: int = 0, first: int = 1) -> List[Tuple[int, int, int]]:
-        """(offset, length, child) for every square of block length first ..
-        kmax whose deletion leaves at least `shortest` symbols, in (offset,
-        length) order; the child is the code with the square's second copy
-        deleted."""
-        bits = self.bits
-        n = (code.bit_length() - 1) // bits
-        found = []
-        for length in range(first, min(self.kmax, n // 2, n - shortest) + 1):
-            shift = length * bits
-            hits = self._squares(code, n, length)
-            while hits:
-                low = hits & -hits
-                hits ^= low
-                tail = low.bit_length() - 1  # bits of the symbols after the square
-                child = ((code >> tail + shift) << tail) | (code & low - 1)
-                found.append((n - 2 * length - tail // bits, length, child))
-        # no two squares share an (offset, length), so no child is compared
-        found.sort()
-        return found
-
-
 def _walk(peeling: _Peeling, word: Word, budget: int, run_free: bool, shortest: int = 0):
     """Depth first over the descendants of `word` with at least `shortest`
     symbols: yield each visited code with its squares, then push its
     unseen children in (offset, length) order, the newest visited next.
     The budget counts the codes seen; a caller that stops at a yield has
     pushed none of that code's children.  A `run_free` walk starts from
-    the collapse and never peels block length 1: every pair of neighbours
-    in x u y is one in x u u y, so no word it visits has a run."""
-    start, first = peeling.encode(word), 1
-    if run_free:
-        start, first = peeling.collapse(start), 2
+    the collapse, the greedy root at block bound 1, and never peels block
+    length 1: every pair of neighbours in x u y is one in x u u y, so no
+    word it visits has a run."""
+    start, first = (peeling.root(word, 1), 2) if run_free else (peeling.encode(word), 1)
     seen = {start}
     stack = [start]
     while stack:
@@ -517,7 +397,7 @@ def derives_from(
         return False
     peeling = _Peeling(word, system.kmax)
     goal = peeling.encode(seed)
-    run_free = peeling.collapse(goal) == goal
+    run_free = all(a != b for a, b in zip(seed, seed[1:]))
     walk = _walk(peeling, word, budget, run_free, len(seed))
     return any(code == goal for code, _ in walk)
 
@@ -630,7 +510,7 @@ def greedy_root(word: Word, kmax: int) -> Word:
     """
     _at_least_one("kmax", kmax)
     peeling = _Peeling(word, kmax)
-    return peeling.decode(peeling.root(word))
+    return peeling.decode(peeling.root(word, kmax))
 
 
 def dedup_distance(
@@ -664,7 +544,7 @@ def dedup_distance(
     if _kept_by_deduplication(word) != _kept_by_deduplication(target):
         return None
     peeling = _Peeling(word, kmax)
-    if kmax <= 3 and peeling.root(word) != peeling.root(target):
+    if kmax <= 3 and peeling.root(word, kmax) != peeling.root(target, kmax):
         return None
     start, goal = peeling.encode(word), peeling.encode(target)
     bits, shortest = peeling.bits, len(target)

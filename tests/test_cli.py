@@ -854,6 +854,44 @@ def test_a_closed_pipe_keeps_the_exit_code(argv, closed, code, lines):
     assert len(other) == len(lines) and all(map(str.startswith, other, lines)), other
 
 
+_COUNT9 = ["count", "--alphabet", "012", "--seed", "012", "--max-len", "9"]
+
+
+@pytest.mark.parametrize(
+    "argv,closed,code,err",
+    [
+        ([*_COUNT9, "--max-dup", "3"], (1,), 2, [_CANNOT_WRITE]),
+        (["--version"], (1,), 0, None),
+        (["count", "--help"], (1,), 0, None),
+        ([], (1, 2), 2, None),
+        ([*_COUNT9, "--max-dup", "0"], (2,), 2, None),
+        ([*_COUNT012, "--max-dup", "4", "--budget", "10"], (2,), 1, None),
+    ],
+    ids=["stdout-answer", "stdout-version", "stdout-help", "both-no-arguments",
+         "stderr-usage-error", "stderr-domain-error"],
+)
+def test_a_stream_closed_at_start_up_counts_as_closed(argv, closed, code, err):
+    # as after `>&-` or `2>&-`: the descriptor is not open when the
+    # interpreter starts, so its sys stream is None.  Nothing goes to
+    # standard output in place of standard error, and standard error
+    # holds the expected lines, each given by its start, where checked
+    proc = _fresh_python("-m", "tandemdup", *argv, closed=closed)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    if err is not None:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == len(err) and all(map(str.startswith, lines, err)), lines
+
+
+def test_out_needs_no_standard_output(tmp_path):
+    target = tmp_path / "counts.json"
+    proc = _fresh_python("-m", "tandemdup", *_COUNT9, "--max-dup", "3", "--out", str(target),
+                         closed=(1,))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(target.read_text())["counts"]["9"] > 0
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "machine.json"
     code, out = run(capsys, "automaton", *SYS2, "--out", str(target))
@@ -878,8 +916,10 @@ def test_every_option_is_read_by_its_handler():
         assert dests <= read, (name, sorted(dests - read))
 
 
-def _fresh_python(*argv):
-    """Run the interpreter in a fresh process on this checkout's package."""
+def _fresh_python(*argv, closed=()):
+    """Run the interpreter in a fresh process on this checkout's package,
+    with the descriptors in `closed` not open at its start.  This is the
+    interpreter itself, not a launcher that might reopen a descriptor."""
     src = str(Path(tandemdup.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, *argv],
@@ -887,6 +927,7 @@ def _fresh_python(*argv):
         capture_output=True,
         text=True,
         timeout=60,
+        preexec_fn=lambda: [os.close(fd) for fd in closed],
     )
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,24 @@ class TestDedup:
             alphabet = "0123"[: rng.randint(2, 4)]
             word = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 16)))
             assert greedy_root(word, kmax) in _full_roots(word, kmax), (word, kmax)
+
+    def test_greedy_root_bound_above_half_the_word(self):
+        # no square longer than half the word fits in it: a larger bound
+        # gives the same root, and builds no larger table of block lengths
+        rng = random.Random(6)
+        for _ in range(400):
+            alphabet = "0123"[: rng.randint(1, 4)]
+            word = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
+            half = max(1, len(word) // 2)
+            for kmax in (half + 1, 2 * half + 3, 1000):
+                assert greedy_root(word, kmax) == greedy_root(word, half), (word, kmax)
+        tracemalloc.start()
+        try:
+            assert greedy_root("0121012", 10**4) == "0121012"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
     def test_target_longer_than_word_is_an_error(self):
         with pytest.raises(ValueError):
@@ -797,7 +816,7 @@ class TestPackedPeeling:
             words.append(tuple(rng.choice(("a", "bb")) for _ in range(rng.randint(0, 12))))
         for word in words:
             peeling = _Peeling(word, 4)
-            assert peeling.decode(peeling.collapse(peeling.encode(word))) == collapse(word), word
+            assert peeling.decode(peeling.root(word, 1)) == collapse(word), word
 
     def test_distance_budget_outcome_ignores_string_hashing(self):
         # the open words are lists in a fixed order: string hashing, which
