@@ -15,19 +15,21 @@ Both steps run on Python-int bitmasks.  The position construction is
 compiled: the parts of the expression, a head and the stage each further
 seed symbol adds, made of runs, interleaved pairs and three-symbol blocks,
 are turned once, at import, into masks of each position's followers and
-predecessors relative to the part, and `seed_regex` returns a seed's rows
-as these masks shifted into place.  A subset of NFA states is one int,
-keyed as such.  The forward DFA of `build_automaton` walks the followers:
-per subset it forms the union of its members' followers once and cuts it
-per symbol by the positions that read that symbol, the step `position_walk`
-takes along one word, one mask at a time.  One subset construction over
+predecessors and of each argument's carrier, relative to the part.
+`seed_regex` shifts these masks into place, `_position_reversal` just the
+predecessors and carriers the minimal machine starts from.  The forward
+DFA of `build_automaton` walks the followers: per subset, one int, it
+forms the union of its members' followers once and cuts it per symbol by
+the positions that read that symbol, the step `position_walk` takes along
+one word, one mask at a time.  One subset construction over
 one row per symbol serves the two passes of double reversal and
 `LabeledAutomaton.determinized`: NFA states are ranked by their index in
 sorted order, and many subsets meet a row in the same members, so each row
-remembers the target of every such hit.  The forward DFA keeps its own
-loop because per-symbol rows of the followers would form the union once
-per symbol, and their memo would never hit: every position has followers,
-so there the hit is the whole subset, which never comes twice.
+remembers the target of every such hit; the caller gives each row's
+support.  The forward DFA keeps its own loop because per-symbol rows of
+the followers would form the union once per symbol, and their memo would
+never hit: every position has followers, so there the hit is the whole
+subset, which never comes twice.
 
 The subset construction hands its transition table (per symbol, the target
 of each state) straight to the machine it builds, and that table is the
@@ -110,47 +112,33 @@ def _carriers(symbols, symbol_order) -> List[int]:
     return carriers
 
 
-def _predecessor_rows(symbols, pred: List[int], symbol_order) -> List[List[int]]:
-    """Per-symbol rows of the position NFA's reversal, from the mask of the
-    predecessors of each state.  Every edge into a position reads that
-    position's symbol, so the row of symbol s sends each position that
-    carries s back to its predecessors, the start state among them for the
-    first positions."""
-    index = {s: i for i, s in enumerate(symbol_order)}
-    rows = [[0] * len(pred) for _ in symbol_order]
-    for q, s in enumerate(symbols, 1):
-        rows[index[s]][q] = pred[q]
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # raw machine helpers.  For the subset construction an NFA's states are
 # ranked 0 .. n-1, and a set of states is one int with bit r for rank r.
 # Its edges come as one row per symbol, in alphabet order: a list that maps
-# a rank to the mask of its successors under that symbol.  A DFA comes out
-# as a transition table: per symbol, the target id of each state, None
-# where it has no edge.  Elsewhere states are ints and edges are (source,
-# symbol, target) triples.
+# a rank to the mask of its successors under that symbol, beside the row's
+# support, the mask of the ranks with an entry.  A DFA comes out as a
+# transition table: per symbol, the target id of each state, None where it
+# has no edge.  Elsewhere states are ints and edges are (source, symbol,
+# target) triples.
 
 
-def _support(row: List[int]) -> int:
-    """Mask of the ranks that have a nonempty entry in a row, read as one
-    binary string: OR-ing in one bit per rank would copy the mask each time."""
-    return int("".join(map("01".__getitem__, map(bool, reversed(row)))), 2)
-
-
-def _table_reversal(table, start: int, accepting: Iterable[int]) -> Tuple[int, int, list]:
+def _table_reversal(table, start: int, accepting: Iterable[int]) -> Tuple[int, int, list, list]:
     """The reversal of a DFA given by its transition table, its start rank
     and its accepting ranks, as `_minimal_raw` takes it: (start mask,
-    accepting mask, per-symbol rows).  The reversal starts at the accepting
-    ranks and accepts at the start."""
+    accepting mask, per-symbol rows, their supports).  The reversal starts
+    at the accepting ranks and accepts at the start."""
     rows = [[0] * len(targets) for targets in table]
+    supports = []
     for row, targets in zip(rows, table):
+        support = 0
         for p, q in enumerate(targets):
             if q is not None:
                 row[q] |= 1 << p
+                support |= 1 << q
+        supports.append(support)
     back_start = reduce(or_, (1 << r for r in accepting), 0)
-    return back_start, 1 << start, rows
+    return back_start, 1 << start, rows, supports
 
 
 def _distances(table, accepting: List[int]) -> List[Optional[int]]:
@@ -176,8 +164,9 @@ def _distances(table, accepting: List[int]) -> List[Optional[int]]:
     return distance
 
 
-def _determinize_raw(start: int, accepting: int, rows: List[List[int]]):
-    """Subset construction from the start mask over one row per symbol.
+def _determinize_raw(start: int, accepting: int, rows: List[List[int]], supports: List[int]):
+    """Subset construction from the start mask over one row per symbol and
+    its support; rows that agree on their supports may be one list.
 
     Each subset is one int, the key of `ids`.  A row's support picks out
     the members of a subset that have an entry, the hit, and only those are
@@ -193,7 +182,7 @@ def _determinize_raw(start: int, accepting: int, rows: List[List[int]]):
     ids = {start: 0}
     subsets = [start]
     table: List[List[Optional[int]]] = [[] for _ in rows]
-    steps = [(row, _support(row), targets, {}) for row, targets in zip(rows, table)]
+    steps = list(zip(rows, supports, table, [{} for _ in rows]))
     find = ids.get
     # the list grows while it is walked: it is the breadth-first queue
     for subset in subsets:
@@ -215,17 +204,11 @@ def _determinize_raw(start: int, accepting: int, rows: List[List[int]]):
     return len(subsets), det_accepting, table
 
 
-def _subset_machine(alphabet: Alphabet, start: int, accepting: int, rows) -> "LabeledAutomaton":
-    """The DFA of the subset construction over per-symbol rows."""
-    count, det_accepting, table = _determinize_raw(start, accepting, rows)
-    return LabeledAutomaton._from_table(alphabet, count, det_accepting, table)
-
-
-def _minimal_raw(alphabet: Alphabet, start: int, accepting: int, rows) -> "LabeledAutomaton":
+def _minimal_raw(alphabet: Alphabet, start, accepting, rows, supports) -> "LabeledAutomaton":
     """Minimal trim DFA of any NFA, by Brzozowski's double reversal, given
-    the rows of the NFA's reversal: `start` masks the NFA's accepting
-    states and `accepting` its start state.  The result is flagged as
-    minimal; its states are 0 .. n-1, numbered breadth-first from the start.
+    the rows of the NFA's reversal and their supports: `start` masks the
+    NFA's accepting states and `accepting` its start state.  The result is
+    minimal, its states 0 .. n-1 numbered breadth-first from the start.
 
     Determinizing the reversal yields a reachable DFA for the reversed
     language.  Its transition table, turned around, is the rows of the
@@ -235,8 +218,9 @@ def _minimal_raw(alphabet: Alphabet, start: int, accepting: int, rows) -> "Label
     trim.  Discovery order numbers it breadth-first from the start, symbols
     in order, as `trimmed` would.
     """
-    _, back_accepting, table = _determinize_raw(start, accepting, rows)
-    machine = _subset_machine(alphabet, *_table_reversal(table, 0, back_accepting))
+    _, back_accepting, table = _determinize_raw(start, accepting, rows, supports)
+    reversal = _table_reversal(table, 0, back_accepting)
+    machine = LabeledAutomaton._from_table(alphabet, *_determinize_raw(*reversal))
     machine._is_minimal = True
     return machine
 
@@ -410,10 +394,10 @@ class LabeledAutomaton:
         self._minimal: Optional[LabeledAutomaton] = None
         self._is_minimal = False
         # the reversal of an NFA for the same language, as `_minimal_raw`
-        # takes it: (its start mask, its accepting mask, its rows).  A
-        # forward machine of `build_automaton` keeps its position NFA's here
-        # until minimized() has read them
-        self._reversal: Optional[Tuple[int, int, list]] = None
+        # takes it: (its start mask, its accepting mask, its rows, their
+        # supports).  A forward machine of `build_automaton` keeps its
+        # position NFA's here until minimized() has read them
+        self._reversal: Optional[Tuple[int, int, list, list]] = None
 
     # -- basic structure
 
@@ -480,11 +464,14 @@ class LabeledAutomaton:
     def determinized(self) -> "LabeledAutomaton":
         n = len(self.states)
         rows = [[0] * n for _ in self.alphabet.symbols]
+        supports = [0] * len(rows)
         for p, s, q in self._ranked_edges():
             rows[s][p] |= 1 << q
+            supports[s] |= 1 << p
         start, accepting = self._ends()
         accepting_mask = reduce(or_, (1 << r for r in accepting), 0)
-        return _subset_machine(self.alphabet, 1 << start, accepting_mask, rows)
+        subsets = _determinize_raw(1 << start, accepting_mask, rows, supports)
+        return LabeledAutomaton._from_table(self.alphabet, *subsets)
 
     def trimmed(self) -> "LabeledAutomaton":
         """Trim machine for the same language, with states numbered
@@ -610,12 +597,13 @@ class _Pieces:
     """The closure mini-language of `seed_regex`'s expression.  Each call
     numbers the positions of one piece 1, 2, .. in reading order, links
     them and returns its (nullable, first mask, last mask); a letter is the
-    index of the piece argument that a position reads.  follow[p] and
-    pred[p] mask the followers and the predecessors of position p inside
-    the part; entry 0 stands for the start state, which no piece links."""
+    index of the piece argument that a position reads; carriers[a] masks
+    its readers.  follow[p] and pred[p] mask the followers and predecessors
+    of position p inside the part; entry 0 is the start state, unlinked."""
 
     def __init__(self):
         self.letters: List[int] = []
+        self.carriers: List[int] = [0, 0, 0]
         self.follow: List[int] = [0]
         self.pred: List[int] = [0]
 
@@ -631,6 +619,7 @@ class _Pieces:
         self.follow.append(0)
         self.pred.append(0)
         bit = 1 << len(self.letters)
+        self.carriers[a] |= bit
         return False, bit, bit
 
     def loop(self, piece, optional=False):
@@ -667,13 +656,14 @@ class _Pieces:
 @dataclass(frozen=True)
 class _Template:
     """A run-led part of the expression on its own positions 1 .. w: the
-    part's argument each position reads, and per position the masks of
-    its followers and predecessors inside the part.  Shifted left by the
-    number of positions before it, each mask is the part's share of a
-    seed's rows.  A run cannot be skipped, so the part has one first
-    position, and the positions after it follow its last ones alone."""
+    part's argument each position reads, each argument's carrier, and per
+    position the masks of its followers and predecessors inside the part.
+    Shifted left by the number of positions before it, each mask is the
+    part's share of a seed's.  A run cannot be skipped, so the part has one
+    first position, and the positions after it follow its last ones alone."""
 
     letters: Tuple[int, ...]
+    carriers: Tuple[int, ...]
     first: int
     last: int
     ends: Tuple[int, ...]
@@ -687,8 +677,8 @@ def _template(part: Callable[[_Pieces], tuple]) -> _Template:
     pieces = _Pieces()
     _, first, last = part(pieces)
     return _Template(
-        tuple(pieces.letters), first.bit_length() - 1, last, tuple(_members(last)),
-        tuple(pieces.follow[1:]), tuple(pieces.pred[1:]),
+        tuple(pieces.letters), tuple(pieces.carriers), first.bit_length() - 1, last,
+        tuple(_members(last)), tuple(pieces.follow[1:]), tuple(pieces.pred[1:]),
     )
 
 
@@ -700,6 +690,23 @@ _STAGES = {
     2: _template(lambda e: e.concatenation(e.run(1), e.pair(0, 1))),
     3: _template(lambda e: e.concatenation(e.run(2), e.pair(1, 2), e.block(0, 1, 2))),
 }
+
+
+def _parts(symbols: Iterable, kmax: int) -> List[Tuple[_Template, tuple]]:
+    """The checked parts of `seed_regex`'s expression, each beside its window."""
+    if kmax > REGULAR_KMAX:
+        raise UnsupportedDuplicationLength(
+            f"automaton construction needs kmax <= {REGULAR_KMAX}, got {kmax}"
+        )
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    seed = tuple(symbols)
+    if not seed:
+        raise ValueError("seed must be nonempty")
+    if kmax == 1 or len(seed) == 1:
+        return [(_STAGES[1], seed[i : i + 1]) for i in range(len(seed))]
+    stage = _STAGES[kmax]
+    return [(_HEAD, seed[:2])] + [(stage, seed[i + 1 - kmax : i + 1]) for i in range(2, len(seed))]
 
 
 def seed_regex(symbols: Iterable, kmax: int) -> Tuple[tuple, int, List[int], List[int]]:
@@ -740,21 +747,7 @@ def seed_regex(symbols: Iterable, kmax: int) -> Tuple[tuple, int, List[int], Lis
     pred[p] mask the successors and the predecessors of state p, the start
     state 0 included.
     """
-    if kmax > REGULAR_KMAX:
-        raise UnsupportedDuplicationLength(
-            f"automaton construction needs kmax <= {REGULAR_KMAX}, got {kmax}"
-        )
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    seed = tuple(symbols)
-    if not seed:
-        raise ValueError("seed must be nonempty")
-    if kmax == 1 or len(seed) == 1:
-        parts = [(_STAGES[1], seed[i : i + 1]) for i in range(len(seed))]
-    else:
-        stage = _STAGES[kmax]
-        parts = [(_HEAD, seed[:2])]
-        parts += [(stage, seed[i + 1 - kmax : i + 1]) for i in range(2, len(seed))]
+    parts = _parts(symbols, kmax)
     symbols = []
     follow, pred = [0], [0]
     # the mask and the list of the states the next first position follows
@@ -772,6 +765,23 @@ def seed_regex(symbols: Iterable, kmax: int) -> Tuple[tuple, int, List[int], Lis
         tail = part.last << at
         ends = [at + r for r in part.ends]
     return tuple(symbols), tail, follow, pred
+
+
+def _position_reversal(symbols: Iterable, kmax: int, order) -> Tuple[int, int, list, list]:
+    """The reversal of `seed_regex`'s NFA, as `_minimal_raw` takes it, placed
+    from the templates.  Edges into a position read its symbol and every
+    position has a predecessor, so a symbol's row is read at its carrier
+    alone: the predecessors serve as every row."""
+    carriers = dict.fromkeys(order, 0)
+    pred, tail = [0], 1
+    for part, window in _parts(symbols, kmax):
+        at = len(pred) - 1
+        for s, carrier in zip(window, part.carriers):
+            carriers[s] |= carrier << at
+        pred += [mask << at for mask in part.pred]
+        pred[at + part.first] |= tail
+        tail = part.last << at
+    return tail, 1, [pred] * len(carriers), list(carriers.values())
 
 
 def regex_to_nfa(positions, alphabet: Alphabet) -> LabeledAutomaton:
@@ -795,18 +805,18 @@ def build_automaton(
     forward machine keeps the rows of that reversal, so its `minimized()`
     starts from them too and never reverses the forward table, which is
     often ten times the minimal machine and more."""
-    symbols, last, follow, pred = seed_regex(system.seed, system.kmax)
     order = system.alphabet.symbols
-    back = _predecessor_rows(symbols, pred, order)
     if minimize:
-        return _minimal_raw(system.alphabet, last, 1, back)
+        return _minimal_raw(system.alphabet, *_position_reversal(system.seed, system.kmax, order))
+    symbols, last, follow, pred = seed_regex(system.seed, system.kmax)
+    carriers = _carriers(symbols, order)
     # No trim pass: every Glushkov position of `seed_regex` can reach
     # acceptance, so every subset can too, and discovery is breadth-first
     # with symbols in order, the numbering `trimmed` would give.
     ids = {1: 0}
     subsets = [1]
     table: List[List[Optional[int]]] = [[] for _ in order]
-    cuts = list(zip(_carriers(symbols, order), table))
+    cuts = list(zip(carriers, table))
     find = ids.get
     # the list grows while it is walked: it is the breadth-first queue
     for subset in subsets:
@@ -823,7 +833,8 @@ def build_automaton(
             targets.append(tid)
     accepting = [sid for sid, subset in enumerate(subsets) if subset & last]
     machine = LabeledAutomaton._from_table(system.alphabet, len(subsets), accepting, table)
-    machine._reversal = last, 1, back
+    # the reversal `_position_reversal` places, from the rows at hand
+    machine._reversal = last, 1, [pred] * len(order), carriers
     return machine
 
 

@@ -118,8 +118,8 @@ def _power_radius(block: np.ndarray, tol: float) -> float:
 def spectral_radius(matrix, tol: float = 1e-10) -> float:
     """Spectral radius of a nonnegative square matrix by the power method.
 
-    Reducible matrices are split into strongly connected blocks first and
-    the maximum over the blocks is returned.
+    Reducible matrices are split into strongly connected blocks first, and
+    the maximum over the distinct blocks, each iterated once, is returned.
     """
     import numpy as np
 
@@ -135,16 +135,18 @@ def spectral_radius(matrix, tol: float = 1e-10) -> float:
     n = m.shape[0]
     if n == 0:
         return 0.0
-    adjacency = [list(np.nonzero(m[i])[0]) for i in range(n)]
+    adjacency = [[] for _ in range(n)]
+    for i, j in zip(*(index.tolist() for index in np.nonzero(m))):
+        adjacency[i].append(j)
     best = 0.0
+    blocks = {}  # each distinct block of two or more states, by its shape and bytes
     for group in _sccs(adjacency):
         if len(group) == 1:
-            i = group[0]
-            best = max(best, float(m[i, i]))
+            best = max(best, float(m[group[0], group[0]]))
             continue
         block = m[np.ix_(group, group)]
-        best = max(best, _power_radius(block, tol))
-    return best
+        blocks[block.shape, block.tobytes()] = block
+    return max([best, *(_power_radius(block, tol) for block in blocks.values())])
 
 
 @dataclass(frozen=True)

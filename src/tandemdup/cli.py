@@ -17,12 +17,13 @@ an unwritable `--out` or standard output, such as a pipe whose reader
 has gone.  A closed standard error loses the one-line message, not the
 exit code, and help or the version lost on a closed standard output
 keep argparse's 0.  A stream closed at start-up, as after `>&-` or
-`2>&-`, counts as closed: an answer with no standard output exits 2, and
-an error line with no standard error is lost, not written to standard
-output.  `main` maps exception types to exit codes once; handlers call
-the library directly.  `main` parses a command line that names a
-subcommand with that subcommand's parser alone; the top-level parser
-serves help, the version and usage errors.
+`2>&-`, counts as closed: an answer with no standard output exits 2,
+help or the version with none exits 0 and writes nothing, and an error
+line with no standard error is lost; neither goes to the other stream.
+`main` maps exception types to exit codes once; handlers call the
+library directly.  `main` parses a command line that names a subcommand
+with that subcommand's parser alone; the top-level parser serves help,
+the version and usage errors.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"usage error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        # a sys.stdout closed at start-up is None, which argparse reads as stderr
+        if file is not None:
+            super()._print_message(message, file)
 
 
 def budget(text: str) -> int:

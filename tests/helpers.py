@@ -423,6 +423,12 @@ def set_determinize(starts, accepting, edges, symbol_order):
     return set(ids.values()), 0, det_accepting, det_edges
 
 
+def support(row):
+    """Mask of the ranks that have a nonempty entry in a row, a list of
+    per-rank masks of successors."""
+    return sum(1 << r for r, entry in enumerate(row) if entry)
+
+
 def set_minimal(start, accepting, edges, symbol_order):
     """Minimal trim DFA by double reversal, each pass `set_determinize`."""
     reverse = {(q, s, p) for p, s, q in edges}

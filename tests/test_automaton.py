@@ -48,6 +48,7 @@ from helpers import (
     set_pipeline,
     set_trim,
     successors,
+    support,
 )
 
 
@@ -71,6 +72,19 @@ class TestRegexPieces:
         ):
             with pytest.raises(UnsupportedDuplicationLength, match=message):
                 call()
+
+    def test_minimal_build_needs_no_seed_regex(self, monkeypatch):
+        # the minimal machine's reversal is placed straight from the templates
+        systems = [DuplicationSystem.parse("012", "01210", k) for k in (1, 2, 3)]
+        want = [build_automaton(system, minimize=True) for system in systems]
+
+        def refuse(*args):
+            raise AssertionError("seed_regex called")
+
+        monkeypatch.setattr(automaton_module, "seed_regex", refuse)
+        assert [build_automaton(system, minimize=True) for system in systems] == want
+        with pytest.raises(AssertionError, match="seed_regex called"):
+            build_automaton(systems[2])
 
     def test_seed_regex_over_repeated_symbols(self):
         m = regex_to_nfa(seed_regex(("0", "1", "0"), 2), Alphabet("01")).determinized()
@@ -872,23 +886,43 @@ class TestBitmaskSubsetConstruction:
                 states, start, accepting, edges
             ), (pattern, kmax)
             # the layout's rows against the set construction over the seed's own symbols
-            order = "0123"[: int(max(pattern)) + 1]
             _, _, accepting, edges = set_glushkov(seed_expression(tuple(pattern), kmax))
             symbols, last, follow, pred = seed_regex(tuple(pattern), kmax)
             n = len(follow)
-            want_follow, want_back = [0] * n, [[0] * n for _ in order]
+            want_follow = [0] * n
             for p, s, q in edges:
                 want_follow[p] |= 1 << q
-                want_back[order.index(s)][q] |= 1 << p
             assert len(symbols) == n - 1
             assert all(symbols[q - 1] == s for _, s, q in edges)
             assert last == sum(1 << q for q in accepting)
             assert follow == want_follow, (pattern, kmax)
-            back = automaton_module._predecessor_rows(symbols, pred, order)
-            assert back == want_back, (pattern, kmax)
+            # the reversal placed from the templates, over the symbol orders of
+            # the set-reference sweep: a row is read only at its support, the
+            # symbol's carrier, so each row is compared there
+            used = tuple("0123"[: int(max(pattern)) + 1])
+            for order in (used, used[::-1], ("99", *used[::-1])):
+                want_back = [[0] * n for _ in order]
+                for p, s, q in edges:
+                    want_back[order.index(s)][q] |= 1 << p
+                start, final, rows, carriers = automaton_module._position_reversal(
+                    tuple(pattern), kmax, order
+                )
+                back = [
+                    [row[q] if carrier >> q & 1 else 0 for q in range(n)]
+                    for row, carrier in zip(rows, carriers)
+                ]
+                assert (start, final) == (last, 1)
+                assert back == want_back, (pattern, kmax, order)
+                assert carriers == list(map(support, want_back)), (pattern, kmax, order)
+        # both placements make the same checks, with the same messages
+        place_reversal = partial(automaton_module._position_reversal, order="01")
         for bad, k in [(("0", "1"), 4), ((), kmax), (("0",), 0)]:
-            with pytest.raises((UnsupportedDuplicationLength, ValueError)):
-                seed_regex(bad, k)
+            refusals = []
+            for place in (seed_regex, place_reversal):
+                with pytest.raises((UnsupportedDuplicationLength, ValueError)) as refused:
+                    place(bad, k)
+                refusals.append((refused.type, str(refused.value)))
+            assert refusals[0] == refusals[1], refusals
 
     @pytest.mark.parametrize(
         "states,start,accepting,edges",
@@ -1144,6 +1178,38 @@ class TestTransitionTable:
             # and every machine the subset construction gives it
             for born in (machine.determinized(), machine.trimmed(), machine.minimized()):
                 self.assert_same(born, _rebuilt(born), 5)
+
+    def test_callers_hand_the_subset_construction_each_rows_support(self, monkeypatch):
+        """`determinized()` ORs the supports of its edge rows, and
+        `_table_reversal` returns those of the rows it turns around; both
+        against the oracle, on random DFAs and NFAs."""
+        real = automaton_module._determinize_raw
+        calls = []
+
+        def checked(start, accepting, rows, supports):
+            calls.append(supports == list(map(support, rows)))
+            return real(start, accepting, rows, supports)
+
+        monkeypatch.setattr(automaton_module, "_determinize_raw", checked)
+        rng = random.Random(33)
+        ab = Alphabet("abc")
+        kinds = set()
+        for _ in range(300):
+            ids = rng.sample(range(-50, 400), rng.randint(1, 8))
+            # up to two targets per state and symbol: some machines are NFAs
+            edges = {
+                (p, s, rng.choice(ids))
+                for p in ids for s in ab.symbols for _ in range(rng.choice((0, 1, 1, 2)))
+            }
+            accepting = set(rng.sample(ids, rng.randint(0, min(3, len(ids)))))
+            machine = LabeledAutomaton(ab, ids, rng.choice(ids), accepting, edges)
+            kinds.add(machine.is_deterministic)
+            dfa = machine.determinized()
+            _, _, rows, supports = automaton_module._table_reversal(dfa._table, *dfa._ends())
+            assert supports == list(map(support, rows))
+            dfa.minimized()
+        assert kinds == {False, True}
+        assert len(calls) == 900 and all(calls)
 
     @pytest.mark.parametrize("text,foreign", [("abc", "z"), ("2,10,1", "3")])
     def test_accepts_walks_the_table(self, text, foreign):

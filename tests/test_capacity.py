@@ -12,6 +12,7 @@ from tandemdup import (
     InsufficientDataError,
     UnsupportedDuplicationLength,
     avoidance_capacity,
+    build_automaton,
     count_words,
     empirical_capacity,
     exact_capacity,
@@ -19,6 +20,7 @@ from tandemdup import (
     spectral_radius,
     transfer_matrix,
 )
+from tandemdup import capacity
 from tandemdup.automaton import avoidance_automaton
 from helpers import canonical_patterns, window_graph
 
@@ -84,6 +86,52 @@ class TestSpectralRadius:
     def test_rejects_a_tolerance_no_estimate_can_meet(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             spectral_radius(BLOCK_MATRIX, tol)
+
+    def test_power_method_runs_once_per_distinct_block(self, monkeypatch):
+        # a transient state, which leads into every block, then three copies
+        # of one block and a different one
+        blocks = [np.zeros((1, 1))] + [BLOCK_MATRIX] * 3 + [np.ones((2, 2), dtype=np.int64)]
+        n = sum(map(len, blocks))
+        m = np.zeros((n, n))
+        at = 0
+        for block in blocks:
+            m[at : at + len(block), at : at + len(block)] = block
+            m[0, at] = at > 0
+            at += len(block)
+        want = max(capacity._power_radius(np.asarray(b, dtype=float), 1e-10) for b in blocks[1:])
+        real, calls = capacity._power_radius, []
+
+        def counted(block, tol):
+            calls.append(len(block))
+            return real(block, tol)
+
+        monkeypatch.setattr(capacity, "_power_radius", counted)
+        rho = spectral_radius(m)
+        assert sorted(calls) == [2, 6]
+        assert rho == want
+        assert abs(rho - max(abs(np.linalg.eigvals(m)))) < 1e-9
+
+
+def _radius_block_by_block(matrix, tol=1e-10):
+    """`spectral_radius` with one power iteration for every block, the
+    reference for its reuse of equal blocks."""
+    m = np.asarray(matrix, dtype=float)
+    adjacency = [list(np.nonzero(row)[0]) for row in m]
+    best = 0.0
+    for group in capacity._sccs(adjacency):
+        block = m[np.ix_(group, group)]
+        single = len(group) == 1
+        best = max(best, float(block[0, 0]) if single else capacity._power_radius(block, tol))
+    return best
+
+
+@pytest.mark.parametrize("kmax", [2, 3])
+def test_spectral_capacity_reuses_blocks_exactly(kmax):
+    for pattern in canonical_patterns(6):
+        system = DuplicationSystem.parse("0123", pattern, kmax)
+        matrix = transfer_matrix(build_automaton(system, minimize=True))
+        want = math.log(_radius_block_by_block(matrix)) / math.log(system.base)
+        assert spectral_capacity(system) == want, pattern
 
 
 class TestExactCapacity:

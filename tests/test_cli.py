@@ -883,6 +883,13 @@ def test_a_stream_closed_at_start_up_counts_as_closed(argv, closed, code, err):
         assert len(lines) == len(err) and all(map(str.startswith, lines, err)), lines
 
 
+@pytest.mark.parametrize("argv", [["--version"], ["count", "--help"]], ids=["version", "help"])
+def test_help_and_version_are_dropped_with_standard_output_closed(argv):
+    # argparse writes them to standard error when sys.stdout is None
+    proc = _fresh_python("-m", "tandemdup", *argv, closed=(1,))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
 def test_out_needs_no_standard_output(tmp_path):
     target = tmp_path / "counts.json"
     proc = _fresh_python("-m", "tandemdup", *_COUNT9, "--max-dup", "3", "--out", str(target),
